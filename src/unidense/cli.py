@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 def _fraction(text: str) -> Fraction:
     try:
         return _io.parse_fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -116,15 +116,8 @@ def _cmd_palette_info(args) -> int:
 
 
 def _cmd_palette_closure(args) -> int:
-    obj = json.loads(Path(args.generators).read_text())
-    base = (
-        _palette.WeightedColorSet(
-            tuple(obj["colors"]), tuple(_io.parse_fraction(w) for w in obj["weights"])
-        )
-        if "weights" in obj
-        else _palette.WeightedColorSet.uniform(tuple(obj["colors"]))
-    )
-    P = _palette.symmetric_closure([tuple(p) for p in obj["patterns"]], base)
+    gens = _io.read_palette(args.generators)
+    P = _palette.symmetric_closure(gens.patterns, gens.base)
     report = _base_report(args, "palette closure")
     report["palette"] = _io.palette_to_json(P)
     if args.out:
@@ -492,8 +485,6 @@ def build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("--json", help="write a machine-readable report to this path")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="worker count (results are identical at any value)")
 
     pal = sub.add_parser("palette", help="palette inspection and closure")
     pal_sub = pal.add_subparsers(dest="palcmd", required=True)

@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph3
+from .hypergraph import Hypergraph3, bit_positions
 
 _PERMS3 = tuple(itertools.permutations(range(3)))
 
@@ -138,14 +138,6 @@ class DensityReport:
         }
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
-
-
 def _ordered_edge_tensor(H: Hypergraph3) -> np.ndarray:
     """t[x, y, z] = 1 when {x, y, z} is an edge (so x, y, z distinct)."""
     n = H.n
@@ -158,6 +150,10 @@ def _ordered_edge_tensor(H: Hypergraph3) -> np.ndarray:
 
 def _scaled(d, eta):
     d, eta = Fraction(d), Fraction(eta)
+    if not 0 <= d <= 1:
+        raise ValueError(f"density d={d} outside [0, 1]")
+    if eta < 0:
+        raise ValueError(f"eta={eta} must be nonnegative")
     pd, qd = d.numerator, d.denominator
     pe, qe = eta.numerator, eta.denominator
     if qd * qe > 10**9:
@@ -215,7 +211,7 @@ def audit_uniform_dense(
             d,
             eta,
             Fraction(best, scale),
-            {"U": _bits(best_mask)},
+            {"U": bit_positions(best_mask)},
             space=1 << n,
         )
 
@@ -231,13 +227,7 @@ def audit_uniform_dense(
     def slack_of(mask: int, cnt: int) -> int:
         return cnt * scale - pd * qe * comb(bin(mask).count("1"), 3) + eta_term
 
-    candidates = [0, (1 << n) - 1]
-    candidates += [1 << v for v in range(min(n, 40))]
-    candidates += [((1 << n) - 1) ^ (1 << v) for v in range(min(n, 40))]
-    for density in (0.25, 0.5, 0.75):
-        for _ in range(max(1, samples // 3)):
-            bits = rng.random(n) < density
-            candidates.append(sum(1 << v for v in range(n) if bits[v]))
+    candidates = _subset_candidates(n, rng, samples)
     best, best_mask = None, 0
     for mask in candidates:
         s = slack_of(mask, count_inside(mask))
@@ -264,7 +254,7 @@ def audit_uniform_dense(
         d,
         eta,
         Fraction(best, scale),
-        {"U": _bits(best_mask)},
+        {"U": bit_positions(best_mask)},
         samples=len(candidates),
         seed=seed,
         rng_algorithm="numpy-pcg64",
@@ -350,7 +340,7 @@ def _vvv_exact(H: Hypergraph3, d, eta) -> DensityReport:
         d,
         eta,
         Fraction(best, scale),
-        {"A": _bits(best_wit[0]), "B": _bits(best_wit[1]), "C": _bits(best_wit[2])},
+        dict(zip("ABC", map(bit_positions, best_wit))),
         space=(1 << n) ** 3,
     )
 
@@ -390,7 +380,7 @@ def _ev_exact(H: Hypergraph3, d, eta) -> DensityReport:
         d,
         eta,
         Fraction(best, scale),
-        {"A": _bits(best_a), "P": best_p},
+        {"A": bit_positions(best_a), "P": best_p},
         space=(1 << n) * (1 << n * n),
     )
 
@@ -425,7 +415,7 @@ def _ee_exact(H: Hypergraph3, d, eta) -> DensityReport:
             best = s
             best_p = p_mask
             best_q = [[int(b), int(c)] for b, c in np.argwhere(term < 0)]
-    p_pairs = [[cells[i][0], cells[i][1]] for i in _bits(best_p)]
+    p_pairs = [[cells[i][0], cells[i][1]] for i in bit_positions(best_p)]
     return DensityReport(
         "ee",
         "exact",
@@ -519,7 +509,7 @@ def _vvv_sampled(H: Hypergraph3, d, eta, samples: int, seed: int) -> DensityRepo
         d,
         eta,
         Fraction(best, scale),
-        {"A": _bits(wit[0]), "B": _bits(wit[1]), "C": _bits(wit[2])},
+        dict(zip("ABC", map(bit_positions, wit))),
         samples=drawn,
         seed=seed,
         rng_algorithm="numpy-pcg64",
@@ -578,7 +568,7 @@ def _ev_sampled(H: Hypergraph3, d, eta, samples: int, seed: int) -> DensityRepor
         d,
         eta,
         Fraction(best, scale),
-        {"A": _bits(best_a), "P": best_p},
+        {"A": bit_positions(best_a), "P": best_p},
         samples=len(cands),
         seed=seed,
         rng_algorithm="numpy-pcg64",

@@ -110,6 +110,15 @@ def shadow(F: Hypergraph3) -> set[tuple[int, int]]:
     return F.shadow()
 
 
+def bit_positions(mask: int) -> list[int]:
+    """Positions of the set bits of a vertex-set bitmask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
 # -- named families ------------------------------------------------------
 
 

@@ -23,7 +23,10 @@ def parse_fraction(s) -> Fraction:
     text = str(s).strip()
     if any(ch in text for ch in ".eE") and not text.lstrip("+-").isdigit():
         raise ValueError(f"rational expected (p/q), got {s!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def format_fraction(f: Fraction) -> str:
@@ -93,13 +96,26 @@ def palette_to_json(P: Palette) -> dict:
     return obj
 
 
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(c, str) for c in x)
+
+
 def palette_from_json(obj: dict) -> Palette:
+    if not isinstance(obj, dict):
+        raise PaletteError(f"palette JSON must be an object, got {type(obj).__name__}")
+    if not _is_str_list(obj.get("colors")):
+        raise PaletteError('palette JSON needs a "colors" list of names')
+    patterns = obj.get("patterns", [])
+    if not isinstance(patterns, list) or not all(_is_str_list(p) for p in patterns):
+        raise PaletteError('palette "patterns" must be a list of colour-name lists')
     colors = tuple(obj["colors"])
     if "weights" in obj:
+        if not isinstance(obj["weights"], list):
+            raise PaletteError('palette "weights" must be a list')
         base = WeightedColorSet(colors, tuple(parse_fraction(w) for w in obj["weights"]))
     else:
         base = WeightedColorSet.uniform(colors)
-    pats = frozenset(tuple(p) for p in obj.get("patterns", []))
+    pats = frozenset(tuple(p) for p in patterns)
     return Palette(base, pats, name=obj.get("name", ""))
 
 

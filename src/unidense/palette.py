@@ -424,112 +424,102 @@ def _canonical_orderings(F: Hypergraph3):
             yield sigma
 
 
-class _Csp:
-    """Pair-colouring CSP for one fixed vertex ordering, with forward checking."""
+def ternary_tables(triples):
+    """Propagation tables of one ternary constraint, given its allowed triples.
 
-    def __init__(self, pairs, edge_slots, K, pattern_codes, value_order):
-        self.pairs = pairs
-        self.K = K
-        self.value_order = value_order
-        self.full = (1 << K) - 1
-        npairs = len(pairs)
-        pidx = {p: i for i, p in enumerate(pairs)}
-        self.edges = [tuple(pidx[p] for p in slots) for slots in edge_slots]
-        self.edges_of_var: list[list[int]] = [[] for _ in range(npairs)]
-        for ei, e in enumerate(self.edges):
-            for p in e:
-                self.edges_of_var[p].append(ei)
-        # variable order: pairs by number of incident edges, descending
-        self.var_order = sorted(
-            range(npairs), key=lambda p: (-len(self.edges_of_var[p]), p)
-        )
-        # propagation tables over colour codes
-        self.allowed = set(pattern_codes)
-        comp2: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-        proj1: dict[tuple[int, int], dict[int, int]] = {}
-        for i, j in itertools.combinations(range(3), 2):
-            k = 3 - i - j
-            d: dict[tuple[int, int], int] = {}
-            for p in pattern_codes:
-                key = (p[i], p[j])
-                d[key] = d.get(key, 0) | (1 << p[k])
-            comp2[(i, j)] = d
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                d2: dict[int, int] = {}
-                for p in pattern_codes:
-                    d2[p[i]] = d2.get(p[i], 0) | (1 << p[j])
-                proj1[(i, j)] = d2
-        self.comp2 = comp2
-        self.proj1 = proj1
+    Returns (allowed, comp2, proj1): comp2[(i, j)][(a, b)] is the bitmask of
+    values at the third position completing a at position i and b at j (i < j);
+    proj1[(i, j)][a] is the bitmask of values at j seen together with a at i.
+    """
+    allowed = frozenset(triples)
+    comp2: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    proj1: dict[tuple[int, int], dict[int, int]] = {}
+    for i, j in itertools.combinations(range(3), 2):
+        k = 3 - i - j
+        d: dict[tuple[int, int], int] = {}
+        for t in allowed:
+            d[t[i], t[j]] = d.get((t[i], t[j]), 0) | (1 << t[k])
+        comp2[(i, j)] = d
+    for i, j in itertools.permutations(range(3), 2):
+        d2: dict[int, int] = {}
+        for t in allowed:
+            d2[t[i]] = d2.get(t[i], 0) | (1 << t[j])
+        proj1[(i, j)] = d2
+    return allowed, comp2, proj1
 
-    def search(self, counter, budget):
-        """Return (status, assignment) with status in {sat, unsat, budget}."""
-        npairs = len(self.pairs)
-        domains = [self.full] * npairs
-        assign = [-1] * npairs
-        edges = self.edges
-        comp2 = self.comp2
-        proj1 = self.proj1
 
-        def propagate(var, trail):
-            for ei in self.edges_of_var[var]:
-                e = edges[ei]
-                vals = [assign[p] for p in e]
-                free = [s for s in range(3) if vals[s] < 0]
-                if not free:
-                    if tuple(vals) not in self.allowed:
-                        return False
-                elif len(free) == 1:
-                    s = free[0]
-                    i, j = [t for t in range(3) if t != s]
-                    mask = comp2[(i, j)].get((vals[i], vals[j]), 0)
-                    p = e[s]
-                    nd = domains[p] & mask
-                    if not nd:
-                        return False
-                    if nd != domains[p]:
-                        trail.append((p, domains[p]))
-                        domains[p] = nd
-                else:
-                    s = [t for t in range(3) if assign[e[t]] >= 0][0]
-                    for t in free:
-                        mask = proj1[(s, t)].get(vals[s], 0)
-                        p = e[t]
-                        nd = domains[p] & mask
-                        if not nd:
-                            return False
-                        if nd != domains[p]:
-                            trail.append((p, domains[p]))
-                            domains[p] = nd
-            return True
+_OTHER_TWO = ((1, 2), (0, 2), (0, 1))
 
-        def bt(depth):
-            if depth == npairs:
-                return "sat"
-            var = self.var_order[depth]
-            dom = domains[var]
-            for c in self.value_order:
-                if not dom & (1 << c):
-                    continue
-                counter[0] += 1
-                if budget is not None and counter[0] > budget:
-                    return "budget"
-                assign[var] = c
-                trail: list[tuple[int, int]] = []
-                if propagate(var, trail):
-                    res = bt(depth + 1)
-                    if res != "unsat":
-                        return res
-                for p, old in trail:
-                    domains[p] = old
-                assign[var] = -1
-            return "unsat"
 
-        status = bt(0)
-        return status, (list(assign) if status == "sat" else None)
+def solve_ternary(domains, constraints, counter, budget):
+    """Forward-checked backtracking over bitmask domains.
+
+    This is the one search engine behind both :func:`representable` and
+    :func:`unidense.reduced.find_reduced_map`.  domains[v] is the bitmask of
+    values variable v may take; each constraint is (vars3, tables) with three
+    distinct variables and tables from :func:`ternary_tables`.  Variables are
+    taken by descending constraint count (ties by index) and values lowest bit
+    first.  counter[0] grows by one node per value tried; the search stops once
+    it exceeds budget.  Returns (status, assignment) with status "sat", "unsat"
+    or "budget"; the assignment is a list of values when status is "sat".
+    """
+    n = len(domains)
+    domains = list(domains)
+    assign = [-1] * n
+    cons_of_var: list[list] = [[] for _ in range(n)]
+    for con in constraints:
+        for v in con[0]:
+            cons_of_var[v].append(con)
+    order = sorted(range(n), key=lambda v: (-len(cons_of_var[v]), v))
+
+    def propagate(var, trail):
+        for vars3, (allowed, comp2, proj1) in cons_of_var[var]:
+            vals = (assign[vars3[0]], assign[vars3[1]], assign[vars3[2]])
+            free = [r for r in (0, 1, 2) if vals[r] < 0]
+            if not free:
+                if vals not in allowed:
+                    return False
+                continue
+            if len(free) == 1:
+                r = free[0]
+                i, j = _OTHER_TWO[r]
+                narrowing = ((vars3[r], comp2[i, j].get((vals[i], vals[j]), 0)),)
+            else:
+                s = 3 - free[0] - free[1]
+                narrowing = [(vars3[r], proj1[s, r].get(vals[s], 0)) for r in free]
+            for p, mask in narrowing:
+                nd = domains[p] & mask
+                if not nd:
+                    return False
+                if nd != domains[p]:
+                    trail.append((p, domains[p]))
+                    domains[p] = nd
+        return True
+
+    def bt(depth):
+        if depth == n:
+            return "sat"
+        var = order[depth]
+        rest = domains[var]
+        while rest:
+            c = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            counter[0] += 1
+            if budget is not None and counter[0] > budget:
+                return "budget"
+            assign[var] = c
+            trail: list[tuple[int, int]] = []
+            if propagate(var, trail):
+                res = bt(depth + 1)
+                if res != "unsat":
+                    return res
+            for p, old in trail:
+                domains[p] = old
+            assign[var] = -1
+        return "unsat"
+
+    status = bt(0)
+    return status, (assign if status == "sat" else None)
 
 
 def _edge_slots_for_ordering(F: Hypergraph3, ordering) -> list[tuple]:
@@ -596,7 +586,9 @@ def representable(
     Searches for an ordering of V(F) plus a shadow colouring sending every
     edge's pattern into the palette.  For symmetric palettes pattern membership
     is ordering-invariant, so the ordering loop collapses to the identity.
-    A "free" verdict is only ever reported after full exhaustion; certificates
+    Each ordering's colouring search runs on :func:`solve_ternary`, the engine
+    shared with :func:`unidense.reduced.find_reduced_map`; colours are tried
+    most frequent in the patterns first.  A "free" verdict is only ever reported after full exhaustion; certificates
     are re-validated by :func:`check_certificate` before being returned.
     """
     colors = palette.base.colors
@@ -626,7 +618,12 @@ def representable(
     for p in codes:
         for c in p:
             freq[c] += 1
+    # the engine tries values lowest first, so search over colour codes relabelled
+    # by frequency rank: code value_order[r] is searched as r
     value_order = sorted(range(K), key=lambda c: (-freq[c], c))
+    rank = {c: r for r, c in enumerate(value_order)}
+    tables = ternary_tables((rank[a], rank[b], rank[c]) for a, b, c in codes)
+    pidx = {p: i for i, p in enumerate(pairs)}
 
     counter = [0]
 
@@ -652,11 +649,13 @@ def representable(
                 return RepresentabilityResult("certificate", cert, space, counter[0])
 
     for ordering in orderings:
-        slots = _edge_slots_for_ordering(F, ordering)
-        csp = _Csp(pairs, slots, K, codes, value_order)
-        status, assign = csp.search(counter, budget)
+        constraints = [
+            (tuple(pidx[p] for p in slots), tables)
+            for slots in _edge_slots_for_ordering(F, ordering)
+        ]
+        status, assign = solve_ternary([(1 << K) - 1] * s, constraints, counter, budget)
         if status == "sat":
-            cert = to_cert(ordering, assign)
+            cert = to_cert(ordering, [value_order[r] for r in assign])
             return RepresentabilityResult("certificate", cert, space, counter[0])
         if status == "budget":
             return RepresentabilityResult("inconclusive", None, space, counter[0])

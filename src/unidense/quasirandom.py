@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hypergraph import Hypergraph3
+from .hypergraph import Hypergraph3, bit_positions
 
 
 class GraphError(ValueError):
@@ -109,14 +109,6 @@ class QuasirandomReport:
         }
 
 
-def _bits(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return tuple(out)
-
-
 def _worst_B_for_A(G: BipartiteGraph, counts, a_size: int, d: Fraction):
     """Largest |e(A,B) - d|A||B|| over all B, given per-column counts for A.
 
@@ -156,6 +148,10 @@ def audit_quasirandom(
     """
     delta = Fraction(delta)
     d = Fraction(d)
+    if not 0 <= d <= 1:
+        raise ValueError(f"density d={d} outside [0, 1]")
+    if delta < 0:
+        raise ValueError(f"delta={delta} must be nonnegative")
     budget = delta * G.nx * G.ny
 
     transposed = G.ny < G.nx
@@ -172,8 +168,8 @@ def audit_quasirandom(
             ok=max_dev_abs <= budget,
             max_deviation=max_dev,
             slack=delta - max_dev,
-            witness_A=_bits(wa),
-            witness_B=_bits(wb),
+            witness_A=tuple(bit_positions(wa)),
+            witness_B=tuple(bit_positions(wb)),
             samples=nsamples,
             seed=seed if mode == "sampled" else None,
         )

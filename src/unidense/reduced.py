@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .hypergraph import Hypergraph3
-from .palette import Palette
+from .palette import Palette, solve_ternary, ternary_tables
 
 
 class ReducedError(ValueError):
@@ -388,8 +388,10 @@ def find_reduced_map(
     budget: int | None = None,
     injective: bool = False,
 ) -> ReducedMapResult:
-    """Backtracking search for a reduced map, interleaving index assignment with
-    forward-checked colouring of the shadow pairs.
+    """Backtracking search for a reduced map: index assignments lambda are
+    enumerated vertex by vertex, and each total lambda hands the colouring of
+    the shadow pairs to :func:`unidense.palette.solve_ternary`, the engine
+    shared with :func:`unidense.palette.representable`.
 
     Exhaustion certifies F-freeness; a budget stop is reported as inconclusive.
     Certificates are re-validated before being returned.
@@ -414,118 +416,28 @@ def find_reduced_map(
     counter = [0]
     lam: dict[int, int] = {}
 
-    table_cache: dict = {}
-
-    def tables_for(ijk):
-        t = table_cache.get(ijk)
-        if t is None:
-            edges = A.constituents[ijk]
-            comp2 = {}
-            proj1 = {}
-            for r1, r2 in itertools.combinations(range(3), 2):
-                r3 = 3 - r1 - r2
-                dd: dict = {}
-                for e in edges:
-                    key = (e[r1], e[r2])
-                    dd[key] = dd.get(key, 0) | (1 << e[r3])
-                comp2[(r1, r2)] = dd
-            for r1 in range(3):
-                for r2 in range(3):
-                    if r1 == r2:
-                        continue
-                    dd2: dict = {}
-                    for e in edges:
-                        dd2[e[r1]] = dd2.get(e[r1], 0) | (1 << e[r2])
-                    proj1[(r1, r2)] = dd2
-            t = (edges, comp2, proj1)
-            table_cache[ijk] = t
-        return t
+    tables: dict = {}
 
     def solve_phi():
-        """CSP over shadow pairs once lambda is total."""
+        """Colour the shadow pairs once lambda is total."""
         pidx = {p: i for i, p in enumerate(shadow)}
-        doms = []
-        classes = []
-        for (u, v) in shadow:
-            pair = tuple(sorted((lam[u], lam[v])))
-            classes.append(pair)
-            doms.append((1 << A.class_sizes[pair]) - 1)
+        classes = [tuple(sorted((lam[u], lam[v]))) for u, v in shadow]
         constraints = []  # (vars ordered by role, tables)
         for e in F.edges:
             ijk = tuple(sorted(lam[x] for x in e))
+            if ijk not in tables:
+                tables[ijk] = ternary_tables(A.constituents[ijk])
             role_of = {p: r for r, p in enumerate(A.roles(ijk))}
             by_role = [None, None, None]
             for a, b in itertools.combinations(e, 2):
                 fp = tuple(sorted((a, b)))
                 by_role[role_of[tuple(sorted((lam[a], lam[b])))]] = pidx[fp]
-            constraints.append((tuple(by_role), tables_for(ijk)))
-        cons_of_var: list[list[int]] = [[] for _ in shadow]
-        for ci, (vars3, _t) in enumerate(constraints):
-            for p in vars3:
-                cons_of_var[p].append(ci)
-        order = sorted(range(len(shadow)), key=lambda p: (-len(cons_of_var[p]), p))
-        assign = [-1] * len(shadow)
-
-        def propagate(var, trail):
-            for ci in cons_of_var[var]:
-                vars3, (allowed, comp2, proj1) = constraints[ci]
-                vals = [assign[p] for p in vars3]
-                free = [r for r in range(3) if vals[r] < 0]
-                if not free:
-                    if tuple(vals) not in allowed:
-                        return False
-                elif len(free) == 1:
-                    r = free[0]
-                    r1, r2 = [t for t in range(3) if t != r]
-                    mask = comp2[(r1, r2)].get((vals[r1], vals[r2]), 0)
-                    p = vars3[r]
-                    nd = doms[p] & mask
-                    if not nd:
-                        return False
-                    if nd != doms[p]:
-                        trail.append((p, doms[p]))
-                        doms[p] = nd
-                else:
-                    r1 = [t for t in range(3) if vals[t] >= 0][0]
-                    for r in free:
-                        mask = proj1[(r1, r)].get(vals[r1], 0)
-                        p = vars3[r]
-                        nd = doms[p] & mask
-                        if not nd:
-                            return False
-                        if nd != doms[p]:
-                            trail.append((p, doms[p]))
-                            doms[p] = nd
-            return True
-
-        def bt(depth):
-            if depth == len(shadow):
-                return "sat"
-            var = order[depth]
-            dom = doms[var]
-            v = dom
-            while v:
-                c = (v & -v).bit_length() - 1
-                v &= v - 1
-                counter[0] += 1
-                if budget is not None and counter[0] > budget:
-                    return "budget"
-                assign[var] = c
-                trail: list = []
-                if propagate(var, trail):
-                    res = bt(depth + 1)
-                    if res != "unsat":
-                        return res
-                for p, old in trail:
-                    doms[p] = old
-                assign[var] = -1
-            return "unsat"
-
-        status = bt(0)
+            constraints.append((tuple(by_role), tables[ijk]))
+        domains = [(1 << A.class_sizes[c]) - 1 for c in classes]
+        status, assign = solve_ternary(domains, constraints, counter, budget)
         if status != "sat":
             return status, None
-        phi = {p: (classes[i], assign[i]) for i, p in enumerate(shadow)}
-        return "sat", phi
+        return "sat", {p: (classes[i], assign[i]) for i, p in enumerate(shadow)}
 
     def bt_lambda(step):
         if step == F.n:

@@ -159,6 +159,14 @@ class TestUniformAudit:
         assert rep.mode == "exact"
         assert rep.min_slack == 0  # equality attained (every U spans d C(u,3) edges)
 
+    def test_out_of_domain_thresholds_refused(self):
+        H = hg.clique(5)
+        for d, eta in ((Fraction(5, 4), 0), (-1, 0), (Fraction(1, 2), Fraction(-1, 10))):
+            with pytest.raises(ValueError):
+                dn.audit_uniform_dense(H, d, eta)
+            with pytest.raises(ValueError):
+                dn.audit_star_dense(H, "vvv", d, eta)
+
     def test_exact_matches_brute(self):
         H = cn.tournament_hypergraph(9, 4)
         d, eta = Fraction(1, 4), Fraction(1, 50)

@@ -27,6 +27,10 @@ class TestFractions:
             with pytest.raises(ValueError):
                 uio.parse_fraction(bad)
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            uio.parse_fraction("1/0")
+
 
 class TestHypergraphFormats:
     def test_text_round_trip(self, tmp_path):
@@ -69,6 +73,12 @@ class TestPaletteFormat:
         p.write_text('{"colors": [}')
         with pytest.raises(pal.PaletteError, match="line"):
             uio.read_palette(p)
+
+    def test_malformed_objects_rejected(self):
+        for obj in ([], {}, {"colors": "ab"}, {"colors": ["a"], "patterns": [[["a"]]]},
+                    {"colors": ["a"], "weights": "1"}):
+            with pytest.raises(pal.PaletteError):
+                uio.palette_from_json(obj)
 
 
 class TestReducedFormat:
@@ -161,6 +171,36 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["audit", "uniform", str(p), "--d", "0.25", "--eta", "1/10"])
         assert exc.value.code == 64
+
+    @pytest.mark.parametrize("content", [
+        '{"colors": ["a", "b"], "weights": ["1/0", "1"], "patterns": []}',
+        '{"patterns": [["a", "a", "a"]]}',
+        '[["a", "a", "a"]]',
+    ])
+    def test_malformed_palette_json_exit_64(self, tmp_path, capsys, content):
+        p = tmp_path / "p.json"
+        p.write_text(content)
+        for argv in (["palette", "info", "--file", str(p)],
+                     ["palette", "closure", "--generators", str(p)],
+                     ["certify", "--F", "k4", "--palette", str(p)]):
+            assert cli.main(argv) == 64
+            err = capsys.readouterr().err
+            assert err.startswith("unidense: error:") and "Traceback" not in err
+
+    def test_out_of_domain_thresholds_exit_64(self, tmp_path, capsys):
+        h = tmp_path / "t.txt"
+        uio.write_hypergraph(cn.tournament_hypergraph(8, 0), h)
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(uio.bipartite_to_json(qr.BipartiteGraph.random(6, 6, 0.5, 1))))
+        for argv in (
+            ["audit", "uniform", str(h), "--d", "5/4", "--eta=-1/10"],
+            ["audit", "uniform", str(h), "--d", "1/4", "--eta=-1/10"],
+            ["audit", "star", str(h), "--notion", "ev", "--d", "3/2", "--eta", "0"],
+            ["audit", "quasirandom", str(g), "--delta=-1/5", "--d", "1/2"],
+            ["audit", "quasirandom", str(g), "--delta", "1/5", "--d", "2"],
+        ):
+            assert cli.main(argv) == 64, argv
+            assert capsys.readouterr().err.startswith("unidense: error:")
 
     def test_json_report_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

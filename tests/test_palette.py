@@ -264,6 +264,11 @@ class TestRepresentable:
             checked += 1
         assert checked >= 80
 
+    def test_node_counts_pinned(self):
+        # any change of search order shows up here
+        assert pal.representable(hg.clique(6), pal.builtin("ee6")).nodes == 452
+        assert pal.representable(hg.clique(5), pal.builtin("ee5")).nodes == 315
+
     def test_edgeless_f_trivially_representable(self):
         F = hg.make(4, [])
         res = pal.representable(F, pal.builtin("tournament"))

@@ -34,6 +34,12 @@ class TestAuditQuasirandom:
         rep = qr.audit_quasirandom(G, 0, 1)
         assert rep.mode == "exact" and rep.ok and rep.max_deviation == 0
 
+    def test_out_of_domain_thresholds_refused(self):
+        G = qr.BipartiteGraph.complete(3, 3)
+        for delta, d in ((Fraction(-1, 5), Fraction(1, 2)), (0, Fraction(3, 2)), (0, -1)):
+            with pytest.raises(ValueError):
+                qr.audit_quasirandom(G, delta, d)
+
     def test_empty_graph_full_sides_violate(self):
         G = qr.BipartiteGraph.from_edges(8, 8, [])
         rep = qr.audit_quasirandom(G, Fraction(1, 4), Fraction(1, 2))

@@ -295,7 +295,59 @@ class TestProjection:
         assert val == pytest.approx(64 * 100 * (0.01 + np.exp(-0.25 * 10 / 2)))
 
 
+def naive_reduced_map(F, A, injective):
+    """Oracle: try every index assignment and every class-vertex choice outright."""
+    shadow = sorted(F.shadow())
+    for lam in itertools.product(A.indices, repeat=F.n):
+        if injective and len(set(lam)) < F.n:
+            continue
+        if any(lam[u] == lam[v] for u, v in shadow):
+            continue
+        classes = [tuple(sorted((lam[u], lam[v]))) for u, v in shadow]
+        for local in itertools.product(*(range(A.class_sizes[c]) for c in classes)):
+            phi = dict(zip(shadow, local))
+            ok = True
+            for e in F.edges:
+                i, j, k = sorted(lam[x] for x in e)
+                at = {
+                    tuple(sorted((lam[a], lam[b]))): phi[(a, b)]
+                    for a, b in itertools.combinations(e, 2)
+                }
+                if (at[i, j], at[i, k], at[j, k]) not in A.constituents[(i, j, k)]:
+                    ok = False
+                    break
+            if ok:
+                return True
+    return False
+
+
 class TestFindReducedMap:
+    def test_agrees_with_naive_oracle(self):
+        rng = np.random.default_rng(23)
+        checked = found = 0
+        for trial in range(150):
+            A = random_reduced(int(rng.integers(2, 5)), 2, float(rng.uniform(0.3, 0.9)), rng)
+            fn = int(rng.integers(3, 5))
+            fe = [t for t in itertools.combinations(range(fn), 3) if rng.random() < 0.6]
+            if not fe:
+                continue
+            F = hg.make(fn, fe)
+            for injective in (False, True):
+                got = rd.find_reduced_map(F, A, injective=injective)
+                assert got.found == naive_reduced_map(F, A, injective)
+                if got.found:
+                    found += 1
+                    assert rd.validate_reduced_map(F, A, got.reduced_map)
+                    if injective:
+                        assert len(set(got.reduced_map.lam.values())) == F.n
+                checked += 1
+        assert checked >= 200 and 50 < found < checked - 50
+
+    def test_node_count_pinned(self):
+        # any change of search order shows up here
+        A = rd.from_palette(pal.builtin("ee5"), 5)
+        assert rd.find_reduced_map(hg.clique(5), A).nodes == 38830
+
     def test_single_edge_trivial(self):
         A = rd.from_palette(pal.builtin("ee6"), 3)
         res = rd.find_reduced_map(hg.make(3, [(0, 1, 2)]), A)
