@@ -1,4 +1,5 @@
-"""3-uniform hypergraphs on integer vertices, named families, and embedding search.
+"""3-uniform hypergraphs on integer vertices, named families, embedding search,
+and the subset-search engine that the density and quasirandom audits share.
 
 Vertices are dense integers ``0..n-1``.  Edges are stored as lexicographically
 sorted triples; adjacency is additionally kept as a pair -> bitmask-of-third-
@@ -117,6 +118,75 @@ def bit_positions(mask: int) -> list[int]:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return out
+
+
+# -- subset search ---------------------------------------------------------
+#
+# Every density and quasirandom audit minimizes a score over the subsets of a
+# fixed ground set.  The caller keeps the current set and its
+# running counts; flip(i) toggles element i, score() rates the current set,
+# and witness() describes it (called only when the incumbent improves).
+
+
+def subset_sweep(nbits: int, flip, score, witness):
+    """Exhaustive minimum of score() over all 2^nbits subsets, by Gray code.
+
+    The caller's set starts empty and is scored first; each later step flips
+    one element.  The incumbent is replaced only on a strict decrease, so on
+    ties the earliest set in Gray order wins.  Returns (best score, witness).
+    """
+    best, wit = score(), witness()
+    for g in range(1, 1 << nbits):
+        flip((g & -g).bit_length() - 1)
+        s = score()
+        if s < best:
+            best, wit = s, witness()
+    return best, wit
+
+
+def subset_search(nbits: int, flip, score, witness, candidates):
+    """Heuristic minimum of score(): candidate sets, then single-flip descent.
+
+    The candidate bitmasks are scored in order, the caller's set (empty at
+    the start) moving between them by flipping the bits that differ; the
+    first is always taken, later ones on a strict decrease.  From the best
+    candidate, elements 0..nbits-1 are flipped in turn, a flip kept when it
+    strictly lowers the score and undone otherwise, until a whole pass keeps
+    none.  Returns (best score, witness).
+    """
+    state = 0
+    best = wit = best_mask = None
+    for cand in candidates:
+        for i in bit_positions(state ^ cand):
+            flip(i)
+        state = cand
+        s = score()
+        if best is None or s < best:
+            best, wit, best_mask = s, witness(), cand
+    for i in bit_positions(state ^ best_mask):
+        flip(i)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(nbits):
+            flip(i)
+            s = score()
+            if s < best:
+                best, wit = s, witness()
+                improved = True
+            else:
+                flip(i)
+    return best, wit
+
+
+def random_masks(nbits: int, rng, samples: int) -> list[int]:
+    """max(1, samples // 3) random subsets at each element density 1/4, 1/2, 3/4."""
+    masks = []
+    for density in (0.25, 0.5, 0.75):
+        for _ in range(max(1, samples // 3)):
+            bits = rng.random(nbits) < density
+            masks.append(sum(1 << i for i in range(nbits) if bits[i]))
+    return masks
 
 
 # -- named families ------------------------------------------------------

@@ -34,6 +34,24 @@ def format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_ints(x, length=None) -> bool:
+    """A JSON list of integers, of the given length when one is given."""
+    return (
+        isinstance(x, list)
+        and (length is None or len(x) == length)
+        and all(_is_int(v) for v in x)
+    )
+
+
+def _is_rows(x, width: int) -> bool:
+    """A JSON list of integer lists of length width."""
+    return isinstance(x, list) and all(_is_ints(r, width) for r in x)
+
+
 # -- hypergraphs -------------------------------------------------------------
 
 
@@ -62,7 +80,11 @@ def hypergraph_to_json(H: Hypergraph3) -> dict:
 
 
 def hypergraph_from_json(obj: dict) -> Hypergraph3:
-    return Hypergraph3(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+    if not (isinstance(obj, dict) and _is_int(obj.get("n")) and _is_rows(obj.get("edges"), 3)):
+        raise HypergraphError(
+            'hypergraph JSON must be an object with an integer "n" and an "edges" list of triples'
+        )
+    return Hypergraph3(obj["n"], [tuple(e) for e in obj["edges"]])
 
 
 def write_hypergraph(H: Hypergraph3, path) -> None:
@@ -153,18 +175,33 @@ def reduced_to_json(A) -> dict:
 
 
 def reduced_from_json(obj: dict):
-    from .reduced import ReducedHypergraph
+    from .reduced import ReducedError, ReducedHypergraph
 
-    m = int(obj["indices"])
-    classes = {}
-    for key, size in obj["classes"].items():
-        i, j = (int(x) for x in key.split(","))
-        classes[(i, j)] = int(size)
-    constituents = {}
-    for key, edges in obj.get("constituents", {}).items():
-        i, j, k = (int(x) for x in key.split(","))
-        constituents[(i, j, k)] = frozenset(tuple(e) for e in edges)
-    return ReducedHypergraph(tuple(range(m)), classes, constituents)
+    def index_key(key: str, arity: int) -> tuple[int, ...]:
+        parts = key.split(",")
+        if len(parts) != arity or not all(x.strip().isdecimal() for x in parts):
+            raise ReducedError(f"reduced JSON key {key!r} is not {arity} comma-separated indices")
+        return tuple(int(x) for x in parts)
+
+    constituents = obj.get("constituents", {}) if isinstance(obj, dict) else None
+    if not (
+        isinstance(obj, dict)
+        and _is_int(obj.get("indices"))
+        and isinstance(obj.get("classes"), dict)
+        and all(_is_int(size) for size in obj["classes"].values())
+        and isinstance(constituents, dict)
+        and all(_is_rows(edges, 3) for edges in constituents.values())
+    ):
+        raise ReducedError(
+            'reduced JSON must be an object with an integer "indices", a "classes" map of '
+            'integer sizes and a "constituents" map of triple lists'
+        )
+    classes = {index_key(key, 2): size for key, size in obj["classes"].items()}
+    cons = {
+        index_key(key, 3): frozenset(tuple(e) for e in edges)
+        for key, edges in constituents.items()
+    }
+    return ReducedHypergraph(tuple(range(obj["indices"])), classes, cons)
 
 
 def write_reduced(A, path) -> None:
@@ -286,10 +323,14 @@ def bipartite_to_json(G) -> dict:
 
 
 def bipartite_from_json(obj: dict):
-    from .quasirandom import BipartiteGraph
+    from .quasirandom import BipartiteGraph, GraphError
 
-    nx_, ny_ = obj["sides"]
-    return BipartiteGraph.from_edges(int(nx_), int(ny_), [tuple(e) for e in obj["edges"]])
+    sides = obj.get("sides") if isinstance(obj, dict) else None
+    if not (_is_ints(sides, 2) and min(sides) >= 0 and _is_rows(obj.get("edges"), 2)):
+        raise GraphError(
+            'bipartite JSON must be an object with "sides" [nx, ny] and an "edges" list of pairs'
+        )
+    return BipartiteGraph.from_edges(*sides, [tuple(e) for e in obj["edges"]])
 
 
 def tripartite_to_json(P) -> dict:
@@ -305,8 +346,19 @@ def tripartite_to_json(P) -> dict:
 
 
 def tripartite_from_json(obj: dict):
-    from .quasirandom import BipartiteGraph, TripartiteGraph
+    from .quasirandom import BipartiteGraph, GraphError, TripartiteGraph
 
+    if not (
+        isinstance(obj, dict)
+        and isinstance(obj.get("parts"), list)
+        and len(obj["parts"]) == 3
+        and all(_is_ints(p) for p in obj["parts"])
+        and all(_is_rows(obj.get(layer), 2) for layer in ("xy", "xz", "yz"))
+    ):
+        raise GraphError(
+            'tripartite JSON must be an object with three "parts" label lists and '
+            '"xy", "xz", "yz" lists of pairs'
+        )
     parts = tuple(tuple(p) for p in obj["parts"])
     nx_, ny_, nz_ = (len(p) for p in parts)
     return TripartiteGraph(

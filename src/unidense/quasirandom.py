@@ -1,9 +1,12 @@
 """Bipartite quasirandomness audits, triangle counting over tripartite graphs,
 and the relative density of a hypergraph with respect to a triad.
 
-The exact quasirandom audit enumerates one side exhaustively; the worst subset
-of the other side is computed analytically per enumerated subset, so the audit
-covers every (A, B) pair.  All verdicts use exact rational arithmetic.
+The quasirandom audit searches the subsets A of the smaller side with the
+engine of the density audits (``hypergraph.subset_sweep`` when exact,
+``hypergraph.subset_search`` when sampled); the worst subset of the other
+side is computed analytically per A, so the exact audit covers every (A, B)
+pair.  Deviations are integers scaled by the denominator of d until the one
+Fraction of the report; all verdicts use exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hypergraph import Hypergraph3, bit_positions
+from .hypergraph import Hypergraph3, bit_positions, random_masks, subset_search, subset_sweep
 
 
 class GraphError(ValueError):
@@ -109,28 +112,6 @@ class QuasirandomReport:
         }
 
 
-def _worst_B_for_A(G: BipartiteGraph, counts, a_size: int, d: Fraction):
-    """Largest |e(A,B) - d|A||B|| over all B, given per-column counts for A.
-
-    The positive direction is maximised by B = {y : c_y > d|A|} and the
-    negative one by its strict complement, so the scan is linear in |Y|.
-    """
-    p, q = d.numerator, d.denominator
-    hi = lo = 0
-    hi_mask = lo_mask = 0
-    for y in range(G.ny):
-        v = q * counts[y] - p * a_size  # q * (c_y - d|A|)
-        if v > 0:
-            hi += v
-            hi_mask |= 1 << y
-        elif v < 0:
-            lo -= v
-            lo_mask |= 1 << y
-    if hi >= lo:
-        return Fraction(hi, q), hi_mask
-    return Fraction(lo, q), lo_mask
-
-
 def audit_quasirandom(
     G: BipartiteGraph,
     delta,
@@ -152,97 +133,67 @@ def audit_quasirandom(
         raise ValueError(f"density d={d} outside [0, 1]")
     if delta < 0:
         raise ValueError(f"delta={delta} must be nonnegative")
-    budget = delta * G.nx * G.ny
+    if G.nx == 0 or G.ny == 0:
+        raise GraphError(f"quasirandom audit needs two nonempty sides, got {G.nx}x{G.ny}")
 
     transposed = G.ny < G.nx
     W = G.transpose() if transposed else G
+    exact = W.nx <= exact_bits
+    p, q = d.numerator, d.denominator
+    # v[y] = q (c_y - d|A|), c_y the neighbours of y in A; every sum of |v[y]|
+    # is at most q |X| |Y|, held in int64 unless that could overflow
+    dtype = np.int64 if q * W.nx * W.ny < 2**63 else object
+    steps = np.array([[q * (r >> y & 1) - p for y in range(W.ny)] for r in W.rows], dtype=dtype)
+    v = np.zeros(W.ny, dtype=dtype)
+    mask = hi = lo = 0
 
-    def finish(mode, max_dev_abs, wa, wb, nsamples=None):
-        max_dev = Fraction(max_dev_abs, G.nx * G.ny)
-        if transposed:
-            wa, wb = wb, wa
-        return QuasirandomReport(
-            mode=mode,
-            delta=delta,
-            d=d,
-            ok=max_dev_abs <= budget,
-            max_deviation=max_dev,
-            slack=delta - max_dev,
-            witness_A=tuple(bit_positions(wa)),
-            witness_B=tuple(bit_positions(wb)),
-            samples=nsamples,
-            seed=seed if mode == "sampled" else None,
-        )
+    def flip(x):
+        nonlocal mask, v
+        mask ^= 1 << x
+        if mask >> x & 1:
+            v += steps[x]
+        else:
+            v -= steps[x]
 
-    if W.nx <= exact_bits:
-        counts = [0] * W.ny
-        worst = (Fraction(-1), 0, 0)
-        a_mask = 0
-        a_size = 0
-        # Gray-code walk over subsets of X
-        for g in range(1, 1 << W.nx):
-            x = (g & -g).bit_length() - 1
-            bit = 1 << x
-            sign = -1 if a_mask & bit else 1
-            a_mask ^= bit
-            a_size += sign
-            r = W.rows[x]
-            while r:
-                y = (r & -r).bit_length() - 1
-                counts[y] += sign
-                r &= r - 1
-            dev, b_mask = _worst_B_for_A(W, counts, a_size, d)
-            if dev > worst[0]:
-                worst = (dev, a_mask, b_mask)
-        # empty A gives deviation 0; cover it for the degenerate n=0 loop
-        if worst[0] < 0:
-            worst = (Fraction(0), 0, 0)
-        return finish("exact", worst[0], worst[1], worst[2])
+    def score():
+        # B = {y : v[y] > 0} maximises q (e(A,B) - d|A||B|) and its strict
+        # complement q (d|A||B| - e(A,B)); the larger is q times the deviation.
+        # The exact sweep starts at the empty A but takes the first nonempty A
+        # on a tie; sampled candidates compare on the deviation alone.
+        nonlocal hi, lo
+        hi = int(np.maximum(v, 0).sum())
+        lo = hi - int(v.sum())
+        return -max(hi, lo), exact and mask == 0
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    worst = (Fraction(-1), 0, 0)
+    def witness():
+        return bit_positions(mask), np.flatnonzero(v > 0 if hi >= lo else v < 0).tolist()
 
-    def eval_mask(a_mask):
-        counts = [0] * W.ny
-        m = a_mask
-        size = 0
-        while m:
-            x = (m & -m).bit_length() - 1
-            size += 1
-            r = W.rows[x]
-            while r:
-                y = (r & -r).bit_length() - 1
-                counts[y] += 1
-                r &= r - 1
-            m &= m - 1
-        return _worst_B_for_A(W, counts, size, d)
-
-    candidates = []
-    full = (1 << W.nx) - 1
-    for density in (0.25, 0.5, 0.75):
-        for _ in range(max(1, samples // 3)):
-            bits = rng.random(W.nx) < density
-            candidates.append(sum(1 << x for x in range(W.nx) if bits[x]))
-    candidates.append(full)
-    candidates.extend(1 << x for x in range(min(W.nx, 32)))
-    candidates.extend(full ^ (1 << x) for x in range(min(W.nx, 32)))
-
-    for a_mask in candidates:
-        dev, b_mask = eval_mask(a_mask)
-        if dev > worst[0]:
-            worst = (dev, a_mask, b_mask)
-
-    # single-flip descent (ascent in deviation) from the worst sample
-    improved = True
-    while improved:
-        improved = False
-        for x in range(W.nx):
-            cand = worst[1] ^ (1 << x)
-            dev, b_mask = eval_mask(cand)
-            if dev > worst[0]:
-                worst = (dev, cand, b_mask)
-                improved = True
-    return finish("sampled", worst[0], worst[1], worst[2], nsamples=len(candidates))
+    if exact:
+        mode, nsamples = "exact", None
+        (neg_dev, _), (wa, wb) = subset_sweep(W.nx, flip, score, witness)
+    else:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        full = (1 << W.nx) - 1
+        candidates = random_masks(W.nx, rng, samples) + [full]
+        candidates.extend(1 << x for x in range(min(W.nx, 32)))
+        candidates.extend(full ^ (1 << x) for x in range(min(W.nx, 32)))
+        mode, nsamples = "sampled", len(candidates)
+        (neg_dev, _), (wa, wb) = subset_search(W.nx, flip, score, witness, candidates)
+    if transposed:
+        wa, wb = wb, wa
+    max_dev = Fraction(-neg_dev, q * G.nx * G.ny)
+    return QuasirandomReport(
+        mode=mode,
+        delta=delta,
+        d=d,
+        ok=max_dev <= delta,
+        max_deviation=max_dev,
+        slack=delta - max_dev,
+        witness_A=tuple(wa),
+        witness_B=tuple(wb),
+        samples=nsamples,
+        seed=None if exact else seed,
+    )
 
 
 # -- tripartite graphs ---------------------------------------------------------

@@ -117,6 +117,22 @@ class TestGraphFormats:
         assert lines[1] == "0 0 1 1 1"
 
 
+    @pytest.mark.parametrize("read, obj", [
+        (uio.hypergraph_from_json, {"n": 3}),
+        (uio.hypergraph_from_json, [[0, 1, 2]]),
+        (uio.hypergraph_from_json, {"n": True, "edges": []}),
+        (uio.reduced_from_json, {"indices": 2}),
+        (uio.reduced_from_json, {"indices": 2, "classes": {"0,1": "1"}}),
+        (uio.reduced_from_json, {"indices": 3, "classes": {"0,1,2": 1}}),
+        (uio.bipartite_from_json, {"sides": [2, -1], "edges": []}),
+        (uio.bipartite_from_json, {"sides": [2, 2], "edges": [[0]]}),
+        (uio.tripartite_from_json, {"parts": [[0], [1], ["z"]], "xy": [], "xz": [], "yz": []}),
+    ])
+    def test_malformed_json_rejected(self, read, obj):
+        with pytest.raises((hg.HypergraphError, rd.ReducedError, qr.GraphError)):
+            read(obj)
+
+
 class TestColoringDump:
     def test_lines(self):
         base = pal.WeightedColorSet.uniform(("r", "g"))
@@ -186,6 +202,29 @@ class TestCli:
             assert cli.main(argv) == 64
             err = capsys.readouterr().err
             assert err.startswith("unidense: error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, content", [
+        (["audit", "uniform", "IN", "--d", "1/2", "--eta", "0"], '{"n": 3}'),
+        (["audit", "uniform", "IN", "--d", "1/2", "--eta", "0"], "[[0, 1, 2]]"),
+        (["audit", "star", "IN", "--notion", "ev", "--d", "1/2", "--eta", "0"],
+         '{"n": 3, "edges": [[0, 1, null]]}'),
+        (["reduced", "check", "IN", "--star", "ee", "--d", "1/2"], '{"n": 3}'),
+        (["reduced", "map", "IN", "--F", "k4"], "[[0, 1, 2]]"),
+        (["reduced", "check", "IN", "--star", "ee", "--d", "1/2"],
+         '{"indices": 2, "classes": {"0-1": 1}}'),
+        (["audit", "quasirandom", "IN", "--delta", "1/4", "--d", "1/2"], "[[0, 1]]"),
+        (["audit", "quasirandom", "IN", "--delta", "1/4", "--d", "1/2"], '{"sides": [3]}'),
+        (["audit", "quasirandom", "IN", "--delta", "1/4", "--d", "1/2"],
+         '{"sides": [3, 0], "edges": []}'),
+        (["audit", "counting-lemma", "IN", "--delta", "1/4", "--dxy", "1/2", "--dxz", "1/2",
+          "--dyz", "1/2"], '{"parts": [[0], [1]], "xy": []}'),
+    ])
+    def test_malformed_graph_json_exit_64(self, tmp_path, capsys, argv, content):
+        p = tmp_path / "in.json"
+        p.write_text(content)
+        assert cli.main([str(p) if a == "IN" else a for a in argv]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("unidense: error:") and "Traceback" not in err
 
     def test_out_of_domain_thresholds_exit_64(self, tmp_path, capsys):
         h = tmp_path / "t.txt"

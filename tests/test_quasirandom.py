@@ -40,6 +40,11 @@ class TestAuditQuasirandom:
             with pytest.raises(ValueError):
                 qr.audit_quasirandom(G, delta, d)
 
+    def test_empty_side_refused(self):
+        for G in (qr.BipartiteGraph.from_edges(3, 0, []), qr.BipartiteGraph.from_edges(0, 2, [])):
+            with pytest.raises(qr.GraphError):
+                qr.audit_quasirandom(G, Fraction(1, 5), Fraction(1, 2))
+
     def test_empty_graph_full_sides_violate(self):
         G = qr.BipartiteGraph.from_edges(8, 8, [])
         rep = qr.audit_quasirandom(G, Fraction(1, 4), Fraction(1, 2))

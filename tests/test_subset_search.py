@@ -1,0 +1,262 @@
+"""The subset-search engine behind every density and quasirandom audit, and
+reports pinned to the values the audits gave before they shared it."""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from unidense import construct as cn
+from unidense import density as dn
+from unidense import hypergraph as hg
+from unidense import quasirandom as qr
+
+
+class Table:
+    """flip/score/witness over a score table indexed by the bitmask."""
+
+    def __init__(self, table):
+        self.table = table
+        self.mask = 0
+        self.visited = []
+        self.witness_calls = 0
+
+    def flip(self, i):
+        self.mask ^= 1 << i
+
+    def score(self):
+        self.visited.append(self.mask)
+        return self.table[self.mask]
+
+    def witness(self):
+        self.witness_calls += 1
+        return self.mask
+
+
+class TestSubsetSweep:
+    @pytest.mark.parametrize("n", range(7))
+    def test_visits_every_subset_once(self, n):
+        t = Table(list(range(1 << n)))
+        best, wit = hg.subset_sweep(n, t.flip, t.score, t.witness)
+        assert sorted(t.visited) == list(range(1 << n))
+        assert t.visited[0] == 0 and (best, wit) == (0, 0)
+
+    def test_minimum_and_earliest_tie(self):
+        rng = np.random.default_rng(0)
+        for n in range(1, 7):
+            table = [int(x) for x in rng.integers(0, 4, 1 << n)]
+            t = Table(table)
+            best, wit = hg.subset_sweep(n, t.flip, t.score, t.witness)
+            assert best == min(table) and table[wit] == best
+            assert wit == next(m for m in t.visited if table[m] == best)
+            # witness() runs for the empty set and then once per strict improvement
+            calls, low = 1, table[0]
+            for m in t.visited[1:]:
+                if table[m] < low:
+                    calls, low = calls + 1, table[m]
+            assert t.witness_calls == calls
+
+
+class TestSubsetSearch:
+    def test_result_is_a_single_flip_local_minimum(self):
+        rng = np.random.default_rng(1)
+        for trial in range(60):
+            n = int(rng.integers(1, 9))
+            table = [int(x) for x in rng.integers(-50, 50, 1 << n)]
+            cands = [int(x) for x in rng.integers(0, 1 << n, int(rng.integers(1, 6)))]
+            t = Table(table)
+            best, wit = hg.subset_search(n, t.flip, t.score, t.witness, cands)
+            assert table[wit] == best <= min(table[c] for c in cands)
+            assert all(table[wit ^ (1 << i)] >= best for i in range(n))
+
+    def test_first_candidate_taken_then_strict_improvement(self):
+        # every set scores 0: the first candidate wins and no flip is kept
+        t = Table([0] * 16)
+        assert hg.subset_search(4, t.flip, t.score, t.witness, [5, 0, 3]) == (0, 5)
+        assert t.visited[:3] == [5, 0, 3]
+
+
+class TestSampledNeverBeatsExact:
+    @pytest.mark.parametrize("star, H", [
+        ("vvv", cn.roedl_hypergraph(6, 2)),
+        ("ev", cn.tournament_hypergraph(7, 3)),
+        ("ee", cn.roedl_hypergraph(3, 4)),
+    ])
+    def test_star_notions(self, star, H):
+        d, eta = F(1, 2), F(1, 30)
+        exact = dn.audit_star_dense(H, star, d, eta)
+        assert exact.mode == "exact"
+        for seed in range(3):
+            sampled = dn.audit_star_dense(H, star, d, eta, exact_threshold=0, samples=9, seed=seed)
+            assert sampled.mode == "sampled"
+            assert sampled.min_slack >= exact.min_slack
+
+
+def test_quasirandom_huge_denominator_matches_brute_force():
+    # q |X| |Y| beyond int64: the deviation stays exact
+    G = qr.BipartiteGraph.random(4, 5, 0.5, 3)
+    d = F(1, 2**62)
+    want = max(
+        abs(G.e([x for x in range(4) if a >> x & 1], [y for y in range(5) if b >> y & 1])
+            - d * bin(a).count("1") * bin(b).count("1"))
+        for a in range(16)
+        for b in range(32)
+    )
+    assert qr.audit_quasirandom(G, F(1, 10), d).max_deviation == want / 20
+
+
+# Reports as the audits gave them before the engine was shared (ties included).
+CASES = [
+    ("uniform exact", lambda: dn.audit_uniform_dense(
+        cn.tournament_hypergraph(7, 1), F(1, 4), F(1, 50))),
+    ("uniform sampled", lambda: dn.audit_uniform_dense(
+        cn.roedl_hypergraph(9, 2), F(1, 2), 0, exact_threshold=0, samples=30, seed=1)),
+    ("uniform complete d=1", lambda: dn.audit_uniform_dense(hg.clique(5), 1, 0)),
+    ("uniform empty d=0 sampled", lambda: dn.audit_uniform_dense(
+        hg.make(5, []), 0, 0, exact_threshold=0, samples=6, seed=0)),
+    ("vvv exact", lambda: dn.audit_star_dense(
+        cn.tournament_hypergraph(5, 9), "vvv", F(1, 4), F(1, 30))),
+    ("vvv sampled", lambda: dn.audit_star_dense(
+        cn.roedl_hypergraph(7, 3), "vvv", F(1, 2), F(1, 20),
+        exact_threshold=0, samples=12, seed=2)),
+    ("ev exact", lambda: dn.audit_star_dense(cn.roedl_hypergraph(4, 1), "ev", F(1, 2), F(1, 40))),
+    ("ev sampled", lambda: dn.audit_star_dense(
+        cn.tournament_hypergraph(5, 2), "ev", F(1, 4), F(1, 20),
+        exact_threshold=0, samples=9, seed=0)),
+    ("ee exact", lambda: dn.audit_star_dense(
+        hg.Hypergraph3(3, [(0, 1, 2)]), "ee", F(1, 3), F(1, 40))),
+    ("ee sampled", lambda: dn.audit_star_dense(
+        cn.roedl_hypergraph(4, 1), "ee", F(1, 2), F(1, 20), exact_threshold=0, samples=6, seed=2)),
+    ("ee empty d=0", lambda: dn.audit_star_dense(hg.make(3, []), "ee", 0, F(1, 100))),
+    ("quasirandom exact", lambda: qr.audit_quasirandom(
+        qr.BipartiteGraph.random(5, 6, 0.5, 4), F(1, 10), F(1, 2))),
+    ("quasirandom exact transposed", lambda: qr.audit_quasirandom(
+        qr.BipartiteGraph.random(6, 3, 0.5, 7), F(1, 10), F(1, 3))),
+    ("quasirandom sampled", lambda: qr.audit_quasirandom(
+        qr.BipartiteGraph.random(6, 7, 0.4, 5), F(1, 5), F(2, 5),
+        exact_bits=0, samples=12, seed=3)),
+    ("quasirandom complete d=1", lambda: qr.audit_quasirandom(
+        qr.BipartiteGraph.complete(3, 4), 0, 1)),
+    # the first sampled candidate is empty and every deviation is 0: the empty A stays
+    ("quasirandom empty d=0 sampled", lambda: qr.audit_quasirandom(
+        qr.BipartiteGraph.from_edges(1, 1, []), 0, 0, exact_bits=0, samples=12, seed=0)),
+]
+
+PINNED = {
+    "uniform exact": {
+        "notion": "uniform", "mode": "exact", "d": "1/4", "eta": "1/50", "min_slack": "134/25",
+        "ok": True, "worst_witness": {"U": [0, 3, 4, 5, 6]}, "space": "128", "samples": None,
+        "seed": None, "rng_algorithm": None,
+    },
+    "uniform sampled": {
+        "notion": "uniform", "mode": "sampled", "d": "1/2", "eta": "0", "min_slack": "-3",
+        "ok": False, "worst_witness": {"U": [0, 1, 2, 6, 7, 8]}, "space": None, "samples": 50,
+        "seed": 1, "rng_algorithm": "numpy-pcg64",
+    },
+    "uniform complete d=1": {
+        "notion": "uniform", "mode": "exact", "d": "1", "eta": "0", "min_slack": "0",
+        "ok": True, "worst_witness": {"U": []}, "space": "32", "samples": None, "seed": None,
+        "rng_algorithm": None,
+    },
+    "uniform empty d=0 sampled": {
+        "notion": "uniform", "mode": "sampled", "d": "0", "eta": "0", "min_slack": "0",
+        "ok": True, "worst_witness": {"U": []}, "space": None, "samples": 18, "seed": 0,
+        "rng_algorithm": "numpy-pcg64",
+    },
+    "vvv exact": {
+        "notion": "vvv", "mode": "exact", "d": "1/4", "eta": "1/30", "min_slack": "-181/12",
+        "ok": False,
+        "worst_witness": {"A": [0, 1, 2, 3, 4], "B": [0, 1, 2, 3, 4], "C": [0, 1, 2, 3, 4]},
+        "space": "32768", "samples": None, "seed": None, "rng_algorithm": None,
+    },
+    "vvv sampled": {
+        "notion": "vvv", "mode": "sampled", "d": "1/2", "eta": "1/20", "min_slack": "-1217/20",
+        "ok": False,
+        "worst_witness": {
+            "A": [0, 1, 2, 3, 5, 6],
+            "B": [0, 1, 2, 3, 5, 6],
+            "C": [0, 1, 2, 3, 5, 6],
+        },
+        "space": None, "samples": 28, "seed": 2, "rng_algorithm": "numpy-pcg64",
+    },
+    "ev exact": {
+        "notion": "ev", "mode": "exact", "d": "1/2", "eta": "1/40", "min_slack": "-67/5",
+        "ok": False,
+        "worst_witness": {
+            "A": [0, 1, 2],
+            "P": [
+                [0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2], [2, 0], [2, 1], [2, 2], [3, 3],
+            ],
+        },
+        "space": "1048576", "samples": None, "seed": None, "rng_algorithm": None,
+    },
+    "ev sampled": {
+        "notion": "ev", "mode": "sampled", "d": "1/4", "eta": "1/20", "min_slack": "-43/4",
+        "ok": False,
+        "worst_witness": {
+            "A": [0, 1, 2, 4],
+            "P": [
+                [0, 0], [0, 1], [0, 2], [0, 4], [1, 0], [1, 1], [1, 2], [1, 4], [2, 0], [2, 1],
+                [2, 2], [2, 4], [3, 3], [4, 0], [4, 1], [4, 2], [4, 4],
+            ],
+        },
+        "space": None, "samples": 21, "seed": 0, "rng_algorithm": "numpy-pcg64",
+    },
+    "ee exact": {
+        "notion": "ee", "mode": "exact", "d": "1/3", "eta": "1/40", "min_slack": "-133/40",
+        "ok": False,
+        "worst_witness": {
+            "P": [[0, 0], [0, 2], [1, 0], [1, 1], [2, 1], [2, 2]],
+            "Q": [[0, 0], [0, 1], [1, 1], [1, 2], [2, 0], [2, 2]],
+        },
+        "space": "262144", "samples": None, "seed": None, "rng_algorithm": None,
+    },
+    "ee sampled": {
+        "notion": "ee", "mode": "sampled", "d": "1/2", "eta": "1/20", "min_slack": "-64/5",
+        "ok": False,
+        "worst_witness": {
+            "P": [
+                [0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2], [1, 3], [2, 0], [2, 1], [2, 2],
+                [2, 3], [3, 3],
+            ],
+            "Q": [
+                [0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2], [2, 0], [2, 1], [2, 2], [3, 1],
+                [3, 2], [3, 3],
+            ],
+        },
+        "space": None, "samples": 8, "seed": 2, "rng_algorithm": "numpy-pcg64",
+    },
+    "ee empty d=0": {
+        "notion": "ee", "mode": "exact", "d": "0", "eta": "1/100", "min_slack": "27/100",
+        "ok": True, "worst_witness": {"P": [], "Q": []}, "space": "262144", "samples": None,
+        "seed": None, "rng_algorithm": None,
+    },
+    "quasirandom exact": {
+        "mode": "exact", "delta": "1/10", "d": "1/2", "ok": False, "max_deviation": "1/6",
+        "slack": "-1/15", "witness_A": [0, 1, 2, 3], "witness_B": [1, 2, 4], "samples": None,
+        "seed": None,
+    },
+    "quasirandom exact transposed": {
+        "mode": "exact", "delta": "1/10", "d": "1/3", "ok": False, "max_deviation": "13/54",
+        "slack": "-19/135", "witness_A": [1, 2, 3, 4], "witness_B": [0, 1], "samples": None,
+        "seed": None,
+    },
+    "quasirandom sampled": {
+        "mode": "sampled", "delta": "1/5", "d": "2/5", "ok": True, "max_deviation": "19/210",
+        "slack": "23/210", "witness_A": [0, 2, 3, 5], "witness_B": [1, 4, 6], "samples": 25,
+        "seed": 3,
+    },
+    "quasirandom complete d=1": {
+        "mode": "exact", "delta": "0", "d": "1", "ok": True, "max_deviation": "0", "slack": "0",
+        "witness_A": [0], "witness_B": [], "samples": None, "seed": None,
+    },
+    "quasirandom empty d=0 sampled": {
+        "mode": "sampled", "delta": "0", "d": "0", "ok": True, "max_deviation": "0",
+        "slack": "0", "witness_A": [], "witness_B": [], "samples": 15, "seed": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("name, audit", CASES, ids=[name for name, _ in CASES])
+def test_report_pinned(name, audit):
+    assert audit().to_dict() == PINNED[name]
