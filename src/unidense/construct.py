@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -105,15 +106,14 @@ def build_H(phi: PairColoring, P: Palette) -> Hypergraph3:
     allowed = np.zeros(K * K * K, dtype=bool)
     for a, b, c in P.pattern_codes():
         allowed[(a * K + b) * K + c] = True
-    if n < 3:
-        return Hypergraph3(n, [])
-    triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64)
-    x, y, z = triples[:, 0], triples[:, 1], triples[:, 2]
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), 3))
+    triples = np.fromiter(flat, dtype=np.int64, count=3 * comb(n, 3)).reshape(-1, 3)
+    x, y, z = triples.T
     c1 = codes[x * (2 * n - x - 1) // 2 + (y - x - 1)]
     c2 = codes[x * (2 * n - x - 1) // 2 + (z - x - 1)]
     c3 = codes[y * (2 * n - y - 1) // 2 + (z - y - 1)]
     mask = allowed[(c1 * K + c2) * K + c3]
-    return Hypergraph3(n, (tuple(t) for t in triples[mask]))
+    return Hypergraph3(n, triples[mask])
 
 
 def tournament_hypergraph(n: int, seed) -> Hypergraph3:
@@ -131,23 +131,19 @@ def tournament_hypergraph_direct(n: int, seed) -> Hypergraph3:
     exactly one other."""
     P = tournament_palette()
     phi = random_pair_coloring(n, P.base, seed)
-    beats = np.zeros((n, n), dtype=bool)
-    for x, y in itertools.combinations(range(n), 2):
-        if phi.code(x, y) == 0:  # fwd
-            beats[x, y] = True
-        else:
-            beats[y, x] = True
-    edges = []
-    for t in itertools.combinations(range(n), 3):
-        x, y, z = t
-        wins = (
-            beats[x, y] + beats[x, z],
-            beats[y, x] + beats[y, z],
-            beats[z, x] + beats[z, y],
-        )
-        if wins == (1, 1, 1):
-            edges.append(t)
-    return Hypergraph3(n, edges)
+    beats = np.zeros((n, n), dtype=np.int64)
+    x, y = np.triu_indices(n, 1)  # pair-rank order
+    fwd = phi.codes == 0
+    beats[x[fwd], y[fwd]] = 1
+    beats[y[~fwd], x[~fwd]] = 1
+    t = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
+    a, b, c = t.T
+    cyclic = (
+        (beats[a, b] + beats[a, c] == 1)
+        & (beats[b, a] + beats[b, c] == 1)
+        & (beats[c, a] + beats[c, b] == 1)
+    )
+    return Hypergraph3(n, t[cyclic])
 
 
 def roedl_hypergraph(n: int, seed) -> Hypergraph3:
@@ -232,28 +228,16 @@ def lift_hypergraph(A: ReducedHypergraph, pc: PartitionedColoring) -> Hypergraph
     m = len(A.indices)
     n = h * m
     offset = {idx: t * h for t, idx in enumerate(A.indices)}
-    edges = []
+    edges = [np.empty((0, 3), dtype=np.int64)]
     for ijk in sorted(A.constituents):
         i, j, k = ijk
-        cons = A.constituents[ijk]
-        if not cons:
-            continue
-        s0, s1, s2 = A.role_sizes(ijk)
-        cube = np.zeros((s0, s1, s2), dtype=bool)
-        for a, b, c in cons:
-            cube[a, b, c] = True
-        cij = pc.codes[(i, j)]
-        cik = pc.codes[(i, k)]
-        cjk = pc.codes[(j, k)]
-        mask = cube[
-            cij[:, :, None],
-            cik[:, None, :],
-            cjk[None, :, :],
+        mask = A.cube(ijk)[
+            pc.codes[(i, j)][:, :, None],
+            pc.codes[(i, k)][:, None, :],
+            pc.codes[(j, k)][None, :, :],
         ]
-        oi, oj, ok = offset[i], offset[j], offset[k]
-        for x, y, z in np.argwhere(mask):
-            edges.append((oi + int(x), oj + int(y), ok + int(z)))
-    return Hypergraph3(n, edges)
+        edges.append(np.argwhere(mask) + (offset[i], offset[j], offset[k]))
+    return Hypergraph3(n, np.concatenate(edges))
 
 
 def lift_reduced(A: ReducedHypergraph, h: int, seed, coloring: PartitionedColoring | None = None) -> LiftResult:

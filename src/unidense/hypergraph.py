@@ -14,44 +14,31 @@ import re
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 
 class HypergraphError(ValueError):
     """Malformed hypergraph input (vertex out of range, repeated vertex, ...)."""
 
 
 class Hypergraph3:
-    """An immutable 3-uniform hypergraph on the vertex set {0, ..., n-1}."""
+    """An immutable 3-uniform hypergraph on the vertex set {0, ..., n-1}.
+
+    ``triples`` may be any iterable of 3-element sequences or an integer
+    ``(m, 3)`` ndarray; vertex order inside a triple and repeats are
+    immaterial.
+    """
 
     __slots__ = ("n", "edges", "_edge_set", "_thirds", "_link")
 
     def __init__(self, n: int, triples=()):
         if n < 0:
             raise HypergraphError(f"vertex count must be nonnegative, got {n}")
-        canon = set()
-        for t in triples:
-            t = tuple(t)
-            if len(t) != 3:
-                raise HypergraphError(f"not a triple: {t!r}")
-            a, b, c = sorted(int(x) for x in t)  # plain ints keep bitmasks unbounded
-            if a == b or b == c:
-                raise HypergraphError(f"repeated vertex in triple {t!r}")
-            if a < 0 or c >= n:
-                raise HypergraphError(f"vertex out of range in triple {t!r} (n={n})")
-            canon.add((a, b, c))
+        E = _canonical_triples(n, triples)
         self.n = n
-        self.edges = tuple(sorted(canon))
+        self.edges = tuple(zip(*E.T.tolist()))  # plain ints keep bitmasks unbounded
         self._edge_set = frozenset(self.edges)
-        thirds: dict[tuple[int, int], int] = {}
-        link: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for a, b, c in self.edges:
-            thirds[(a, b)] = thirds.get((a, b), 0) | (1 << c)
-            thirds[(a, c)] = thirds.get((a, c), 0) | (1 << b)
-            thirds[(b, c)] = thirds.get((b, c), 0) | (1 << a)
-            link[a].append((b, c))
-            link[b].append((a, c))
-            link[c].append((a, b))
-        self._thirds = thirds
-        self._link = tuple(tuple(ps) for ps in link)
+        self._thirds, self._link = _adjacency(n, E)
 
     # -- basic queries ----------------------------------------------------
 
@@ -60,7 +47,13 @@ class Hypergraph3:
         return len(self.edges)
 
     def has_edge(self, a: int, b: int, c: int) -> bool:
-        return tuple(sorted((a, b, c))) in self._edge_set
+        if a > b:  # sort the three by compare-and-swap, without a list
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+        if a > b:
+            a, b = b, a
+        return (a, b, c) in self._edge_set
 
     def thirds(self, u: int, v: int) -> int:
         """Bitmask of vertices w with {u, v, w} an edge."""
@@ -100,6 +93,73 @@ class Hypergraph3:
 
     def __repr__(self):
         return f"Hypergraph3(n={self.n}, m={len(self.edges)})"
+
+
+# -- array construction ------------------------------------------------------
+
+
+def _checked_triple(t, n: int) -> tuple[int, int, int]:
+    """One triple as sorted plain ints, with the constructor's error for a bad one."""
+    t = tuple(t)
+    if len(t) != 3:
+        raise HypergraphError(f"not a triple: {t!r}")
+    a, b, c = sorted(int(x) for x in t)
+    if a == b or b == c:
+        raise HypergraphError(f"repeated vertex in triple {t!r}")
+    if a < 0 or c >= n:
+        raise HypergraphError(f"vertex out of range in triple {t!r} (n={n})")
+    return a, b, c
+
+
+def _canonical_triples(n: int, triples) -> np.ndarray:
+    """The distinct triples, each sorted, as an int64 (m, 3) array in
+    lexicographic order.
+
+    The triples are read and checked as one array.  When that fails (a bad
+    triple, ragged rows, ints beyond int64, sets, ...) they are read again one
+    by one as plain ints, so the first bad triple raises its error.
+    """
+    rows = triples if isinstance(triples, np.ndarray) else list(triples)
+    if len(rows) == 0:
+        return np.empty((0, 3), dtype=np.int64)
+    try:
+        E = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
+    except (TypeError, ValueError, OverflowError):
+        E = None
+    if (
+        E is None
+        or E.shape != (len(rows), 3)
+        or not ((E[:, 0] >= 0) & (E[:, 0] < E[:, 1]) & (E[:, 1] < E[:, 2]) & (E[:, 2] < n)).all()
+    ):
+        plain = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        E = np.array([_checked_triple(t, n) for t in plain], dtype=np.int64)
+    E = E[np.lexsort((E[:, 2], E[:, 1], E[:, 0]))]
+    fresh = np.ones(len(E), dtype=bool)
+    fresh[1:] = (E[1:] != E[:-1]).any(axis=1)
+    return E[fresh]
+
+
+def _adjacency(n: int, E: np.ndarray):
+    """The thirds map and the link lists of the canonical edge array E.
+
+    Each edge {a, b, c} gives vertex a the opposite pair (b, c), and so on;
+    an entry sets bit a of thirds[(b, c)] and appends (b, c) to link[a].
+    Thirds masks are assembled as little-endian bytes, one row of ceil(n/8)
+    per shadow pair, and each shadow pair is one tuple shared by the map and
+    every link it appears in.  Links list their pairs in edge order.
+    """
+    vertex = E.ravel()
+    keys, pair_id = np.unique((E[:, [1, 0, 0]] * n + E[:, [2, 2, 1]]).ravel(), return_inverse=True)
+    pairs = [divmod(k, n) for k in keys.tolist()]
+    width = (n + 7) // 8
+    buf = np.zeros(len(pairs) * width, dtype=np.uint8)
+    np.bitwise_or.at(buf, pair_id * width + (vertex >> 3), (1 << (vertex & 7)).astype(np.uint8))
+    raw = buf.tobytes()
+    thirds = {p: int.from_bytes(raw[i * width : (i + 1) * width], "little") for i, p in enumerate(pairs)}
+    flat = list(map(pairs.__getitem__, pair_id[np.argsort(vertex, kind="stable")].tolist()))
+    ends = np.cumsum(np.bincount(vertex, minlength=n)).tolist()
+    link = tuple(tuple(flat[lo:hi]) for lo, hi in zip([0] + ends, ends))
+    return thirds, link
 
 
 def make(n: int, triples) -> Hypergraph3:
@@ -285,9 +345,12 @@ def check_embedding(F: Hypergraph3, H: Hypergraph3, emb: Embedding) -> bool:
 def find_embedding(F: Hypergraph3, H: Hypergraph3) -> Embedding | None:
     """Backtracking subhypergraph search, or None after exhausting all maps.
 
-    Vertices of F are processed in static order of descending degree; partial
-    maps are pruned by requiring every fully mapped edge to be an edge of H
-    and every mapped shadow pair to still have an unused third vertex.
+    Vertices of F are processed in static order of descending degree, and
+    each is tried on the vertices of H in ascending order.  The candidates
+    for a vertex are the unused vertices completing every edge it closes: the
+    AND of ``H.thirds`` over the images of the edges' other two vertices.  A
+    partial map is also pruned when some edge with two mapped vertices has no
+    unused third vertex left.
     """
     if F.n > H.n:
         return None
@@ -296,48 +359,38 @@ def find_embedding(F: Hypergraph3, H: Hypergraph3) -> Embedding | None:
 
     order = sorted(range(F.n), key=lambda v: (-F.degree(v), v))
     pos = {v: i for i, v in enumerate(order)}
-    # edges become fully mapped at the step of their last-placed vertex,
-    # and 2/3-mapped at the step of their middle-placed vertex
-    full_at: list[list[tuple[int, int, int]]] = [[] for _ in range(F.n)]
-    two_at: list[list[tuple[int, int, int]]] = [[] for _ in range(F.n)]
+    # edges are closed at the step of their last-placed vertex (kept: the
+    # other two vertices), and 2/3-mapped at the step of their middle one
+    closed_at: list[list[tuple[int, int]]] = [[] for _ in range(F.n)]
+    two_at: list[list[tuple[int, int]]] = [[] for _ in range(F.n)]
     for e in F.edges:
-        by_pos = sorted(e, key=pos.__getitem__)
-        full_at[pos[by_pos[2]]].append(e)
-        two_at[pos[by_pos[1]]].append(tuple(by_pos))
+        first, middle, last = sorted(e, key=pos.__getitem__)
+        closed_at[pos[last]].append((first, middle))
+        two_at[pos[middle]].append((first, middle))
 
     img = [-1] * F.n
-    used = 0
-    full_mask = (1 << H.n) - 1
+    all_vertices = (1 << H.n) - 1
 
-    def bt(step: int):
-        nonlocal used
+    def bt(step: int, used: int):
         if step == F.n:
             return Embedding(tuple(img))
         v = order[step]
-        for h in range(H.n):
-            bit = 1 << h
-            if used & bit:
-                continue
-            img[v] = h
-            ok = all(
-                H.has_edge(img[a], img[b], img[c]) for a, b, c in full_at[step]
-            )
-            if ok:
-                used |= bit
-                avail = full_mask & ~used
-                for a, b, _c in two_at[step]:
-                    if not H.thirds(img[a], img[b]) & avail:
-                        ok = False
-                        break
-                if ok:
-                    res = bt(step + 1)
-                    if res is not None:
-                        return res
-                used &= ~bit
+        cand = all_vertices & ~used
+        for a, b in closed_at[step]:
+            cand &= H.thirds(img[a], img[b])
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            img[v] = bit.bit_length() - 1
+            avail = all_vertices & ~(used | bit)
+            if all(H.thirds(img[a], img[b]) & avail for a, b in two_at[step]):
+                res = bt(step + 1, used | bit)
+                if res is not None:
+                    return res
         img[v] = -1
         return None
 
-    return bt(0)
+    return bt(0, 0)
 
 
 def embeds(F: Hypergraph3, H: Hypergraph3) -> bool:
@@ -360,17 +413,13 @@ def contains_clique4_minus(H: Hypergraph3) -> bool:
     """Exhaustive K4-minus test via link triangles.
 
     A copy of the 3-edge hypergraph on 4 vertices exists iff some vertex x has a
-    triangle in its link graph, which covers every 4-subset of V(H).
+    triangle in its link graph, which covers every 4-subset of V(H).  The link
+    neighbours of a are ``H.thirds(x, a)``, so the link pair (a, b) lies on a
+    triangle iff those of a and b meet.
     """
     for x in range(H.n):
-        pairs = H.link(x)
-        if len(pairs) < 3:
-            continue
-        adj: dict[int, int] = {}
-        for a, b in pairs:
-            adj[a] = adj.get(a, 0) | (1 << b)
-            adj[b] = adj.get(b, 0) | (1 << a)
-        for a, b in pairs:
-            if adj[a] & adj[b]:
+        link_nbrs = [H.thirds(x, a) for a in range(H.n)]
+        for a, b in H.link(x):
+            if link_nbrs[a] & link_nbrs[b]:
                 return True
     return False

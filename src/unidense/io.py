@@ -10,6 +10,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .hypergraph import Hypergraph3, HypergraphError
 from .palette import Palette, PaletteError, WeightedColorSet
 
@@ -71,7 +73,14 @@ def hypergraph_from_text(text: str) -> Hypergraph3:
     n, m = int(head[0]), int(head[1])
     if len(rows) - 1 != m:
         raise HypergraphError(f"header promises {m} edges, file has {len(rows) - 1}")
-    triples = [tuple(int(x) for x in ln.split()) for ln in rows[1:]]
+    lines = rows[1:]
+    try:  # rows of three int64s, the usual case, in one conversion
+        triples = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None) if lines else []
+    except ValueError:
+        triples = None
+    if triples is None or (len(triples) and triples.shape[1] != 3):
+        # int() reads what int64 cannot, and reports the rest as before
+        triples = [tuple(int(x) for x in ln.split()) for ln in lines]
     return Hypergraph3(n, triples)
 
 
@@ -84,7 +93,7 @@ def hypergraph_from_json(obj: dict) -> Hypergraph3:
         raise HypergraphError(
             'hypergraph JSON must be an object with an integer "n" and an "edges" list of triples'
         )
-    return Hypergraph3(obj["n"], [tuple(e) for e in obj["edges"]])
+    return Hypergraph3(obj["n"], obj["edges"])
 
 
 def write_hypergraph(H: Hypergraph3, path) -> None:

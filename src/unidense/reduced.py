@@ -30,10 +30,35 @@ def _ceil_frac(f: Fraction) -> int:
     return -((-f.numerator) // f.denominator)
 
 
-class ReducedHypergraph:
-    """Immutable reduced hypergraph; degree caches are built on first use."""
+def _edge_array(edges) -> np.ndarray:
+    """The edges of a constituent, all of length 3, as an int64 (m, 3) array."""
+    flat = itertools.chain.from_iterable(edges)
+    return np.fromiter(flat, dtype=np.int64, count=3 * len(edges)).reshape(-1, 3)
 
-    __slots__ = ("indices", "class_sizes", "constituents", "_deg", "_comp")
+
+def _cube_edges(cube: np.ndarray) -> frozenset:
+    """The edges of a constituent cube as triples of plain ints."""
+    return frozenset(zip(*(x.tolist() for x in np.nonzero(cube))))
+
+
+def _check_constituent(edges, lim, name: str) -> None:
+    """Every edge is a triple inside the role classes; the first bad one is reported."""
+    try:
+        E = _edge_array(edges) if set(map(len, edges)) <= {3} else None
+        ok = E is not None and bool(((E >= 0) & (E < lim)).all())
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:  # find the first bad edge, with the tuple's own values
+        for e in edges:
+            if len(e) != 3 or any(not 0 <= e[r] < lim[r] for r in range(3)):
+                raise ReducedError(f"constituent edge {e} outside classes of {name}")
+
+
+class ReducedHypergraph:
+    """Immutable reduced hypergraph; one boolean cube per constituent is built
+    on first use and serves every degree and density query."""
+
+    __slots__ = ("indices", "class_sizes", "constituents", "_cubes")
 
     def __init__(self, indices, class_sizes, constituents):
         indices = tuple(sorted(indices))
@@ -47,17 +72,26 @@ class ReducedHypergraph:
             sizes[(i, j)] = int(size)
         cons = {}
         for i, j, k in itertools.combinations(indices, 3):
-            edges = frozenset(tuple(e) for e in constituents.get((i, j, k), ()))
-            lim = (sizes[(i, j)], sizes[(i, k)], sizes[(j, k)])
-            for e in edges:
-                if len(e) != 3 or any(not 0 <= e[r] < lim[r] for r in range(3)):
-                    raise ReducedError(f"constituent edge {e} outside classes of ({i},{j},{k})")
+            edges = frozenset(map(tuple, constituents.get((i, j, k), ())))
+            _check_constituent(edges, (sizes[(i, j)], sizes[(i, k)], sizes[(j, k)]), f"({i},{j},{k})")
             cons[(i, j, k)] = edges
         self.indices = indices
         self.class_sizes = sizes
         self.constituents = cons
-        self._deg: dict = {}
-        self._comp: dict = {}
+        self._cubes: dict = {}
+
+    @classmethod
+    def _from_cubes(cls, indices: tuple, class_sizes: dict, cubes: dict) -> "ReducedHypergraph":
+        """The instance whose constituents are the given cubes, keyed by every
+        index triple in order.  Each cube's shape is its role sizes, so no
+        edge needs checking, and the cubes become the cache."""
+        A = cls.__new__(cls)
+        A.indices, A.class_sizes = indices, class_sizes
+        A.constituents = {ijk: _cube_edges(cube) for ijk, cube in cubes.items()}
+        for cube in cubes.values():
+            cube.flags.writeable = False
+        A._cubes = cubes
+        return A
 
     # -- geometry ----------------------------------------------------------
 
@@ -71,28 +105,29 @@ class ReducedHypergraph:
     def vertex_count(self) -> int:
         return sum(self.class_sizes.values())
 
+    def cube(self, ijk) -> np.ndarray:
+        """Read-only boolean array of the role sizes: cube[a, b, c] is True
+        iff (a, b, c) is an edge of the constituent of ijk."""
+        cube = self._cubes.get(ijk)
+        if cube is None:
+            cube = np.zeros(self.role_sizes(ijk), dtype=bool)
+            cube[tuple(_edge_array(self.constituents[ijk]).T)] = True
+            cube.flags.writeable = False
+            self._cubes[ijk] = cube
+        return cube
+
     def degree(self, ijk, role: int, v: int) -> int:
-        key = (ijk, role)
-        cache = self._deg.get(key)
-        if cache is None:
-            cache = [0] * self.role_sizes(ijk)[role]
-            for e in self.constituents[ijk]:
-                cache[e[role]] += 1
-            self._deg[key] = cache
-        return cache[v]
+        return int(np.count_nonzero(np.take(self.cube(ijk), v, axis=role)))
 
     def completions(self, ijk, r1: int, r2: int, u: int, v: int) -> int:
         """Bitmask over the remaining role of vertices completing (u, v) to an edge."""
-        key = (ijk, r1, r2)
-        cache = self._comp.get(key)
-        if cache is None:
-            r3 = 3 - r1 - r2
-            cache = {}
-            for e in self.constituents[ijk]:
-                pk = (e[r1], e[r2])
-                cache[pk] = cache.get(pk, 0) | (1 << e[r3])
-            self._comp[key] = cache
-        return cache.get((u, v), 0)
+        sizes = self.role_sizes(ijk)
+        if not (0 <= u < sizes[r1] and 0 <= v < sizes[r2]):
+            return 0
+        at = [slice(None)] * 3
+        at[r1], at[r2] = u, v
+        line = np.packbits(self.cube(ijk)[tuple(at)], bitorder="little")
+        return int.from_bytes(line.tobytes(), "little")
 
     def __eq__(self, other):
         return (
@@ -127,38 +162,59 @@ def reduced_density(A: ReducedHypergraph, star: str) -> Fraction:
     return _scan_density(A, star)[0]
 
 
+def _threshold(d) -> Fraction:
+    d = Fraction(d)
+    if not 0 <= d <= 1:
+        raise ReducedError(f"density d={d} outside [0, 1]")
+    return d
+
+
+def _pair_counts(cube: np.ndarray, r1: int, r2: int) -> np.ndarray:
+    """Completion counts of the (role r1, role r2) pairs, indexed [u, v]."""
+    return cube.sum(axis=3 - r1 - r2, dtype=np.int64)
+
+
+def _vertex_counts(cube: np.ndarray, r: int) -> np.ndarray:
+    """Degrees of the role-r vertices."""
+    return cube.sum(axis=tuple(x for x in range(3) if x != r), dtype=np.int64)
+
+
 def _scan_density(A: ReducedHypergraph, star: str):
-    best = Fraction(1)
-    witness = None
+    """The least ratio over the notion's witnesses, and the first witness
+    attaining it in scan order (None if no ratio is below 1).
+
+    Witnesses are scanned constituent by constituent in sorted order; within
+    one, ev takes roles 0, 1, 2 and vertices ascending, and ee takes role
+    pairs (0,1), (0,2), (1,2) and their (u, v) in row-major order.  One group
+    shares a denominator, so its first minimal count is its candidate, and
+    candidates replace the incumbent num/den on a strictly smaller
+    cross-multiplied count.
+    """
+    if star not in ("vvv", "ev", "ee"):
+        raise ReducedError(f"unknown density notion {star!r}")
+    num, den, witness = 1, 1, None
     for ijk in sorted(A.constituents):
-        s0, s1, s2 = A.role_sizes(ijk)
-        roles = A.roles(ijk)
-        edges = A.constituents[ijk]
+        sizes, roles = A.role_sizes(ijk), A.roles(ijk)
         if star == "vvv":
-            ratio = Fraction(len(edges), s0 * s1 * s2)
-            if ratio < best:
-                best, witness = ratio, (ijk,)
+            groups = [(np.array(len(A.constituents[ijk])), math.prod(sizes), ())]
         elif star == "ev":
-            sizes = (s0, s1, s2)
-            for r in range(3):
-                others = sizes[(r + 1) % 3] * sizes[(r + 2) % 3]
-                for v in range(sizes[r]):
-                    ratio = Fraction(A.degree(ijk, r, v), others)
-                    if ratio < best:
-                        best, witness = ratio, (ijk, roles[r], v)
-        elif star == "ee":
-            sizes = (s0, s1, s2)
-            for r1, r2 in itertools.combinations(range(3), 2):
-                r3 = 3 - r1 - r2
-                for u in range(sizes[r1]):
-                    for v in range(sizes[r2]):
-                        cnt = A.completions(ijk, r1, r2, u, v).bit_count()
-                        ratio = Fraction(cnt, sizes[r3])
-                        if ratio < best:
-                            best, witness = ratio, (ijk, (roles[r1], u), (roles[r2], v))
+            groups = [
+                (_vertex_counts(A.cube(ijk), r), math.prod(sizes) // sizes[r], (roles[r],))
+                for r in range(3)
+            ]
         else:
-            raise ReducedError(f"unknown density notion {star!r}")
-    return best, witness
+            groups = [
+                (_pair_counts(A.cube(ijk), r1, r2), sizes[3 - r1 - r2], (roles[r1], roles[r2]))
+                for r1, r2 in itertools.combinations(range(3), 2)
+            ]
+        for counts, q, classes in groups:
+            at = np.unravel_index(counts.argmin(), counts.shape)
+            c = int(counts[at])
+            if c * den < num * q:
+                num, den = c, q
+                at = tuple(map(int, at))
+                witness = (ijk, *zip(classes, at)) if star == "ee" else (ijk, *classes, *at)
+    return Fraction(num, den), witness
 
 
 def check_dense(A: ReducedHypergraph, star: str, d) -> DenseCheck:
@@ -167,7 +223,7 @@ def check_dense(A: ReducedHypergraph, star: str, d) -> DenseCheck:
     vvv asks constituent edge counts, ev minimum vertex degrees, and ee minimum
     pair degrees against the d-fraction of the relevant class-size product.
     """
-    d = Fraction(d)
+    d = _threshold(d)
     ratio, witness = _scan_density(A, star)
     return DenseCheck(ratio >= d, star, d, ratio, None if ratio >= d else witness)
 
@@ -189,52 +245,46 @@ class ExceptionalSets:
 
 
 def exceptional_sets(A: ReducedHypergraph, star: str, d) -> ExceptionalSets:
-    d = Fraction(d)
+    """A count c is low when c < d * bound, that is c < ceil(d * bound)."""
+    d = _threshold(d)
+    if star not in ("ev", "ee"):
+        raise ReducedError(f"exceptional sets exist for ev/ee only, not {star!r}")
     entries: dict = {}
     for ijk in sorted(A.constituents):
         roles = A.roles(ijk)
         sizes = A.role_sizes(ijk)
+        cube = A.cube(ijk)
         if star == "ev":
             for r in range(3):
-                other = sizes[(r + 1) % 3] * sizes[(r + 2) % 3]
+                low = _vertex_counts(cube, r) < _ceil_frac(d * (math.prod(sizes) // sizes[r]))
                 k_other = [x for x in ijk if x not in roles[r]][0]
-                bad = tuple(
-                    v for v in range(sizes[r]) if Fraction(A.degree(ijk, r, v)) < d * other
-                )
-                entries[(roles[r], k_other)] = bad
-        elif star == "ee":
+                entries[(roles[r], k_other)] = tuple(np.flatnonzero(low).tolist())
+        else:
             for r1, r2 in itertools.combinations(range(3), 2):
                 r3 = 3 - r1 - r2
+                low = _pair_counts(cube, r1, r2) < _ceil_frac(d * sizes[r3])
                 shared = [x for x in roles[r1] if x in roles[r2]][0]
-                bad = tuple(
-                    (u, v)
-                    for u in range(sizes[r1])
-                    for v in range(sizes[r2])
-                    if Fraction(A.completions(ijk, r1, r2, u, v).bit_count()) < d * sizes[r3]
-                )
-                entries[(roles[r3], shared)] = bad
-        else:
-            raise ReducedError(f"exceptional sets exist for ev/ee only, not {star!r}")
+                entries[(roles[r3], shared)] = tuple(map(tuple, np.argwhere(low).tolist()))
     return ExceptionalSets(star, entries)
 
 
 def check_eta_dense(A: ReducedHypergraph, star: str, d, eta):
     """(d, eta, star)-density for star in {ev, ee}: every exceptional set must fit
     inside its eta budget.  At eta = 0 this coincides with check_dense."""
-    d = Fraction(d)
+    d = _threshold(d)
     eta = Fraction(eta)
+    if eta < 0:
+        raise ReducedError(f"eta={eta} must be nonnegative")
     exc = exceptional_sets(A, star, d)
     ok = True
     for key, bad in exc.entries.items():
         if star == "ev":
-            budget = eta * A.class_sizes[key[0]]
+            size = A.class_sizes[key[0]]
         else:
             (jk, i) = key
             j, k = jk
-            pair_ij = tuple(sorted((i, j)))
-            pair_ik = tuple(sorted((i, k)))
-            budget = eta * A.class_sizes[pair_ij] * A.class_sizes[pair_ik]
-        if Fraction(len(bad)) > budget:
+            size = A.class_sizes[tuple(sorted((i, j)))] * A.class_sizes[tuple(sorted((i, k)))]
+        if len(bad) * eta.denominator > eta.numerator * size:
             ok = False
     return ok, exc
 
@@ -251,14 +301,12 @@ class PurgeResult:
 def purge_ev(A: ReducedHypergraph, d) -> PurgeResult:
     """Delete every vertex whose degree is low in any constituent it touches,
     then restrict all constituents to the surviving classes."""
-    d = Fraction(d)
+    d = _threshold(d)
     exc = exceptional_sets(A, "ev", d)
     removed: dict = {pair: set() for pair in A.class_sizes}
     for (pair, _k), bad in exc.entries.items():
         removed[pair].update(bad)
     kept = {}
-    remap = {}
-    sizes = {}
     for pair, size in A.class_sizes.items():
         survivors = tuple(v for v in range(size) if v not in removed[pair])
         if not survivors:
@@ -266,17 +314,17 @@ def purge_ev(A: ReducedHypergraph, d) -> PurgeResult:
                 f"class {pair} empties out at threshold d={d}; input too sparse"
             )
         kept[pair] = survivors
-        remap[pair] = {old: new for new, old in enumerate(survivors)}
-        sizes[pair] = len(survivors)
-    cons = {}
-    for ijk, edges in A.constituents.items():
-        maps = [remap[p] for p in A.roles(ijk)]
-        cons[ijk] = frozenset(
-            (maps[0][a], maps[1][b], maps[2][c])
-            for a, b, c in edges
-            if a in maps[0] and b in maps[1] and c in maps[2]
-        )
-    return PurgeResult(ReducedHypergraph(A.indices, sizes, cons), kept)
+    return PurgeResult(_restricted(A, kept), kept)
+
+
+def _restricted(A: ReducedHypergraph, images: dict) -> ReducedHypergraph:
+    """The reduced hypergraph on classes range(len(images[pair])): (a, b, c)
+    is an edge of ijk iff its images under the role maps are one in A."""
+    sizes = {pair: len(images[pair]) for pair in A.class_sizes}
+    cubes = {
+        ijk: A.cube(ijk)[np.ix_(*(images[p] for p in A.roles(ijk)))] for ijk in A.constituents
+    }
+    return ReducedHypergraph._from_cubes(A.indices, sizes, cubes)
 
 
 @dataclass
@@ -307,18 +355,7 @@ def project_random(A: ReducedHypergraph, ell: int, seed=0, psi=None) -> Projecti
                 not 0 <= x < A.class_sizes[pair] for x in images
             ):
                 raise ReducedError(f"psi for class {pair} is not a map into the class")
-    sizes = {pair: ell for pair in A.class_sizes}
-    cons = {}
-    for ijk, edges in A.constituents.items():
-        p0, p1, p2 = (psi[p] for p in A.roles(ijk))
-        cons[ijk] = frozenset(
-            (a, b, c)
-            for a in range(ell)
-            for b in range(ell)
-            for c in range(ell)
-            if (p0[a], p1[b], p2[c]) in edges
-        )
-    return ProjectionResult(ReducedHypergraph(A.indices, sizes, cons), psi)
+    return ProjectionResult(_restricted(A, psi), psi)
 
 
 def projection_failure_bound(m: int, ell: int, eta, eps) -> float:
@@ -612,28 +649,17 @@ def random_dense_reduced(m: int, size: int, d, seed=0) -> ReducedHypergraph:
     rng = np.random.Generator(np.random.PCG64(seed))
     p = min(0.97, float(d) + 0.25)
     classes = {(i, j): size for i, j in itertools.combinations(range(m), 2)}
-    cons = {}
+    cubes = {}
     for ijk in itertools.combinations(range(m), 3):
         cube = rng.random((size, size, size)) < p
-        edges = {tuple(int(t) for t in e) for e in np.argwhere(cube)}
         for r1, r2 in itertools.combinations(range(3), 2):
-            r3 = 3 - r1 - r2
-            present: dict[tuple[int, int], set[int]] = {}
-            for e in edges:
-                present.setdefault((e[r1], e[r2]), set()).add(e[r3])
-            for u in range(size):
-                for v in range(size):
-                    have = present.get((u, v), set())
-                    missing = need - len(have)
-                    if missing <= 0:
-                        continue
-                    pool = [w for w in range(size) if w not in have]
-                    for w in rng.permutation(pool)[:missing]:
-                        e = [0, 0, 0]
-                        e[r1], e[r2], e[r3] = u, v, int(w)
-                        edges.add(tuple(e))
-        cons[ijk] = frozenset(edges)
-    return ReducedHypergraph(tuple(range(m)), classes, cons)
+            lines = cube.transpose(r1, r2, 3 - r1 - r2)  # a view: lines[u, v] over the third role
+            missing = need - lines.sum(axis=2)
+            for u, v in np.argwhere(missing > 0).tolist():
+                pool = np.flatnonzero(~lines[u, v])
+                lines[u, v, rng.permutation(pool)[: missing[u, v]]] = True
+        cubes[ijk] = cube
+    return ReducedHypergraph._from_cubes(tuple(range(m)), classes, cubes)
 
 
 # -- useless-triple classification ------------------------------------------------------
@@ -649,8 +675,7 @@ def count_useless_triples(A: ReducedHypergraph, B: ReducedHypergraph, xi):
         raise ReducedError("useless-triple count needs matching indices and classes")
     useless = []
     for ijk in sorted(A.constituents):
-        s0, s1, s2 = A.role_sizes(ijk)
-        lost = len(A.constituents[ijk] - B.constituents[ijk])
-        if Fraction(lost) > xi * (s0 * s1 * s2):
+        lost = int(np.count_nonzero(A.cube(ijk) & ~B.cube(ijk)))
+        if lost * xi.denominator > xi.numerator * math.prod(A.role_sizes(ijk)):
             useless.append(ijk)
     return len(useless), useless

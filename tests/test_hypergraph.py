@@ -2,8 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
+from unidense import construct as cn
 from unidense import hypergraph as hg
 
 
@@ -33,6 +35,96 @@ class TestMake:
     def test_repeated_vertex(self):
         with pytest.raises(hg.HypergraphError):
             hg.make(4, [(0, 1, 1)])
+
+
+def reference_structure(n, triples):
+    """Literal per-triple construction: (edges, thirds map, links), the
+    thirds and links built edge by edge in sorted edge order."""
+    canon = set()
+    for t in triples:
+        t = tuple(t)
+        if len(t) != 3:
+            raise hg.HypergraphError(f"not a triple: {t!r}")
+        a, b, c = sorted(int(x) for x in t)
+        if a == b or b == c:
+            raise hg.HypergraphError(f"repeated vertex in triple {t!r}")
+        if a < 0 or c >= n:
+            raise hg.HypergraphError(f"vertex out of range in triple {t!r} (n={n})")
+        canon.add((a, b, c))
+    edges = tuple(sorted(canon))
+    thirds, link = {}, [[] for _ in range(n)]
+    for a, b, c in edges:
+        for (u, v), w in (((a, b), c), ((a, c), b), ((b, c), a)):
+            thirds[(u, v)] = thirds.get((u, v), 0) | (1 << w)
+        link[a].append((b, c))
+        link[b].append((a, c))
+        link[c].append((a, b))
+    return edges, thirds, tuple(tuple(x) for x in link)
+
+
+def assert_matches_reference(H, n, triples):
+    edges, thirds, link = reference_structure(n, triples)
+    assert H.n == n and H.edges == edges
+    assert all(type(x) is int for e in H.edges for x in e)
+    assert H.shadow() == set(thirds)
+    for u in range(n):
+        for v in range(n):
+            want = thirds.get((min(u, v), max(u, v)), 0)
+            got = H.thirds(u, v)
+            assert got == want and type(got) is int
+    assert tuple(H.link(v) for v in range(n)) == link  # order included
+    assert [H.degree(v) for v in range(n)] == [len(x) for x in link]
+
+
+class TestConstructorReference:
+    def test_seeded_unsorted_duplicated_triples(self):
+        rng = np.random.default_rng(2)
+        for n in (3, 5, 9, 17, 40):
+            triples = [tuple(rng.permutation(n)[:3].tolist()) for _ in range(4 * n)]
+            triples += triples[: n]  # duplicates, in another position
+            rng.shuffle(triples)
+            assert_matches_reference(hg.make(n, triples), n, triples)
+
+    def test_numpy_int_and_ndarray_input(self):
+        rng = np.random.default_rng(3)
+        n = 12
+        arr = np.array([rng.permutation(n)[:3] for _ in range(60)], dtype=np.int64)
+        plain = [tuple(int(x) for x in row) for row in arr]
+        numpy_ints = [tuple(row) for row in arr]  # tuples of np.int64
+        for given in (arr, arr.astype(np.int32), numpy_ints, (row for row in arr)):
+            assert_matches_reference(hg.make(n, given), n, plain)
+        assert hg.make(n, arr) == hg.make(n, plain)
+
+    def test_generated_hypergraph(self):
+        H = cn.roedl_hypergraph(30, 4)
+        assert_matches_reference(H, 30, list(H.edges))
+
+    def test_n_zero_and_no_edges(self):
+        assert_matches_reference(hg.make(0, []), 0, [])
+        for n in (0, 1, 6):
+            for empty in ([], (), np.empty((0, 3), dtype=np.int64), iter([])):
+                assert_matches_reference(hg.make(n, empty), n, [])
+
+    @pytest.mark.parametrize("n, triples", [
+        (4, [(0, 1, 2), (0, 1)]),  # not a triple
+        (4, [(0, 1, 2, 3)]),
+        (4, [(0, 1, 2), (3, 1, 1), (0, 1, 9)]),  # repeated vertex comes first
+        (4, [(0, 1, 2), (0, 4, 1), (2, 2, 3)]),  # out of range comes first
+        (4, [(-1, 0, 1)]),
+        (5, [(0, 1, 2), (1, 2)]),
+    ])
+    def test_errors_match_reference(self, n, triples):
+        with pytest.raises(hg.HypergraphError) as want:
+            reference_structure(n, triples)
+        with pytest.raises(hg.HypergraphError) as got:
+            hg.make(n, triples)
+        assert str(got.value) == str(want.value)
+
+    def test_ndarray_errors_name_plain_ints(self):
+        with pytest.raises(hg.HypergraphError, match=r"in triple \(0, 1, 9\) \(n=4\)"):
+            hg.make(4, np.array([[0, 1, 2], [0, 1, 9]]))
+        with pytest.raises(hg.HypergraphError, match=r"not a triple: \(0, 1\)"):
+            hg.make(4, np.array([[0, 1], [1, 2]]))
 
 
 class TestShadow:
@@ -142,6 +234,39 @@ class TestFindEmbedding:
             assert (got is None) == (want is None)
             if got is not None:
                 assert hg.check_embedding(F, H, got)
+
+
+TWO_EDGES = hg.make(4, [(0, 1, 2), (1, 2, 3)])
+TIGHT_PATH = hg.make(5, [(0, 1, 2), (2, 3, 4)])
+
+
+class TestEmbeddingPinned:
+    """The search tries H's vertices in ascending order, so the first
+    embedding it meets is fixed; these mappings were recorded from the
+    literal try-every-vertex search."""
+
+    @pytest.mark.parametrize("kind, n, seed, F, want", [
+        ("tournament", 30, 1, hg.clique_minus4(), None),
+        ("tournament", 30, 1, TWO_EDGES, (3, 0, 1, 5)),
+        ("tournament", 30, 1, TIGHT_PATH, (1, 3, 0, 2, 8)),
+        ("tournament", 30, 1, hg.cycle5(), (0, 1, 3, 4, 8)),
+        ("tournament", 24, 2, hg.clique_minus4(), None),
+        ("tournament", 24, 2, TIGHT_PATH, (1, 3, 0, 2, 5)),
+        ("tournament", 24, 2, hg.cycle5(), (0, 1, 3, 4, 14)),
+        ("roedl", 24, 3, hg.clique_minus4(), (1, 0, 3, 9)),
+        ("roedl", 24, 3, TWO_EDGES, (3, 0, 1, 4)),
+        ("roedl", 24, 3, hg.cycle5(), (0, 1, 3, 2, 9)),
+        ("roedl", 30, 4, hg.clique_minus4(), (1, 0, 4, 12)),
+        ("roedl", 30, 4, TIGHT_PATH, (1, 4, 0, 2, 6)),
+        ("roedl", 30, 4, hg.cycle5(), (0, 1, 4, 2, 6)),
+        ("roedl", 30, 4, hg.clique(4), None),
+    ])
+    def test_mapping_pinned(self, kind, n, seed, F, want):
+        H = getattr(cn, f"{kind}_hypergraph")(n, seed)
+        emb = hg.find_embedding(F, H)
+        assert (None if emb is None else emb.mapping) == want
+        if emb is not None:
+            assert hg.check_embedding(F, H, emb)
 
 
 class TestFastContainment:

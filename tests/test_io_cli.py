@@ -241,6 +241,34 @@ class TestCli:
             assert cli.main(argv) == 64, argv
             assert capsys.readouterr().err.startswith("unidense: error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["--star", "ee", "--d=-1/2"],
+        ["--star", "ev", "--d", "3/2"],
+        ["--star", "ev", "--d", "1/2", "--eta=-1/10"],
+    ])
+    def test_reduced_out_of_domain_thresholds_exit_64(self, tmp_path, capsys, argv):
+        a = tmp_path / "a.json"
+        uio.write_reduced(rd.from_palette(pal.builtin("ee5"), 4), a)
+        assert cli.main(["reduced", "check", str(a)] + argv) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("unidense: error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["audit", "uniform", "H", "--d", "1/4", "--eta", "-1/10"], "eta=-1/10 must be nonnegative"),
+        (["audit", "uniform", "H", "--d", "-1/4", "--eta", "1/10"], "d=-1/4 outside [0, 1]"),
+        (["audit", "quasirandom", "G", "--delta", "-1/5", "--d", "1/2"],
+         "delta=-1/5 must be nonnegative"),
+        (["reduced", "check", "A", "--star", "ev", "--d", "-1/2"], "d=-1/2 outside [0, 1]"),
+    ])
+    def test_negative_fraction_after_space_is_a_value(self, tmp_path, capsys, argv, message):
+        files = {"H": tmp_path / "t.txt", "G": tmp_path / "g.json", "A": tmp_path / "a.json"}
+        uio.write_hypergraph(cn.tournament_hypergraph(8, 0), files["H"])
+        files["G"].write_text(json.dumps(uio.bipartite_to_json(qr.BipartiteGraph.random(6, 6, 0.5, 1))))
+        uio.write_reduced(rd.from_palette(pal.builtin("ee5"), 4), files["A"])
+        assert cli.main([str(files.get(a, a)) for a in argv]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("unidense: error:") and message in err
+
     def test_json_report_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

@@ -1,6 +1,7 @@
 """Reduced hypergraphs: density checks against recounts, exceptional sets,
 purge/projection replays, reduced-map search, and the greedy tetrahedron."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -107,6 +108,163 @@ class TestCheckDense:
                     for v in range(sizes[r2]):
                         want = {e[r3] for e in edges if e[r1] == u and e[r2] == v}
                         assert A.completions(ijk, r1, r2, u, v) == sum(1 << w for w in want)
+
+
+def reference_scan(A, star):
+    """Literal Fraction scan: every witness's ratio in scan order, the first
+    strict minimum kept (the incumbent starts at 1 with no witness)."""
+    best, witness = Fraction(1), None
+    for ijk in sorted(A.constituents):
+        sizes, roles, edges = A.role_sizes(ijk), A.roles(ijk), A.constituents[ijk]
+        cands = []
+        if star == "vvv":
+            cands.append((Fraction(len(edges), sizes[0] * sizes[1] * sizes[2]), (ijk,)))
+        elif star == "ev":
+            for r in range(3):
+                others = sizes[(r + 1) % 3] * sizes[(r + 2) % 3]
+                for v in range(sizes[r]):
+                    deg = sum(1 for e in edges if e[r] == v)
+                    cands.append((Fraction(deg, others), (ijk, roles[r], v)))
+        else:
+            for r1, r2 in itertools.combinations(range(3), 2):
+                for u in range(sizes[r1]):
+                    for v in range(sizes[r2]):
+                        cnt = sum(1 for e in edges if e[r1] == u and e[r2] == v)
+                        cands.append((
+                            Fraction(cnt, sizes[3 - r1 - r2]),
+                            (ijk, (roles[r1], u), (roles[r2], v)),
+                        ))
+        for ratio, w in cands:
+            if ratio < best:
+                best, witness = ratio, w
+    return best, witness
+
+
+def reference_exceptional(A, star, d):
+    entries = {}
+    for ijk in sorted(A.constituents):
+        sizes, roles, edges = A.role_sizes(ijk), A.roles(ijk), A.constituents[ijk]
+        if star == "ev":
+            for r in range(3):
+                other = sizes[(r + 1) % 3] * sizes[(r + 2) % 3]
+                k = [x for x in ijk if x not in roles[r]][0]
+                entries[(roles[r], k)] = tuple(
+                    v for v in range(sizes[r])
+                    if Fraction(sum(1 for e in edges if e[r] == v)) < d * other
+                )
+        else:
+            for r1, r2 in itertools.combinations(range(3), 2):
+                r3 = 3 - r1 - r2
+                shared = [x for x in roles[r1] if x in roles[r2]][0]
+                entries[(roles[r3], shared)] = tuple(
+                    (u, v)
+                    for u in range(sizes[r1])
+                    for v in range(sizes[r2])
+                    if Fraction(sum(1 for e in edges if e[r1] == u and e[r2] == v)) < d * sizes[r3]
+                )
+    return entries
+
+
+def reference_eta_ok(A, star, d, eta):
+    for key, bad in reference_exceptional(A, star, d).items():
+        if star == "ev":
+            budget = eta * A.class_sizes[key[0]]
+        else:
+            (j, k), i = key
+            budget = eta * A.class_sizes[tuple(sorted((i, j)))] * A.class_sizes[tuple(sorted((i, k)))]
+        if Fraction(len(bad)) > budget:
+            return False
+    return True
+
+
+def tie_corpus():
+    """Instances with many equal ratios: homogeneous palettes, complete and
+    empty constituents, uniform class sizes; and seeded random ones."""
+    full = pal.Palette(
+        pal.WeightedColorSet.uniform(("a", "b")),
+        frozenset(itertools.product(("a", "b"), repeat=3)),
+    )
+    out = [rd.from_palette(pal.builtin(name), 4) for name in ("ee5", "ee6", "tournament", "roedl")]
+    out.append(rd.from_palette(full, 4))
+    out.append(rd.ReducedHypergraph((0, 1, 2, 3), {p: 2 for p in itertools.combinations(range(4), 2)}, {}))
+    out.append(rd.ReducedHypergraph((0, 1), {(0, 1): 3}, {}))
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        out.append(random_reduced(int(rng.integers(3, 6)), 4, float(rng.choice([0.2, 0.5, 0.8])), rng))
+    out.append(rd.random_dense_reduced(5, 3, Fraction(1, 2), seed=4))
+    return out
+
+
+THRESHOLDS = (0, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1)
+
+
+class TestScanReference:
+    def test_check_dense_matches_fraction_scan(self):
+        for A in tie_corpus():
+            for star in ("vvv", "ev", "ee"):
+                ratio, witness = reference_scan(A, star)
+                assert rd.reduced_density(A, star) == ratio
+                for d in THRESHOLDS:
+                    got = rd.check_dense(A, star, d)
+                    assert (got.ok, got.min_ratio) == (ratio >= d, ratio)
+                    assert got.witness == (None if ratio >= d else witness)
+
+    def test_witness_is_first_of_tied_minima(self):
+        # every ee pair of a homogeneous instance ties; the first pair of the
+        # first constituent is the witness
+        A = rd.from_palette(pal.builtin("ee5"), 4)
+        chk = rd.check_dense(A, "ee", 1)
+        assert chk.witness == ((0, 1, 2), ((0, 1), 0), ((0, 2), 0))
+        assert chk.witness == reference_scan(A, "ee")[1]
+
+    def test_exceptional_sets_and_eta_match_fraction_reference(self):
+        for A in tie_corpus():
+            for star in ("ev", "ee"):
+                for d in THRESHOLDS:
+                    want = reference_exceptional(A, star, d)
+                    assert rd.exceptional_sets(A, star, d).entries == want
+                    for eta in (0, Fraction(1, 10), Fraction(1, 3), 1):
+                        ok, exc = rd.check_eta_dense(A, star, d, eta)
+                        assert ok == reference_eta_ok(A, star, d, eta)
+                        assert exc.entries == want
+
+    @pytest.mark.parametrize("call", [
+        lambda A: rd.check_dense(A, "ee", Fraction(-1, 2)),
+        lambda A: rd.check_dense(A, "vvv", Fraction(3, 2)),
+        lambda A: rd.exceptional_sets(A, "ev", Fraction(-1, 10)),
+        lambda A: rd.check_eta_dense(A, "ev", Fraction(3, 2), 0),
+        lambda A: rd.check_eta_dense(A, "ee", Fraction(1, 2), Fraction(-1, 10)),
+        lambda A: rd.purge_ev(A, 2),
+        lambda A: rd.reduced_density(A, "zz"),
+    ], ids=["ee d<0", "vvv d>1", "exceptional d<0", "eta d>1", "eta<0", "purge d>1", "notion"])
+    def test_out_of_domain_refused(self, call):
+        with pytest.raises(rd.ReducedError):
+            call(rd.from_palette(pal.builtin("ee5"), 4))
+
+
+def constituent_digest(A):
+    cons = sorted((ijk, sorted(edges)) for ijk, edges in A.constituents.items())
+    return hashlib.sha256(repr(cons).encode()).hexdigest()[:16]
+
+
+class TestRandomDenseReducedPinned:
+    """Generated instances are pinned: the PCG64 draws (coin flips, then one
+    permutation per deficient pair) must not change."""
+
+    @pytest.mark.parametrize("m, size, d, seed, edges, digest", [
+        (5, 4, Fraction(1, 2), 0, 493, "55cdd7ebce2caf10"),
+        (5, 4, Fraction(1, 2), 1, 499, "b3b465ec94ccb3a2"),
+        (5, 4, Fraction(1, 2), 2, 502, "3d6149a8099a422c"),
+        (5, 4, 0, 0, 148, "ccbf8b104403c01a"),
+        (5, 4, 1, 0, 640, "7492537b787e6213"),
+        (4, 6, Fraction(2, 3), 7, 800, "d09b84c24e0e0482"),
+    ])
+    def test_digest(self, m, size, d, seed, edges, digest):
+        A = rd.random_dense_reduced(m, size, d, seed=seed)
+        assert sum(len(e) for e in A.constituents.values()) == edges
+        assert constituent_digest(A) == digest
+        assert all(type(x) is int for e in A.constituents.values() for t in e for x in t)
+        assert rd.check_dense(A, "ee", d).ok
 
 
 class TestEtaDense:
