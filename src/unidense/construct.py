@@ -131,19 +131,23 @@ def tournament_hypergraph_direct(n: int, seed) -> Hypergraph3:
     exactly one other."""
     P = tournament_palette()
     phi = random_pair_coloring(n, P.base, seed)
-    beats = np.zeros((n, n), dtype=np.int64)
-    x, y = np.triu_indices(n, 1)  # pair-rank order
-    fwd = phi.codes == 0
-    beats[x[fwd], y[fwd]] = 1
-    beats[y[~fwd], x[~fwd]] = 1
-    t = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
-    a, b, c = t.T
-    cyclic = (
-        (beats[a, b] + beats[a, c] == 1)
-        & (beats[b, a] + beats[b, c] == 1)
-        & (beats[c, a] + beats[c, b] == 1)
-    )
-    return Hypergraph3(n, t[cyclic])
+    beats = np.zeros((n, n), dtype=bool)
+    for x, y in itertools.combinations(range(n), 2):
+        if phi.code(x, y) == 0:  # fwd
+            beats[x, y] = True
+        else:
+            beats[y, x] = True
+    edges = []
+    for t in itertools.combinations(range(n), 3):
+        x, y, z = t
+        wins = (
+            beats[x, y] + beats[x, z],
+            beats[y, x] + beats[y, z],
+            beats[z, x] + beats[z, y],
+        )
+        if wins == (1, 1, 1):
+            edges.append(t)
+    return Hypergraph3(n, edges)
 
 
 def roedl_hypergraph(n: int, seed) -> Hypergraph3:

@@ -47,13 +47,7 @@ class Hypergraph3:
         return len(self.edges)
 
     def has_edge(self, a: int, b: int, c: int) -> bool:
-        if a > b:  # sort the three by compare-and-swap, without a list
-            a, b = b, a
-        if b > c:
-            b, c = c, b
-        if a > b:
-            a, b = b, a
-        return (a, b, c) in self._edge_set
+        return tuple(sorted((a, b, c))) in self._edge_set
 
     def thirds(self, u: int, v: int) -> int:
         """Bitmask of vertices w with {u, v, w} an edge."""

@@ -10,8 +10,6 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .hypergraph import Hypergraph3, HypergraphError
 from .palette import Palette, PaletteError, WeightedColorSet
 
@@ -73,14 +71,7 @@ def hypergraph_from_text(text: str) -> Hypergraph3:
     n, m = int(head[0]), int(head[1])
     if len(rows) - 1 != m:
         raise HypergraphError(f"header promises {m} edges, file has {len(rows) - 1}")
-    lines = rows[1:]
-    try:  # rows of three int64s, the usual case, in one conversion
-        triples = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None) if lines else []
-    except ValueError:
-        triples = None
-    if triples is None or (len(triples) and triples.shape[1] != 3):
-        # int() reads what int64 cannot, and reports the rest as before
-        triples = [tuple(int(x) for x in ln.split()) for ln in lines]
+    triples = [tuple(int(x) for x in ln.split()) for ln in rows[1:]]
     return Hypergraph3(n, triples)
 
 

@@ -54,6 +54,20 @@ def _check_constituent(edges, lim, name: str) -> None:
                 raise ReducedError(f"constituent edge {e} outside classes of {name}")
 
 
+def _checked_classes(indices, class_sizes) -> tuple[tuple, dict]:
+    """The sorted indices and the size of every class, each at least one."""
+    indices = tuple(sorted(indices))
+    if len(set(indices)) != len(indices) or len(indices) < 2:
+        raise ReducedError("index set must hold at least two distinct indices")
+    sizes = {}
+    for i, j in itertools.combinations(indices, 2):
+        size = class_sizes.get((i, j))
+        if size is None or size < 1:
+            raise ReducedError(f"class ({i},{j}) missing or empty")
+        sizes[(i, j)] = int(size)
+    return indices, sizes
+
+
 class ReducedHypergraph:
     """Immutable reduced hypergraph; one boolean cube per constituent is built
     on first use and serves every degree and density query."""
@@ -61,15 +75,7 @@ class ReducedHypergraph:
     __slots__ = ("indices", "class_sizes", "constituents", "_cubes")
 
     def __init__(self, indices, class_sizes, constituents):
-        indices = tuple(sorted(indices))
-        if len(set(indices)) != len(indices) or len(indices) < 2:
-            raise ReducedError("index set must hold at least two distinct indices")
-        sizes = {}
-        for i, j in itertools.combinations(indices, 2):
-            size = class_sizes.get((i, j))
-            if size is None or size < 1:
-                raise ReducedError(f"class ({i},{j}) missing or empty")
-            sizes[(i, j)] = int(size)
+        indices, sizes = _checked_classes(indices, class_sizes)
         cons = {}
         for i, j, k in itertools.combinations(indices, 3):
             edges = frozenset(map(tuple, constituents.get((i, j, k), ())))
@@ -83,10 +89,11 @@ class ReducedHypergraph:
     @classmethod
     def _from_cubes(cls, indices: tuple, class_sizes: dict, cubes: dict) -> "ReducedHypergraph":
         """The instance whose constituents are the given cubes, keyed by every
-        index triple in order.  Each cube's shape is its role sizes, so no
-        edge needs checking, and the cubes become the cache."""
+        index triple in order.  The indices and classes are checked as in
+        __init__; each cube's shape is its role sizes, so no edge needs
+        checking, and the cubes become the cache."""
         A = cls.__new__(cls)
-        A.indices, A.class_sizes = indices, class_sizes
+        A.indices, A.class_sizes = _checked_classes(indices, class_sizes)
         A.constituents = {ijk: _cube_edges(cube) for ijk, cube in cubes.items()}
         for cube in cubes.values():
             cube.flags.writeable = False

@@ -51,6 +51,11 @@ class TestHypergraphFormats:
         with pytest.raises(hg.HypergraphError):
             uio.hypergraph_from_text("3\n0 1 2\n")
 
+    @pytest.mark.parametrize("row", ["0 1.5 2", "0 1 2e0", "0 1 2.0", "0 1 x", "0 1 99999999999999999999"])
+    def test_non_integer_token_rejected(self, row):
+        with pytest.raises(ValueError):
+            uio.hypergraph_from_text(f"3 1\n{row}\n")
+
 
 class TestPaletteFormat:
     def test_round_trip_uniform(self, tmp_path):
@@ -240,6 +245,14 @@ class TestCli:
         ):
             assert cli.main(argv) == 64, argv
             assert capsys.readouterr().err.startswith("unidense: error:")
+
+    @pytest.mark.parametrize("row", ["0 1.5 2", "0 1 2e0"])
+    def test_float_vertex_in_text_file_exit_64(self, tmp_path, capsys, row):
+        h = tmp_path / "t.txt"
+        h.write_text(f"3 1\n{row}\n")
+        assert cli.main(["audit", "uniform", str(h), "--d", "1/4", "--eta", "0"]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("unidense: error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["--star", "ee", "--d=-1/2"],

@@ -266,6 +266,16 @@ class TestRandomDenseReducedPinned:
         assert all(type(x) is int for e in A.constituents.values() for t in e for x in t)
         assert rd.check_dense(A, "ee", d).ok
 
+    @pytest.mark.parametrize("m, size, message", [
+        (1, 3, "at least two distinct indices"),
+        (0, 3, "at least two distinct indices"),
+        (4, 0, "missing or empty"),
+        (2, 0, "missing or empty"),
+    ])
+    def test_degenerate_shapes_refused(self, m, size, message):
+        with pytest.raises(rd.ReducedError, match=message):
+            rd.random_dense_reduced(m, size, Fraction(1, 2), seed=0)
+
 
 class TestEtaDense:
     def test_eta_zero_coincides_with_check_dense(self):
