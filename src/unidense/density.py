@@ -5,13 +5,17 @@ Counts are integers, thresholds are rationals, and every verdict is computed
 in exact arithmetic; no float ever decides a comparison.  Each audit is one
 subset search over slacks scaled to integers: the notion defines how flipping
 one element of the searched set updates its counts (``flip``), the slack of
-the current set (``score``) and its witness, and both modes run those three
-functions, the exact mode through ``hypergraph.subset_sweep`` and the sampled
-mode through ``hypergraph.subset_search``.  Exact audits label their mode
-"exact" only when the witness space was fully covered: the searched sets are
-enumerated, while the innermost set (C for vvv, P for ev, Q for ee) is
-minimized analytically, which covers all of its 2^k choices at once because
-the slack is additive over that set's elements.
+the current set (``score``) and its witness.  The sampled mode runs those
+through ``hypergraph.subset_search``.  The exact mode runs
+``hypergraph.subset_sweep``, which rates every searched set in chunks of
+consecutive bitmasks with the notion's vectorised ``scores``, read off
+split-half tables (uniform: edge and pair-completion counts of each half;
+vvv, ev, ee: subset sums of per-element rows), and then replays ``flip`` to
+the winner for its witness.  Exact audits label their mode "exact" only when
+the witness space was fully covered: the searched sets are enumerated, while
+the innermost set (C for vvv, P for ev, Q for ee) is minimized analytically,
+which covers all of its 2^k choices at once because the slack is additive
+over that set's elements.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .hypergraph import (
     Hypergraph3,
     bit_positions,
     random_masks,
+    split_sums,
     subset_search,
     subset_sweep,
 )
@@ -163,7 +168,10 @@ def _scaled(d, eta, n: int):
     """Validated (d, eta, scale, d_term, eta_term) for integer slacks.
 
     A slack times scale is an integer: each counted witness contributes
-    d_term = d * scale, and the eta n^3 allowance is eta_term.
+    d_term = d * scale <= scale, and the eta n^3 allowance is eta_term.  The
+    guard scale <= 10^9 keeps the scaled slacks without their eta term in
+    int64 (each notion's docstring gives its bound); eta's numerator is
+    unbounded, so eta_term is a Python int added after the minimum.
     """
     d, eta = Fraction(d), Fraction(eta)
     if not 0 <= d <= 1:
@@ -180,19 +188,21 @@ def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _exact(notion, d, eta, scale, result, space: int) -> DensityReport:
+def _exact(notion, d, eta, scale, eta_term, result, space: int) -> DensityReport:
     best, witness = result
-    return DensityReport(notion, "exact", d, eta, Fraction(best, scale), witness, space=space)
+    return DensityReport(
+        notion, "exact", d, eta, Fraction(best + eta_term, scale), witness, space=space
+    )
 
 
-def _sampled(notion, d, eta, scale, result, samples: int, seed) -> DensityReport:
+def _sampled(notion, d, eta, scale, eta_term, result, samples: int, seed) -> DensityReport:
     best, witness = result
     return DensityReport(
         notion,
         "sampled",
         d,
         eta,
-        Fraction(best, scale),
+        Fraction(best + eta_term, scale),
         witness,
         samples=samples,
         seed=seed,
@@ -221,8 +231,11 @@ def audit_uniform_dense(
 ) -> DensityReport:
     """min over U of |U^(3) cap E| - d C(|U|,3) + eta n^3.
 
-    Exact (Gray-code over all 2^n subsets) when n <= exact_threshold; sampled
-    subsets at several densities plus single-flip descent otherwise.
+    Exact (all 2^n subsets, rated from split-half tables by
+    ``_uniform_scores``) when n <= exact_threshold; sampled subsets at several
+    densities plus single-flip descent otherwise.  The scaled slack without
+    its eta term lies in [-scale C(n,3), scale C(n,3)] with scale <= 10^9, so
+    it fits int64 for n < 3800; eta_term is added as a Python int afterwards.
     """
     d, eta, scale, d_term, eta_term = _scaled(d, eta, H.n)
     n = H.n
@@ -246,16 +259,74 @@ def audit_uniform_dense(
             size, inside = size - 1, inside - k
 
     def score():
-        return inside * scale - binom_term[size] + eta_term
+        return inside * scale - binom_term[size]
 
     def witness():
         return {"U": bit_positions(mask)}
 
     if n <= exact_threshold:
-        return _exact("uniform", d, eta, scale, subset_sweep(n, flip, score, witness), 1 << n)
+        scores = _uniform_scores(H, scale, np.array(binom_term, dtype=np.int64))
+        result = subset_sweep(n, scores, 4, flip, score, witness)
+        return _exact("uniform", d, eta, scale, eta_term, result, 1 << n)
     cands = _subset_candidates(n, _rng(seed), samples)
     result = subset_search(n, flip, score, witness, cands)
-    return _sampled("uniform", d, eta, scale, result, len(cands), seed)
+    return _sampled("uniform", d, eta, scale, eta_term, result, len(cands), seed)
+
+
+def _indicator_rows(k: int) -> np.ndarray:
+    """Row m is the 0/1 indicator vector of the subset m of {0, ..., k-1}."""
+    return np.arange(1 << k)[:, None] >> np.arange(k) & 1
+
+
+def _uniform_scores(H: Hypergraph3, scale: int, binom_term: np.ndarray):
+    """scores(masks) of the exact uniform sweep, from split-half tables.
+
+    With V split into the low vertices 0..h-1 and the high ones h..n-1, the
+    edges inside U = U_lo | U_hi number
+    e(U_lo) + e(U_hi) + P_lo[U_lo] @ 1[U_hi] + 1[U_lo] @ Q_hi[U_hi], where
+    P_lo[m, j] counts the pairs of the low set m that complete an edge with
+    the high vertex h + j, Q_hi[m, i] counts the pairs of the high set m that
+    complete one with the low vertex i, and 1[.] is a set's indicator row.
+    Consecutive masks run through every low set for each high set in turn, so
+    a chunk is rated as a block of high sets by all low sets, its cross terms
+    two matrix products.  The tables hold 2^h (n + 2) cells for the low half
+    and 2^(n-h) (n + 2) for the high half, and a block has at least 2^h cells
+    whatever the chunk size; both are small at the default threshold n <= 22.
+    """
+    n = H.n
+    h = n // 2
+    # links[c, a, b] = 1 when {a, b, c} is an edge and a < b
+    links = np.triu(_ordered_edge_tensor(H).astype(np.int64), 1)
+    lo, hi = slice(0, h), slice(h, n)
+    lo_ind, hi_ind = _indicator_rows(h), _indicator_rows(n - h)
+
+    def completing(ind, part_links):
+        # [m, k]: pairs of the set m that complete an edge with the k-th vertex
+        table = np.zeros((len(ind), len(part_links)), dtype=np.int64)
+        for k, link in enumerate(part_links):
+            table[:, k] = ((ind @ link) * ind).sum(axis=1)
+        return table
+
+    p_lo = completing(lo_ind, links[hi, lo, lo])
+    q_hi = completing(hi_ind, links[lo, hi, hi])
+    # an edge inside a half completes one of its pairs with each of its 3 vertices
+    e_lo = (lo_ind * completing(lo_ind, links[lo, lo, lo])).sum(axis=1) // 3
+    e_hi = (hi_ind * completing(hi_ind, links[hi, hi, hi])).sum(axis=1) // 3
+    lo_size, hi_size = lo_ind.sum(axis=1), hi_ind.sum(axis=1)
+
+    def scores(masks):
+        first = int(masks[0]) >> h
+        his = np.arange(first, (int(masks[-1]) >> h) + 1)
+        inside = hi_ind[his] @ p_lo.T
+        inside += q_hi[his] @ lo_ind.T
+        inside += e_hi[his, None]
+        inside += e_lo
+        inside *= scale
+        inside -= binom_term[hi_size[his, None] + lo_size]
+        start = int(masks[0]) - (first << h)
+        return inside.ravel()[start : start + len(masks)]
+
+    return scores
 
 
 # -- star audits ---------------------------------------------------------------------
@@ -289,13 +360,17 @@ def audit_star_dense(
 
 def _vvv_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> DensityReport:
     """The searched set is A when exact (every B is a row of b_rows) and
-    A | B << n when sampled; the best C given A and B is {z : term[B, z] < 0}."""
+    A | B << n when sampled; the best C given A and B is {z : term[B, z] < 0}.
+
+    Each term entry lies in [-scale n^2, scale n^2] and a slack in
+    [-scale n^3, 0], scale <= 10^9, so int64 holds them for n < 2000.
+    """
     d, eta, scale, d_term, eta_term = _scaled(d, eta, H.n)
     n = H.n
     t = _ordered_edge_tensor(H)
     w = np.zeros((n, n), dtype=np.int64)  # w[y, z] = #{x in A : xyz ordered edge}
     if exact:  # row b is the indicator vector of the subset B = b
-        b_rows = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(np.int64)
+        b_rows = _indicator_rows(n)
     else:  # the one B of the state, held in its bits n..2n-1
         b_rows = np.zeros((1, n), dtype=np.int64)
     b_sizes = b_rows.sum(axis=1)
@@ -322,7 +397,7 @@ def _vvv_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densi
         term = scale * (b_rows @ w) - d_term * a_size * b_sizes[:, None]
         slack = np.minimum(term, 0).sum(axis=1)
         best_row = int(slack.argmin())
-        return int(slack[best_row]) + eta_term
+        return int(slack[best_row])
 
     def witness():
         return {
@@ -332,85 +407,113 @@ def _vvv_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densi
         }
 
     if exact:
-        return _exact("vvv", d, eta, scale, subset_sweep(n, flip, score, witness), (1 << n) ** 3)
+        # w and |A| of every A in a chunk, then every B's term by one product
+        sums = split_sums(np.column_stack([t.reshape(n, n * n), np.ones(n, dtype=np.int64)]))
+
+        def scores(masks):
+            wa = sums(masks)
+            terms = b_rows @ wa[:, :-1].reshape(len(masks), n, n)
+            terms *= scale
+            terms -= (d_term * wa[:, -1, None, None]) * b_sizes[:, None]
+            np.minimum(terms, 0, out=terms)
+            return terms.sum(axis=2).min(axis=1)
+
+        result = subset_sweep(n, scores, (n + 2 << n) + 2 * n * n + 2, flip, score, witness)
+        return _exact("vvv", d, eta, scale, eta_term, result, (1 << n) ** 3)
     rng = _rng(seed)
     cands = _subset_candidates(n, rng, samples)
     starts = [a | cands[int(rng.integers(0, len(cands)))] << n for a in cands]
     result = subset_search(2 * n, flip, score, witness, starts)
-    return _sampled("vvv", d, eta, scale, result, len(starts), seed)
+    return _sampled("vvv", d, eta, scale, eta_term, result, len(starts), seed)
+
+
+class _RowSums:
+    """The searched set as a bitmask and its (n, n) ``term``, the sum of its
+    elements' rows; the scaled slack, without its eta term, is
+    sum(min(term, 0)).  Element i's row is scale * t[i] - d_term placed at
+    term[at(i)].  A flip adds the int8 t[i], with a trailing 1 that counts
+    the elements placed there, to count[at(i)], and score() forms term from
+    count; the int64 table of every element's row is built only by ``sweep``.
+    """
+
+    def __init__(self, t: np.ndarray, at, scale: int, d_term: int):
+        n = t.shape[-1]
+        self.t = np.concatenate([t, np.ones(t.shape[:-1] + (1,), dtype=np.int8)], axis=-1)
+        self.at, self.scale, self.d_term = at, scale, d_term
+        self.mask = 0
+        self.count = np.zeros((n, n + 1), dtype=np.int64)
+        self.term = None
+
+    def flip(self, i):
+        self.mask ^= 1 << i
+        if self.mask >> i & 1:
+            self.count[self.at(i)] += self.t[i]
+        else:
+            self.count[self.at(i)] -= self.t[i]
+
+    def score(self):
+        self.term = self.scale * self.count[:, :-1] - self.d_term * self.count[:, -1:]
+        return int(np.minimum(self.term, 0).sum())
+
+    def sweep(self, witness):
+        n = len(self.count)
+        rows = np.zeros((len(self.t), n, n), dtype=np.int64)
+        for i, row in enumerate(rows):
+            row[self.at(i)] = self.scale * self.t[i, ..., :-1].astype(np.int64) - self.d_term
+        sums = split_sums(rows.reshape(len(rows), n * n))
+
+        def scores(masks):
+            terms = sums(masks)
+            np.minimum(terms, 0, out=terms)
+            return terms.sum(axis=1)
+
+        width = 2 * n * n + 1
+        return subset_sweep(len(rows), scores, width, self.flip, self.score, witness)
 
 
 def _ev_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> DensityReport:
-    """A enumerated or searched; the best P given A is {(b, c) : term[b, c] < 0}."""
+    """A enumerated or searched; the best P given A is {(b, c) : term[b, c] < 0},
+    where term[b, c] = scale #{a in A : abc ordered edge} - d_term |A|.
+
+    Each entry lies in [-scale n, scale n] and the slack in [-scale n^3, 0],
+    scale <= 10^9, so int64 holds them for n < 2000.
+    """
     d, eta, scale, d_term, eta_term = _scaled(d, eta, H.n)
     n = H.n
-    t = _ordered_edge_tensor(H)
-    w = np.zeros((n, n), dtype=np.int64)  # w[b, c] = #{a in A : abc ordered edge}
-    mask = a_size = 0
-    term = None
-
-    def flip(a):
-        nonlocal mask, a_size, w
-        mask ^= 1 << a
-        if mask >> a & 1:
-            w += t[a]
-            a_size += 1
-        else:
-            w -= t[a]
-            a_size -= 1
-
-    def score():
-        nonlocal term
-        term = scale * w - d_term * a_size  # the scaled slack (b, c) adds to P
-        return int(np.minimum(term, 0).sum()) + eta_term
+    # vertex a adds scale t[a] - d_term to all of term when it joins A
+    A = _RowSums(_ordered_edge_tensor(H), lambda a: ..., scale, d_term)
 
     def witness():
-        return {"A": bit_positions(mask), "P": np.argwhere(term < 0).tolist()}
+        return {"A": bit_positions(A.mask), "P": np.argwhere(A.term < 0).tolist()}
 
     if exact:
-        result = subset_sweep(n, flip, score, witness)
-        return _exact("ev", d, eta, scale, result, (1 << n) * (1 << n * n))
+        return _exact("ev", d, eta, scale, eta_term, A.sweep(witness), (1 << n) * (1 << n * n))
     cands = _subset_candidates(n, _rng(seed), samples)
-    result = subset_search(n, flip, score, witness, cands)
-    return _sampled("ev", d, eta, scale, result, len(cands), seed)
+    result = subset_search(n, A.flip, A.score, witness, cands)
+    return _sampled("ev", d, eta, scale, eta_term, result, len(cands), seed)
 
 
 def _ee_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> DensityReport:
     """P enumerated or searched as an n^2-bit mask, bit a*n + b for the pair
-    (a, b); the best Q given P is {(b, c) : term[b, c] < 0}."""
+    (a, b); the best Q given P is {(b, c) : term[b, c] < 0}, where
+    term[b, c] = scale #{a : (a,b) in P, abc ordered edge} - d_term #{a : (a,b) in P}.
+
+    Each entry lies in [-scale n, scale n] and the slack in [-scale n^3, 0],
+    scale <= 10^9, so int64 holds them for n < 2000.
+    """
     d, eta, scale, d_term, eta_term = _scaled(d, eta, H.n)
     n = H.n
-    t = _ordered_edge_tensor(H)
-    u = np.zeros((n, n), dtype=np.int64)  # u[b, c] = #{a : (a,b) in P, abc ordered edge}
-    wcol = np.zeros(n, dtype=np.int64)  # wcol[b] = #{a : (a,b) in P}
-    mask = 0
-    term = None
-
-    def flip(i):
-        nonlocal mask
-        mask ^= 1 << i
-        a, b = divmod(i, n)
-        if mask >> i & 1:
-            u[b] += t[a, b]
-            wcol[b] += 1
-        else:
-            u[b] -= t[a, b]
-            wcol[b] -= 1
-
-    def score():
-        nonlocal term
-        term = scale * u - d_term * wcol[:, None]  # the scaled slack (b, c) adds to Q
-        return int(np.minimum(term, 0).sum()) + eta_term
+    # the pair (a, b) adds scale t[a, b] - d_term to row b of term when it joins P
+    P = _RowSums(_ordered_edge_tensor(H).reshape(n * n, n), lambda i: i % n, scale, d_term)
 
     def witness():
         return {
-            "P": [list(divmod(i, n)) for i in bit_positions(mask)],
-            "Q": np.argwhere(term < 0).tolist(),
+            "P": [list(divmod(i, n)) for i in bit_positions(P.mask)],
+            "Q": np.argwhere(P.term < 0).tolist(),
         }
 
     if exact:
-        result = subset_sweep(n * n, flip, score, witness)
-        return _exact("ee", d, eta, scale, result, (1 << n * n) ** 2)
+        return _exact("ee", d, eta, scale, eta_term, P.sweep(witness), (1 << n * n) ** 2)
     cands = [0, (1 << n * n) - 1] + random_masks(n * n, _rng(seed), samples)
-    result = subset_search(n * n, flip, score, witness, cands)
-    return _sampled("ee", d, eta, scale, result, len(cands), seed)
+    result = subset_search(n * n, P.flip, P.score, witness, cands)
+    return _sampled("ee", d, eta, scale, eta_term, result, len(cands), seed)

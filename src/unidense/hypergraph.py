@@ -177,25 +177,92 @@ def bit_positions(mask: int) -> list[int]:
 # -- subset search ---------------------------------------------------------
 #
 # Every density and quasirandom audit minimizes a score over the subsets of a
-# fixed ground set.  The caller keeps the current set and its
-# running counts; flip(i) toggles element i, score() rates the current set,
-# and witness() describes it (called only when the incumbent improves).
+# fixed ground set.  The caller keeps the current set and its running counts;
+# flip(i) toggles element i, score() rates the current set, and witness()
+# describes it.  The exact sweep also takes scores(masks), the same score for
+# a run of consecutive bitmasks at once, read off split-half tables such as
+# those of ``split_sums`` (meet in the middle, Horowitz-Sahni 1974).
+
+_SWEEP_CELLS = 1 << 17  # int64 cells a chunk of the exact sweep may hold
 
 
-def subset_sweep(nbits: int, flip, score, witness):
-    """Exhaustive minimum of score() over all 2^nbits subsets, by Gray code.
+def gray_rank(masks: np.ndarray) -> np.ndarray:
+    """Inverse Gray code: the step at which a Gray-code walk from 0 reaches each mask."""
+    rank = masks.copy()
+    shift = 1
+    while shift < 64:
+        rank ^= rank >> shift
+        shift <<= 1
+    return rank
 
-    The caller's set starts empty and is scored first; each later step flips
-    one element.  The incumbent is replaced only on a strict decrease, so on
-    ties the earliest set in Gray order wins.  Returns (best score, witness).
+
+def subset_sweep(nbits: int, scores, width: int, flip, score, witness):
+    """Exhaustive minimum of the score over all 2^nbits subsets.
+
+    The masks are rated in chunks of consecutive masks, ascending, by
+    ``scores(masks)``, which the caller declares to hold at most ``width``
+    int64 cells per mask at once; with the chunk's masks and scores that is
+    at most _SWEEP_CELLS cells.  The cap bounds this per-chunk working set
+    only: the tables ``scores`` reads from are the caller's, such as the
+    2^(nbits/2) k cells per half of ``split_sums``.  The minimum is taken by the key (score, Gray rank), so on ties
+    the set a Gray-code walk from the empty set reaches first wins.  The
+    caller's set, empty at the start, is then flipped to the winner, and
+    score() must give the table's value there before witness() describes it.
+    Returns (best score, witness).
     """
-    best, wit = score(), witness()
-    for g in range(1, 1 << nbits):
-        flip((g & -g).bit_length() - 1)
-        s = score()
-        if s < best:
-            best, wit = s, witness()
-    return best, wit
+    if nbits > 62:
+        raise ValueError(f"an exact sweep over 2^{nbits} subsets is out of reach")
+    total = 1 << nbits
+    step = 1 << max(0, (_SWEEP_CELLS // (width + 2)).bit_length() - 1)  # a power of two
+    best = best_rank = best_mask = None
+    for start in range(0, total, step):
+        masks = np.arange(start, min(start + step, total), dtype=np.int64)
+        s = scores(masks)
+        low = s.min()
+        if best is not None and low > best:
+            continue
+        ties = masks[s == low]
+        ranks = gray_rank(ties)
+        k = int(ranks.argmin())
+        if best is None or low < best or ranks[k] < best_rank:
+            best, best_rank, best_mask = low, ranks[k], int(ties[k])
+    for i in bit_positions(best_mask):
+        flip(i)
+    replayed = score()
+    if replayed != best:
+        raise RuntimeError(
+            f"subset sweep: the set {best_mask:#x} scores {replayed} by flips, {best} by table"
+        )
+    return int(best), witness()
+
+
+def split_sums(rows):
+    """Vectorised subset sums of the rows of an (nbits, k) array.
+
+    Returns sums(masks): row i of the result is the sum of rows[j] over the
+    set bits j of masks[i], read as F_lo[low half] + F_hi[high half] from two
+    tables of all subset sums of the low and the high half of the rows, which
+    hold about 2^(nbits/2) k cells each.
+    """
+    rows = np.asarray(rows)
+    half = len(rows) // 2
+    lo, hi = _all_sums(rows[:half]), _all_sums(rows[half:])
+    low_bits = (1 << half) - 1
+
+    def sums(masks):
+        out = lo[masks & low_bits]
+        out += hi[masks >> half]
+        return out
+
+    return sums
+
+
+def _all_sums(rows: np.ndarray) -> np.ndarray:
+    """table[m] = sum of rows[j] over the set bits j of m, for every m < 2^len(rows)."""
+    table = np.zeros((1,) + rows.shape[1:], dtype=rows.dtype)
+    for row in rows:
+        table = np.concatenate([table, table + row])
+    return table
 
 
 def subset_search(nbits: int, flip, score, witness, candidates):

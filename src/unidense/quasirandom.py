@@ -5,8 +5,10 @@ The quasirandom audit searches the subsets A of the smaller side with the
 engine of the density audits (``hypergraph.subset_sweep`` when exact,
 ``hypergraph.subset_search`` when sampled); the worst subset of the other
 side is computed analytically per A, so the exact audit covers every (A, B)
-pair.  Deviations are integers scaled by the denominator of d until the one
-Fraction of the report; all verdicts use exact rational arithmetic.
+pair.  The exact sweep reads each A's column counts as the sum of two
+split-half subset-sum tables (``hypergraph.split_sums``).  Deviations are
+integers scaled by the denominator of d until the one Fraction of the report;
+all verdicts use exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hypergraph import Hypergraph3, bit_positions, random_masks, subset_search, subset_sweep
+from .hypergraph import (
+    Hypergraph3,
+    bit_positions,
+    random_masks,
+    split_sums,
+    subset_search,
+    subset_sweep,
+)
 
 
 class GraphError(ValueError):
@@ -122,8 +131,8 @@ def audit_quasirandom(
 ) -> QuasirandomReport:
     """Check |e(A,B) - d|A||B|| <= delta |X||Y| over side subsets.
 
-    Exact whenever the smaller side has at most ``exact_bits`` vertices: that
-    side is enumerated by Gray code and the extremal B is found analytically,
+    Exact whenever the smaller side has at most ``exact_bits`` vertices: every
+    subset of that side is rated and the extremal B is found analytically,
     covering all (A, B) pairs.  Otherwise random subsets plus single-flip
     descent are audited and the mode is recorded as sampled.
     """
@@ -140,12 +149,13 @@ def audit_quasirandom(
     W = G.transpose() if transposed else G
     exact = W.nx <= exact_bits
     p, q = d.numerator, d.denominator
-    # v[y] = q (c_y - d|A|), c_y the neighbours of y in A; every sum of |v[y]|
-    # is at most q |X| |Y|, held in int64 unless that could overflow
+    # v[y] = q (c_y - d|A|), c_y the neighbours of y in A, is the sum over x in
+    # A of steps[x]; each |v[y]| is at most q |X| and every sum of them at most
+    # q |X| |Y|, held in int64 unless that could overflow
     dtype = np.int64 if q * W.nx * W.ny < 2**63 else object
     steps = np.array([[q * (r >> y & 1) - p for y in range(W.ny)] for r in W.rows], dtype=dtype)
     v = np.zeros(W.ny, dtype=dtype)
-    mask = hi = lo = 0
+    mask = up = down = 0
 
     def flip(x):
         nonlocal mask, v
@@ -158,19 +168,29 @@ def audit_quasirandom(
     def score():
         # B = {y : v[y] > 0} maximises q (e(A,B) - d|A||B|) and its strict
         # complement q (d|A||B| - e(A,B)); the larger is q times the deviation.
-        # The exact sweep starts at the empty A but takes the first nonempty A
-        # on a tie; sampled candidates compare on the deviation alone.
-        nonlocal hi, lo
-        hi = int(np.maximum(v, 0).sum())
-        lo = hi - int(v.sum())
-        return -max(hi, lo), exact and mask == 0
+        # The empty A deviates by 0, so scoring it 1 instead makes the exact
+        # sweep take the first nonempty A on a tie; sampled candidates compare
+        # on the deviation alone.
+        nonlocal up, down
+        up = int(np.maximum(v, 0).sum())
+        down = up - int(v.sum())
+        return -max(up, down) + (exact and mask == 0)
 
     def witness():
-        return bit_positions(mask), np.flatnonzero(v > 0 if hi >= lo else v < 0).tolist()
+        return bit_positions(mask), np.flatnonzero(v > 0 if up >= down else v < 0).tolist()
 
     if exact:
+        sums = split_sums(steps)
+
+        def scores(masks):
+            vs = sums(masks)
+            total = vs.sum(axis=1)
+            np.maximum(vs, 0, out=vs)
+            ups = vs.sum(axis=1)
+            return (masks == 0) - np.maximum(ups, ups - total)
+
         mode, nsamples = "exact", None
-        (neg_dev, _), (wa, wb) = subset_sweep(W.nx, flip, score, witness)
+        neg_dev, (wa, wb) = subset_sweep(W.nx, scores, 2 * W.ny + 4, flip, score, witness)
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
         full = (1 << W.nx) - 1
@@ -178,7 +198,7 @@ def audit_quasirandom(
         candidates.extend(1 << x for x in range(min(W.nx, 32)))
         candidates.extend(full ^ (1 << x) for x in range(min(W.nx, 32)))
         mode, nsamples = "sampled", len(candidates)
-        (neg_dev, _), (wa, wb) = subset_search(W.nx, flip, score, witness, candidates)
+        neg_dev, (wa, wb) = subset_search(W.nx, flip, score, witness, candidates)
     if transposed:
         wa, wb = wb, wa
     max_dev = Fraction(-neg_dev, q * G.nx * G.ny)

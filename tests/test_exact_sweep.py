@@ -1,0 +1,312 @@
+"""Exact audits against literal oracles.
+
+The oracles enumerate the searched subsets in Gray order from the empty set
+with the ``slack_*`` functions or ``BipartiteGraph.e`` and keep the first
+minimum; the innermost set (C, P, Q, or the other side's B) is the set of
+elements whose own slack is negative, which is its exact minimum because the
+slack is additive over it.  On the smallest instances the whole witness space
+is also enumerated, inner set included.
+"""
+
+import itertools
+import tracemalloc
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from unidense import construct as cn
+from unidense import density as dn
+from unidense import hypergraph as hg
+from unidense import quasirandom as qr
+
+def examples(count):
+    """Hypothesis settings: count examples, the same ones on every run."""
+    return settings(
+        max_examples=count,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+
+def gray(n):
+    return [g ^ (g >> 1) for g in range(1 << n)]
+
+
+def members(mask, n):
+    return [i for i in range(n) if mask >> i & 1]
+
+
+def first_min(scored):
+    """The first (value, witness) of least value."""
+    best = None
+    for value, witness in scored:
+        if best is None or value < best[0]:
+            best = (value, witness)
+    return best
+
+
+def negative(elements, slack, empty_slack):
+    """The elements whose own slack is negative: the best inner set."""
+    return [x for x in elements if slack(x) < empty_slack]
+
+
+# -- oracles ---------------------------------------------------------------------
+
+
+def oracle_uniform(H, d, eta):
+    return first_min(
+        (dn.slack_uniform(H, d, eta, U), {"U": U}) for U in (members(m, H.n) for m in gray(H.n))
+    )
+
+
+def oracle_vvv(H, d, eta):
+    n = H.n
+
+    def best_b(A):  # B in ascending bitmask order
+        for b in range(1 << n):
+            B = members(b, n)
+            empty = dn.slack_vvv(H, d, eta, A, B, [])
+            C = negative(range(n), lambda z: dn.slack_vvv(H, d, eta, A, B, [z]), empty)
+            yield dn.slack_vvv(H, d, eta, A, B, C), {"A": A, "B": B, "C": C}
+
+    return first_min(first_min(best_b(members(m, n))) for m in gray(n))
+
+
+def oracle_ev(H, d, eta):
+    n = H.n
+    pairs = [(b, c) for b in range(n) for c in range(n)]
+
+    def scored(A):
+        empty = dn.slack_ev(H, d, eta, A, set())
+        P = negative(pairs, lambda p: dn.slack_ev(H, d, eta, A, {p}), empty)
+        return dn.slack_ev(H, d, eta, A, set(P)), {"A": A, "P": [list(p) for p in P]}
+
+    return first_min(scored(members(m, n)) for m in gray(n))
+
+
+def oracle_ee(H, d, eta):
+    n = H.n
+    pairs = [(b, c) for b in range(n) for c in range(n)]
+
+    def scored(P):
+        empty = dn.slack_ee(H, d, eta, P, set())
+        Q = negative(pairs, lambda q: dn.slack_ee(H, d, eta, P, {q}), empty)
+        witness = {"P": [list(p) for p in P], "Q": [list(q) for q in Q]}
+        return dn.slack_ee(H, d, eta, P, set(Q)), witness
+
+    return first_min(scored([pairs[i] for i in members(m, n * n)]) for m in gray(n * n))
+
+
+def oracle_quasirandom(G, d):
+    """(max deviation, witness_A, witness_B): the smaller side's first nonempty
+    A in Gray order of largest deviation; B on the other side is the set of
+    positive or of negative columns, positive on a tie."""
+    transposed = G.ny < G.nx
+    W = G.transpose() if transposed else G
+
+    def scored(A):
+        column = {y: W.e(A, [y]) - d * len(A) for y in range(W.ny)}
+        plus = [y for y in range(W.ny) if column[y] > 0]
+        minus = [y for y in range(W.ny) if column[y] < 0]
+        up = W.e(A, plus) - d * len(A) * len(plus)
+        down = d * len(A) * len(minus) - W.e(A, minus)
+        B = plus if up >= down else minus
+        return -max(up, down), (A, B)
+
+    neg_dev, (A, B) = first_min(scored(members(m, W.nx)) for m in gray(W.nx)[1:])
+    if transposed:
+        A, B = B, A
+    return -neg_dev / (G.nx * G.ny), A, B
+
+
+def literal_density_min(H, notion, d, eta):
+    """Minimum slack over the whole witness space, inner set included."""
+    n = H.n
+    subsets = [members(m, n) for m in range(1 << n)]
+    if notion == "vvv":
+        return min(dn.slack_vvv(H, d, eta, *abc) for abc in itertools.product(subsets, repeat=3))
+    pairs = [(b, c) for b in range(n) for c in range(n)]
+    pair_sets = [{pairs[i] for i in members(m, n * n)} for m in range(1 << n * n)]
+    if notion == "ev":
+        return min(dn.slack_ev(H, d, eta, A, P) for A in subsets for P in pair_sets)
+    return min(dn.slack_ee(H, d, eta, P, Q) for P in pair_sets for Q in pair_sets)
+
+
+def literal_max_deviation(G, d):
+    return max(
+        abs(G.e(members(a, G.nx), members(b, G.ny)) - d * a.bit_count() * b.bit_count())
+        for a in range(1 << G.nx)
+        for b in range(1 << G.ny)
+    ) / (G.nx * G.ny)
+
+
+# -- strategies ------------------------------------------------------------------
+
+
+@st.composite
+def hypergraphs(draw, min_n, max_n):
+    n = draw(st.integers(min_n, max_n))
+    triples = list(itertools.combinations(range(n), 3))
+    # empty and complete hypergraphs make every witness tie
+    kind = draw(st.sampled_from(["random", "random", "random", "empty", "complete"]))
+    if kind == "random":
+        keep = draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
+        triples = list(itertools.compress(triples, keep))
+    return hg.Hypergraph3(n, [] if kind == "empty" else triples)
+
+
+# d = 0 and d = 1 make ties
+densities = st.sampled_from([F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(5, 12)])
+etas = st.sampled_from([F(0), F(1, 1000), F(1, 60), F(1, 20), F(1, 8), F(1, 4)])
+
+
+@st.composite
+def bipartite_graphs(draw):
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))  # ny < nx is transposed
+    kind = draw(st.sampled_from(["random", "random", "random", "empty", "complete"]))
+    if kind == "complete":
+        return qr.BipartiteGraph.complete(nx, ny)
+    if kind == "empty":
+        return qr.BipartiteGraph.from_edges(nx, ny, [])
+    rows = draw(st.lists(st.integers(0, (1 << ny) - 1), min_size=nx, max_size=nx))
+    return qr.BipartiteGraph(nx, ny, tuple(rows))
+
+
+# -- properties ------------------------------------------------------------------
+
+
+def assert_report(rep, oracle):
+    value, witness = oracle
+    assert rep.mode == "exact"
+    assert (rep.min_slack, rep.worst_witness) == (value, witness)
+
+
+@examples(100)
+@given(hypergraphs(3, 8), densities, etas)
+def test_uniform_matches_gray_order_oracle(H, d, eta):
+    assert_report(dn.audit_uniform_dense(H, d, eta), oracle_uniform(H, d, eta))
+
+
+@examples(40)
+@given(hypergraphs(2, 4), densities, etas)
+def test_vvv_matches_gray_order_oracle(H, d, eta):
+    rep = dn.audit_star_dense(H, "vvv", d, eta)
+    assert_report(rep, oracle_vvv(H, d, eta))
+    if H.n <= 2:
+        assert rep.min_slack == literal_density_min(H, "vvv", d, eta)
+
+
+@examples(100)
+@given(hypergraphs(2, 5), densities, etas)
+def test_ev_matches_gray_order_oracle(H, d, eta):
+    rep = dn.audit_star_dense(H, "ev", d, eta)
+    assert_report(rep, oracle_ev(H, d, eta))
+    if H.n <= 2:
+        assert rep.min_slack == literal_density_min(H, "ev", d, eta)
+
+
+@examples(40)
+@given(hypergraphs(2, 3), densities, etas)
+def test_ee_matches_gray_order_oracle(H, d, eta):
+    rep = dn.audit_star_dense(H, "ee", d, eta)
+    assert_report(rep, oracle_ee(H, d, eta))
+    if H.n <= 1:
+        assert rep.min_slack == literal_density_min(H, "ee", d, eta)
+
+
+@examples(150)
+@given(bipartite_graphs(), densities, st.sampled_from([F(0), F(1, 10), F(1, 4)]))
+def test_quasirandom_matches_gray_order_oracle(G, d, delta):
+    rep = qr.audit_quasirandom(G, delta, d)
+    max_dev, A, B = oracle_quasirandom(G, d)
+    assert rep.mode == "exact"
+    assert (rep.max_deviation, rep.witness_A, rep.witness_B) == (max_dev, tuple(A), tuple(B))
+    assert rep.max_deviation == literal_max_deviation(G, d)
+    assert rep.ok == (max_dev <= delta) and rep.slack == delta - max_dev
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_degenerate_sizes(n):
+    H = hg.Hypergraph3(n, [])
+    for d, eta in [(F(0), F(0)), (F(1), F(0)), (F(1, 2), F(1, 9))]:
+        assert_report(dn.audit_uniform_dense(H, d, eta), oracle_uniform(H, d, eta))
+        assert_report(dn.audit_star_dense(H, "vvv", d, eta), oracle_vvv(H, d, eta))
+        assert_report(dn.audit_star_dense(H, "ev", d, eta), oracle_ev(H, d, eta))
+        assert_report(dn.audit_star_dense(H, "ee", d, eta), oracle_ee(H, d, eta))
+
+
+def test_literal_spaces_agree_on_small_instances():
+    # the marginal rule for the inner set against the whole witness space
+    H = hg.Hypergraph3(3, [(0, 1, 2)])
+    for d, eta in [(F(1, 3), F(1, 40)), (F(0), F(0)), (F(1), F(1, 7))]:
+        assert oracle_vvv(H, d, eta)[0] == literal_density_min(H, "vvv", d, eta)
+        assert oracle_ev(H, d, eta)[0] == literal_density_min(H, "ev", d, eta)
+    H2 = hg.Hypergraph3(2, [])
+    assert oracle_ee(H2, F(1, 2), F(1, 9))[0] == literal_density_min(H2, "ee", F(1, 2), F(1, 9))
+
+
+# -- the int64 bound ----------------------------------------------------------------
+
+# scale = d.denominator * eta.denominator sits at the 10^9 guard of _scaled
+AT_GUARD = [(F(3, 7), F(1, 142857142)), (F(999999999, 10**9), F(0)), (F(1, 125), F(7, 8000000))]
+# eta's numerator is beyond 2^63, so eta n^3 only fits a Python int
+HUGE_ETA = (F(1, 2 * 10**8), F(2**64 + 3, 5))
+
+
+def test_uniform_at_the_guard_matches_fraction_brute_force():
+    H = cn.tournament_hypergraph(9, 4)
+    for d, eta in AT_GUARD + [HUGE_ETA]:
+        assert d.denominator * eta.denominator <= 10**9
+        rep = dn.audit_uniform_dense(H, d, eta)
+        want = min(dn.slack_uniform(H, d, eta, members(m, 9)) for m in range(1 << 9))
+        assert rep.min_slack == want
+        assert dn.slack_uniform(H, d, eta, rep.worst_witness["U"]) == want
+
+
+def test_ev_at_the_guard_matches_fraction_brute_force():
+    H = cn.tournament_hypergraph(3, 0)
+    big = cn.roedl_hypergraph(6, 2)
+    for d, eta in AT_GUARD + [HUGE_ETA]:
+        rep = dn.audit_star_dense(H, "ev", d, eta)
+        assert rep.min_slack == literal_density_min(H, "ev", d, eta)
+        big_rep = dn.audit_star_dense(big, "ev", d, eta)
+        assert (big_rep.min_slack, big_rep.worst_witness) == oracle_ev(big, d, eta)
+
+
+def test_quasirandom_int64_limit_matches_fraction_brute_force():
+    G = qr.BipartiteGraph.random(4, 5, 0.5, 11)
+    # q |X| |Y| just below 2^63 stays on int64, at 2^63 and beyond on Python ints
+    for q in ((2**63 - 1) // 20, 2**63 // 20 + 1, 10**9):
+        for d in (F(1, q), F(q - 1, q)):
+            rep = qr.audit_quasirandom(G, F(1, 10), d)
+            assert rep.max_deviation == literal_max_deviation(G, d)
+            A, B = rep.witness_A, rep.witness_B
+            assert abs(G.e(A, B) - d * len(A) * len(B)) / 20 == rep.max_deviation
+
+
+def test_sweep_refuses_more_than_62_bits():
+    with pytest.raises(ValueError, match="out of reach"):
+        hg.subset_sweep(63, None, 1, None, None, None)
+
+
+# -- memory of the sampled star audits ------------------------------------------------
+
+
+@pytest.mark.parametrize("star", ["ev", "ee"])
+def test_sampled_star_audit_holds_no_row_table(star):
+    # the sampled mode keeps the int8 edge tensor (n^3 bytes) and an n x n term;
+    # an int64 row per element would take 8 n^3 bytes for ev and 8 n^4 for ee
+    n = 60
+    H = cn.tournament_hypergraph(n, 0)
+    tracemalloc.start()
+    try:
+        rep = dn.audit_star_dense(H, star, F(1, 2), F(1, 10), samples=3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.mode == "sampled"
+    assert peak < 8 * n**3

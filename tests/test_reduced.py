@@ -307,7 +307,7 @@ class TestEtaDense:
         cube = rng.random((size, size, size)) < 0.6
         cube[3, :, :] = rng.random((size, size)) < 0.3
         cube[:, :, 11] = rng.random((size, size)) < 0.3
-        cons = {(0, 1, 2): frozenset(tuple(int(x) for x in e) for e in np.argwhere(cube))}
+        cons = {(0, 1, 2): frozenset(map(tuple, np.argwhere(cube).tolist()))}
         A = rd.ReducedHypergraph((0, 1, 2), sizes, cons)
         d = Fraction(1, 2)
         exc = rd.exceptional_sets(A, "ev", d)
@@ -411,7 +411,7 @@ class TestPurge:
                 cube = rng.random((size, size, size)) < 0.75
                 if ijk[:2] == (0, 1):
                     cube[victim, :, :] = rng.random((size, size)) < 0.3
-                cons[ijk] = frozenset(tuple(int(x) for x in e) for e in np.argwhere(cube))
+                cons[ijk] = frozenset(map(tuple, np.argwhere(cube).tolist()))
             A = rd.ReducedHypergraph(tuple(range(m)), sizes, cons)
             ok_eta, _exc = rd.check_eta_dense(A, "ev", D, eta)
             assert ok_eta  # the lemma's hypothesis holds on these instances

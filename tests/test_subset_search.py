@@ -13,12 +13,13 @@ from unidense import quasirandom as qr
 
 
 class Table:
-    """flip/score/witness over a score table indexed by the bitmask."""
+    """flip/score/witness, and the vectorised scores, over a score table indexed by the bitmask."""
 
     def __init__(self, table):
         self.table = table
         self.mask = 0
-        self.visited = []
+        self.visited = []  # masks scored one at a time, by score()
+        self.rated = []  # masks rated in chunks, by scores()
         self.witness_calls = 0
 
     def flip(self, i):
@@ -28,33 +29,63 @@ class Table:
         self.visited.append(self.mask)
         return self.table[self.mask]
 
+    def scores(self, masks):
+        self.rated.extend(masks.tolist())
+        return np.array(self.table, dtype=np.int64)[masks]
+
     def witness(self):
         self.witness_calls += 1
         return self.mask
 
 
+def gray_order(n):
+    return [g ^ (g >> 1) for g in range(1 << n)]
+
+
 class TestSubsetSweep:
+    # widths that give one chunk, several chunks and one mask per chunk
+    WIDTHS = (1, 1 << 15, hg._SWEEP_CELLS)
+
     @pytest.mark.parametrize("n", range(7))
     def test_visits_every_subset_once(self, n):
-        t = Table(list(range(1 << n)))
-        best, wit = hg.subset_sweep(n, t.flip, t.score, t.witness)
-        assert sorted(t.visited) == list(range(1 << n))
-        assert t.visited[0] == 0 and (best, wit) == (0, 0)
+        for width in self.WIDTHS:
+            t = Table(list(range(1 << n)))
+            best, wit = hg.subset_sweep(n, t.scores, width, t.flip, t.score, t.witness)
+            assert t.rated == list(range(1 << n))
+            assert (best, wit) == (0, 0)
+            # score() runs once, at the replayed winner, and witness() once
+            assert t.visited == [0] and t.witness_calls == 1
 
     def test_minimum_and_earliest_tie(self):
         rng = np.random.default_rng(0)
-        for n in range(1, 7):
-            table = [int(x) for x in rng.integers(0, 4, 1 << n)]
-            t = Table(table)
-            best, wit = hg.subset_sweep(n, t.flip, t.score, t.witness)
-            assert best == min(table) and table[wit] == best
-            assert wit == next(m for m in t.visited if table[m] == best)
-            # witness() runs for the empty set and then once per strict improvement
-            calls, low = 1, table[0]
-            for m in t.visited[1:]:
-                if table[m] < low:
-                    calls, low = calls + 1, table[m]
-            assert t.witness_calls == calls
+        for width in self.WIDTHS:
+            for n in range(1, 9):
+                table = [int(x) for x in rng.integers(0, 4, 1 << n)]
+                t = Table(table)
+                best, wit = hg.subset_sweep(n, t.scores, width, t.flip, t.score, t.witness)
+                assert best == min(table) and table[wit] == best
+                # on ties the set a Gray-code walk from the empty set reaches first
+                assert wit == next(m for m in gray_order(n) if table[m] == best)
+                assert t.visited == [wit] and t.witness_calls == 1
+
+    def test_replayed_score_must_match_the_table(self):
+        t = Table([3, 1, 2, 5])
+        t.score = lambda: 7
+        with pytest.raises(RuntimeError, match="scores 7 by flips, 1 by table"):
+            hg.subset_sweep(2, t.scores, 1, t.flip, t.score, t.witness)
+
+    def test_gray_rank_inverts_gray_code(self):
+        g = np.arange(1 << 12, dtype=np.int64)
+        assert (hg.gray_rank(g ^ (g >> 1)) == g).all()
+        big = np.array([(1 << 62) - 1, 1 << 61, (1 << 62) - 5], dtype=np.int64)
+        assert (hg.gray_rank(big ^ (big >> 1)) == big).all()
+
+    def test_split_sums(self):
+        rows = np.arange(35, dtype=np.int64).reshape(7, 5) - 17
+        masks = np.arange(1 << 7, dtype=np.int64)
+        want = [sum((rows[i] for i in range(7) if m >> i & 1), np.zeros(5, np.int64))
+                for m in masks]
+        assert (hg.split_sums(rows)(masks) == np.array(want)).all()
 
 
 class TestSubsetSearch:
