@@ -142,11 +142,8 @@ def _cmd_certify(args) -> int:
     F = _load_hypergraph(args.F)
     P = _load_palette(args.palette)
     report = _base_report(args, "certify")
-    report["seed"] = args.seed
     t0 = time.perf_counter()
-    res = _palette.representable(
-        F, P, budget=args.budget, probe_seed=args.seed
-    )
+    res = _palette.representable(F, P, budget=args.budget)
     report["timing"]["seconds"] = time.perf_counter() - t0
     report["verdict"] = res.status
     report["space"] = str(res.space)
@@ -253,7 +250,7 @@ def _cmd_table(args) -> int:
 def _cmd_gen(args) -> int:
     report = _base_report(args, f"gen {args.kind}")
     report["seed"] = args.seed
-    report["rng_algorithm"] = _construct.RNG_ALGORITHM
+    report["rng_algorithm"] = _hg.RNG_ALGORITHM
     t0 = time.perf_counter()
     coloring_path = None
     if args.kind == "tournament":
@@ -512,7 +509,6 @@ def build_parser() -> _Parser:
     cert.add_argument("--F", required=True, help="hypergraph family name or file")
     cert.add_argument("--palette", required=True, help="palette name or file")
     cert.add_argument("--budget", type=int, default=10**8, help="CSP node budget")
-    cert.add_argument("--seed", type=int, default=0)
     cert.add_argument("--emit-cnf", help="export the colouring search as DIMACS CNF")
     cert.add_argument("--allow-inconclusive", action="store_true")
     common(cert)

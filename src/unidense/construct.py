@@ -2,9 +2,10 @@
 colourings, pattern hypergraphs, the tournament and colour-disagreement
 hypergraphs, and the lift of a reduced hypergraph to a concrete one.
 
-All randomness flows through numpy's PCG64 so that identical seeds reproduce
-identical objects on every platform; the algorithm identifier is recorded in
-generated reports.  Generators are single-threaded per seed.
+All randomness flows through ``hypergraph.rng`` (numpy's PCG64) so that
+identical seeds reproduce identical objects on every platform; the algorithm
+identifier is recorded in generated reports.  Generators are single-threaded
+per seed.
 """
 
 from __future__ import annotations
@@ -16,16 +17,10 @@ from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph3
+from .hypergraph import Hypergraph3, rng
 from .palette import Palette, PaletteError, WeightedColorSet, roedl_palette, tournament_palette
 from .quasirandom import BipartiteGraph
 from .reduced import ReducedHypergraph
-
-RNG_ALGORITHM = "numpy-pcg64"
-
-
-def make_rng(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
 
 
 def pair_rank(n: int, x: int, y: int) -> int:
@@ -85,8 +80,7 @@ def random_pair_coloring(n: int, base: WeightedColorSet, seed) -> PairColoring:
     if n < 1:
         raise PaletteError(f"need n >= 1, got {n}")
     m = n * (n - 1) // 2
-    rng = make_rng(seed)
-    u = rng.random(m)
+    u = rng(seed).random(m)
     cum = np.cumsum([float(w) for w in base.weights])
     cum[-1] = 1.0
     codes = np.searchsorted(cum, u, side="right")
@@ -213,10 +207,10 @@ def random_partitioned_coloring(A: ReducedHypergraph, h: int, seed) -> Partition
     """Every crossing pair independently receives a uniform vertex of its class."""
     if h < 1:
         raise PaletteError(f"block size must be positive, got {h}")
-    rng = make_rng(seed)
+    gen = rng(seed)
     codes = {}
     for pair in sorted(A.class_sizes):
-        codes[pair] = rng.integers(0, A.class_sizes[pair], size=(h, h))
+        codes[pair] = gen.integers(0, A.class_sizes[pair], size=(h, h))
     return PartitionedColoring(h, dict(A.class_sizes), codes)
 
 

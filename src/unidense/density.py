@@ -28,9 +28,11 @@ from math import comb
 import numpy as np
 
 from .hypergraph import (
+    RNG_ALGORITHM,
     Hypergraph3,
     bit_positions,
     random_masks,
+    rng,
     split_sums,
     subset_search,
     subset_sweep,
@@ -184,10 +186,6 @@ def _scaled(d, eta, n: int):
     return d, eta, scale, d.numerator * eta.denominator, eta.numerator * d.denominator * n**3
 
 
-def _rng(seed):
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def _exact(notion, d, eta, scale, eta_term, result, space: int) -> DensityReport:
     best, witness = result
     return DensityReport(
@@ -206,16 +204,16 @@ def _sampled(notion, d, eta, scale, eta_term, result, samples: int, seed) -> Den
         witness,
         samples=samples,
         seed=seed,
-        rng_algorithm="numpy-pcg64",
+        rng_algorithm=RNG_ALGORITHM,
     )
 
 
-def _subset_candidates(n: int, rng, samples: int) -> list[int]:
+def _subset_candidates(n: int, gen, samples: int) -> list[int]:
     full = (1 << n) - 1
     cands = [0, full]
     cands += [1 << v for v in range(min(n, 40))]
     cands += [full ^ (1 << v) for v in range(min(n, 40))]
-    return cands + random_masks(n, rng, samples)
+    return cands + random_masks(n, gen, samples)
 
 
 # -- uniform audit -----------------------------------------------------------------
@@ -268,7 +266,7 @@ def audit_uniform_dense(
         scores = _uniform_scores(H, scale, np.array(binom_term, dtype=np.int64))
         result = subset_sweep(n, scores, 4, flip, score, witness)
         return _exact("uniform", d, eta, scale, eta_term, result, 1 << n)
-    cands = _subset_candidates(n, _rng(seed), samples)
+    cands = _subset_candidates(n, rng(seed), samples)
     result = subset_search(n, flip, score, witness, cands)
     return _sampled("uniform", d, eta, scale, eta_term, result, len(cands), seed)
 
@@ -420,9 +418,9 @@ def _vvv_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densi
 
         result = subset_sweep(n, scores, (n + 2 << n) + 2 * n * n + 2, flip, score, witness)
         return _exact("vvv", d, eta, scale, eta_term, result, (1 << n) ** 3)
-    rng = _rng(seed)
-    cands = _subset_candidates(n, rng, samples)
-    starts = [a | cands[int(rng.integers(0, len(cands)))] << n for a in cands]
+    gen = rng(seed)
+    cands = _subset_candidates(n, gen, samples)
+    starts = [a | cands[int(gen.integers(0, len(cands)))] << n for a in cands]
     result = subset_search(2 * n, flip, score, witness, starts)
     return _sampled("vvv", d, eta, scale, eta_term, result, len(starts), seed)
 
@@ -488,7 +486,7 @@ def _ev_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densit
 
     if exact:
         return _exact("ev", d, eta, scale, eta_term, A.sweep(witness), (1 << n) * (1 << n * n))
-    cands = _subset_candidates(n, _rng(seed), samples)
+    cands = _subset_candidates(n, rng(seed), samples)
     result = subset_search(n, A.flip, A.score, witness, cands)
     return _sampled("ev", d, eta, scale, eta_term, result, len(cands), seed)
 
@@ -514,6 +512,6 @@ def _ee_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densit
 
     if exact:
         return _exact("ee", d, eta, scale, eta_term, P.sweep(witness), (1 << n * n) ** 2)
-    cands = [0, (1 << n * n) - 1] + random_masks(n * n, _rng(seed), samples)
+    cands = [0, (1 << n * n) - 1] + random_masks(n * n, rng(seed), samples)
     result = subset_search(n * n, P.flip, P.score, witness, cands)
     return _sampled("ee", d, eta, scale, eta_term, result, len(cands), seed)

@@ -1,5 +1,6 @@
 """3-uniform hypergraphs on integer vertices, named families, embedding search,
-and the subset-search engine that the density and quasirandom audits share.
+the subset-search engine that the density and quasirandom audits share, and
+the one seeded random stream every module draws from.
 
 Vertices are dense integers ``0..n-1``.  Edges are stored as lexicographically
 sorted triples; adjacency is additionally kept as a pair -> bitmask-of-third-
@@ -300,12 +301,24 @@ def subset_search(nbits: int, flip, score, witness, candidates):
     return best, wit
 
 
-def random_masks(nbits: int, rng, samples: int) -> list[int]:
+RNG_ALGORITHM = "numpy-pcg64"
+
+
+def rng(seed) -> np.random.Generator:
+    """The seeded stream behind every generator and sampled audit.
+
+    numpy's PCG64 reproduces the same draws from the same seed on every
+    platform; reports record it as :data:`RNG_ALGORITHM`.
+    """
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def random_masks(nbits: int, gen, samples: int) -> list[int]:
     """max(1, samples // 3) random subsets at each element density 1/4, 1/2, 3/4."""
     masks = []
     for density in (0.25, 0.5, 0.75):
         for _ in range(max(1, samples // 3)):
-            bits = rng.random(nbits) < density
+            bits = gen.random(nbits) < density
             masks.append(sum(1 << i for i in range(nbits) if bits[i]))
     return masks
 

@@ -258,7 +258,14 @@ class PartiteFormatError(ValueError):
 
 def _partite_from_text(text: str, want_parts: int):
     rows = [ln for ln in (ln.strip() for ln in text.splitlines()) if ln and not ln.startswith("#")]
-    n, m = (int(x) for x in rows[0].split())
+    if len(rows) < 2:
+        raise PartiteFormatError("partite file needs an 'n m' header and a part-assignment line")
+    head = rows[0].split()
+    if len(head) != 2:
+        raise PartiteFormatError(f"expected header 'n m', got {rows[0]!r}")
+    n, m = int(head[0]), int(head[1])
+    if len(rows) - 2 != m:
+        raise PartiteFormatError(f"header promises {m} edges, file has {len(rows) - 2}")
     assignment = [int(x) for x in rows[1].split()]
     if len(assignment) != n:
         raise PartiteFormatError(f"part header lists {len(assignment)} vertices, expected {n}")
@@ -272,8 +279,13 @@ def _partite_from_text(text: str, want_parts: int):
         for i, v in enumerate(part):
             local[v] = i
     edges = {}
-    for ln in rows[2 : 2 + m]:
-        u, v = (int(x) for x in ln.split())
+    for ln in rows[2:]:
+        ends = ln.split()
+        if len(ends) != 2:
+            raise PartiteFormatError(f"expected edge line 'u v', got {ln!r}")
+        u, v = int(ends[0]), int(ends[1])
+        if not (0 <= u < n and 0 <= v < n):
+            raise PartiteFormatError(f"edge {u} {v} has an endpoint outside 0..{n - 1}")
         pu, pv = assignment[u], assignment[v]
         if pu == pv:
             raise PartiteFormatError(f"edge {u} {v} inside one part")

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-import numpy as np
-
 from .hypergraph import Hypergraph3
 
 
@@ -531,48 +529,6 @@ def _edge_slots_for_ordering(F: Hypergraph3, ordering) -> list[tuple]:
     return slots
 
 
-def _min_conflicts_probe(pairs, edge_slots, K, pattern_codes, seed, steps):
-    """Randomized certificate finder for symmetric palettes; never proves absence."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    npairs = len(pairs)
-    pidx = {p: i for i, p in enumerate(pairs)}
-    edges = [tuple(pidx[p] for p in slots) for slots in edge_slots]
-    eov: list[list[int]] = [[] for _ in range(npairs)]
-    for ei, e in enumerate(edges):
-        for p in e:
-            eov[p].append(ei)
-    allowed = set(pattern_codes)
-
-    assign = rng.integers(0, K, size=npairs).tolist()
-
-    def edge_ok(ei):
-        a, b, c = edges[ei]
-        return (assign[a], assign[b], assign[c]) in allowed
-
-    bad = {ei for ei in range(len(edges)) if not edge_ok(ei)}
-    used = 0
-    while bad and used < steps:
-        used += 1
-        pool = sorted(bad)  # sorted for cross-platform determinism
-        ei = pool[rng.integers(0, len(pool))]
-        var = edges[ei][rng.integers(0, 3)]
-        best_val, best_cnt = None, None
-        for c in range(K):
-            assign[var] = c
-            cnt = sum(0 if edge_ok(e2) else 1 for e2 in eov[var])
-            if best_cnt is None or cnt < best_cnt:
-                best_val, best_cnt = c, cnt
-        if rng.random() < 0.08:  # occasional random walk to escape plateaus
-            best_val = int(rng.integers(0, K))
-        assign[var] = best_val
-        for e2 in eov[var]:
-            if edge_ok(e2):
-                bad.discard(e2)
-            else:
-                bad.add(e2)
-    return (assign, used) if not bad else (None, used)
-
-
 def representable(
     F: Hypergraph3,
     palette: Palette,
@@ -586,10 +542,18 @@ def representable(
     Searches for an ordering of V(F) plus a shadow colouring sending every
     edge's pattern into the palette.  For symmetric palettes pattern membership
     is ordering-invariant, so the ordering loop collapses to the identity.
-    Each ordering's colouring search runs on :func:`solve_ternary`, the engine
-    shared with :func:`unidense.reduced.find_reduced_map`; colours are tried
-    most frequent in the patterns first.  A "free" verdict is only ever reported after full exhaustion; certificates
-    are re-validated by :func:`check_certificate` before being returned.
+    There is one search path: each ordering's colouring search runs on
+    :func:`solve_ternary`, the engine shared with
+    :func:`unidense.reduced.find_reduced_map`, with colours tried most frequent
+    in the patterns first.  Every verdict and certificate comes from it, so the
+    result does not depend on any seed.  A "free" verdict is only ever reported
+    after full exhaustion; certificates are re-validated by
+    :func:`check_certificate` before being returned.
+
+    probe_seed and probe_steps are accepted and ignored.  They configured a
+    randomized certificate probe that has been removed; they stay in the
+    signature only so that existing callers which pass them, the benchmark
+    workloads among them, keep working.
     """
     colors = palette.base.colors
     K = len(colors)
@@ -626,28 +590,6 @@ def representable(
     pidx = {p: i for i, p in enumerate(pairs)}
 
     counter = [0]
-
-    def to_cert(ordering, assign):
-        coloring = {p: colors[assign[i]] for i, p in enumerate(pairs)}
-        cert = RepresentabilityCertificate(tuple(ordering), coloring)
-        if not check_certificate(F, palette, cert):  # pragma: no cover - safety net
-            raise AssertionError("internal error: produced certificate failed validation")
-        return cert
-
-    # randomized probe for large symmetric instances (certificate-only)
-    if palette.symmetric and fixed_ordering is None and K**s > 10**7:
-        if budget is not None:
-            probe_steps = min(probe_steps, budget // 2)
-        slots = _edge_slots_for_ordering(F, tuple(range(F.n)))
-        for attempt in range(6):
-            assign, used = _min_conflicts_probe(
-                pairs, slots, K, codes, seed=(probe_seed, attempt), steps=probe_steps // 6
-            )
-            counter[0] += used
-            if assign is not None:
-                cert = to_cert(tuple(range(F.n)), assign)
-                return RepresentabilityResult("certificate", cert, space, counter[0])
-
     for ordering in orderings:
         constraints = [
             (tuple(pidx[p] for p in slots), tables)
@@ -655,7 +597,10 @@ def representable(
         ]
         status, assign = solve_ternary([(1 << K) - 1] * s, constraints, counter, budget)
         if status == "sat":
-            cert = to_cert(ordering, [value_order[r] for r in assign])
+            coloring = {p: colors[value_order[assign[i]]] for i, p in enumerate(pairs)}
+            cert = RepresentabilityCertificate(tuple(ordering), coloring)
+            if not check_certificate(F, palette, cert):  # pragma: no cover - safety net
+                raise AssertionError("internal error: produced certificate failed validation")
             return RepresentabilityResult("certificate", cert, space, counter[0])
         if status == "budget":
             return RepresentabilityResult("inconclusive", None, space, counter[0])

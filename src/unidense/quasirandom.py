@@ -22,6 +22,7 @@ from .hypergraph import (
     Hypergraph3,
     bit_positions,
     random_masks,
+    rng,
     split_sums,
     subset_search,
     subset_sweep,
@@ -58,8 +59,7 @@ class BipartiteGraph:
 
     @classmethod
     def random(cls, nx_: int, ny_: int, p: float, seed) -> "BipartiteGraph":
-        rng = np.random.Generator(np.random.PCG64(seed))
-        m = rng.random((nx_, ny_)) < p
+        m = rng(seed).random((nx_, ny_)) < p
         rows = tuple(int(sum(1 << y for y in range(ny_) if m[x, y])) for x in range(nx_))
         return cls(nx_, ny_, rows)
 
@@ -192,9 +192,8 @@ def audit_quasirandom(
         mode, nsamples = "exact", None
         neg_dev, (wa, wb) = subset_sweep(W.nx, scores, 2 * W.ny + 4, flip, score, witness)
     else:
-        rng = np.random.Generator(np.random.PCG64(seed))
         full = (1 << W.nx) - 1
-        candidates = random_masks(W.nx, rng, samples) + [full]
+        candidates = random_masks(W.nx, rng(seed), samples) + [full]
         candidates.extend(1 << x for x in range(min(W.nx, 32)))
         candidates.extend(full ^ (1 << x) for x in range(min(W.nx, 32)))
         mode, nsamples = "sampled", len(candidates)
@@ -290,10 +289,16 @@ def triangles(P: TripartiteGraph):
 def check_counting_lemma(P: TripartiteGraph, delta, dXY, dXZ, dYZ) -> Fraction:
     """Signed normalized triangle-count deviation; |result| <= 3*delta is the
     expectation when each layer is (delta, d)-quasirandom."""
+    if Fraction(delta) < 0:
+        raise ValueError(f"delta={delta} must be nonnegative")
+    dXY, dXZ, dYZ = Fraction(dXY), Fraction(dXZ), Fraction(dYZ)
+    for name, d in (("dXY", dXY), ("dXZ", dXZ), ("dYZ", dYZ)):
+        if not 0 <= d <= 1:
+            raise ValueError(f"density {name}={d} outside [0, 1]")
     sizes = len(P.parts[0]) * len(P.parts[1]) * len(P.parts[2])
     if sizes == 0:
         return Fraction(0)
-    expected = Fraction(dXY) * Fraction(dXZ) * Fraction(dYZ) * sizes
+    expected = dXY * dXZ * dYZ * sizes
     return Fraction(triangle_count(P) - expected, sizes)
 
 
@@ -346,7 +351,7 @@ def audit_triad_regular(
     k3_p = triangle_count(P)
     if k3_p == 0:
         return TriadRegularityReport(delta3, d3, True, Fraction(0), 0, seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    gen = rng(seed)
     X, Y, Z = P.parts
 
     def subsample(G: BipartiteGraph, rate: float) -> BipartiteGraph:
@@ -358,7 +363,7 @@ def audit_triad_regular(
             keep = 0
             while r:
                 y = (r & -r).bit_length() - 1
-                if rng.random() < rate:
+                if gen.random() < rate:
                     keep |= 1 << y
                 r &= r - 1
             rows.append(keep)

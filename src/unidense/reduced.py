@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph3
+from .hypergraph import Hypergraph3, rng
 from .palette import Palette, solve_ternary, ternary_tables
 
 
@@ -351,10 +351,10 @@ def project_random(A: ReducedHypergraph, ell: int, seed=0, psi=None) -> Projecti
     if ell < 1:
         raise ReducedError(f"class size must be positive, got {ell}")
     if psi is None:
-        rng = np.random.Generator(np.random.PCG64(seed))
+        gen = rng(seed)
         psi = {}
         for pair in sorted(A.class_sizes):
-            psi[pair] = tuple(int(x) for x in rng.integers(0, A.class_sizes[pair], size=ell))
+            psi[pair] = tuple(int(x) for x in gen.integers(0, A.class_sizes[pair], size=ell))
     else:
         psi = {pair: tuple(images) for pair, images in psi.items()}
         for pair, images in psi.items():
@@ -653,18 +653,18 @@ def random_dense_reduced(m: int, size: int, d, seed=0) -> ReducedHypergraph:
     if not 0 <= d <= 1:
         raise ReducedError("d must lie in [0, 1]")
     need = _ceil_frac(d * size)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    gen = rng(seed)
     p = min(0.97, float(d) + 0.25)
     classes = {(i, j): size for i, j in itertools.combinations(range(m), 2)}
     cubes = {}
     for ijk in itertools.combinations(range(m), 3):
-        cube = rng.random((size, size, size)) < p
+        cube = gen.random((size, size, size)) < p
         for r1, r2 in itertools.combinations(range(3), 2):
             lines = cube.transpose(r1, r2, 3 - r1 - r2)  # a view: lines[u, v] over the third role
             missing = need - lines.sum(axis=2)
             for u, v in np.argwhere(missing > 0).tolist():
                 pool = np.flatnonzero(~lines[u, v])
-                lines[u, v, rng.permutation(pool)[: missing[u, v]]] = True
+                lines[u, v, gen.permutation(pool)[: missing[u, v]]] = True
         cubes[ijk] = cube
     return ReducedHypergraph._from_cubes(tuple(range(m)), classes, cubes)
 

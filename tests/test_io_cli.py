@@ -180,6 +180,17 @@ class TestCli:
     def test_certify_unknown_family_exit_usage(self):
         assert cli.main(["certify", "--F", "mystery", "--palette", "tournament"]) == 64
 
+    def test_certify_takes_no_seed(self, tmp_path):
+        # the search is deterministic; there is no seed to set or to report
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["certify", "--F", "k4minus", "--palette", "tournament", "--seed", "0"])
+        assert exc.value.code == 64
+        rpt = tmp_path / "r.json"
+        assert cli.main([
+            "certify", "--F", "k4minus", "--palette", "tournament", "--json", str(rpt)
+        ]) == 0
+        assert "seed" not in json.loads(rpt.read_text())
+
     def test_usage_error_exit_64(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["certify", "--F", "k4"])  # missing --palette
@@ -231,17 +242,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("unidense: error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("content", [
+        "",
+        "4 0\n",
+        "4 1\n0 0 1 1\n0 7\n",
+        "4 1\n0 0 1 1\n-1 0\n",
+        "4 3\n0 0 1 1\n0 2\n",
+        "4 1\n0 0 1 1\n0 2 3\n",
+    ])
+    def test_malformed_partite_text_exit_64(self, tmp_path, capsys, content):
+        # empty, no part line, endpoint >= n, negative endpoint, short edge list, bad edge line
+        g = tmp_path / "g.txt"
+        g.write_text(content)
+        assert cli.main(["audit", "quasirandom", str(g), "--delta", "1/4", "--d", "1/2"]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("unidense: error:") and "Traceback" not in err
+
     def test_out_of_domain_thresholds_exit_64(self, tmp_path, capsys):
         h = tmp_path / "t.txt"
         uio.write_hypergraph(cn.tournament_hypergraph(8, 0), h)
         g = tmp_path / "g.json"
         g.write_text(json.dumps(uio.bipartite_to_json(qr.BipartiteGraph.random(6, 6, 0.5, 1))))
+        t = tmp_path / "tri.json"
+        t.write_text(json.dumps(uio.tripartite_to_json(qr.TripartiteGraph.random((3, 3, 3), 0.5, 2))))
+        half = ["--dxz", "1/2", "--dyz", "1/2"]
         for argv in (
             ["audit", "uniform", str(h), "--d", "5/4", "--eta=-1/10"],
             ["audit", "uniform", str(h), "--d", "1/4", "--eta=-1/10"],
             ["audit", "star", str(h), "--notion", "ev", "--d", "3/2", "--eta", "0"],
             ["audit", "quasirandom", str(g), "--delta=-1/5", "--d", "1/2"],
             ["audit", "quasirandom", str(g), "--delta", "1/5", "--d", "2"],
+            ["audit", "counting-lemma", str(t), "--delta", "-1/10", "--dxy", "1/2"] + half,
+            ["audit", "counting-lemma", str(t), "--delta", "1/10", "--dxy", "3/2"] + half,
+            ["audit", "counting-lemma", str(t), "--delta", "1/10", "--dxy", "1/2",
+             "--dxz", "-1/2", "--dyz", "1/2"],
         ):
             assert cli.main(argv) == 64, argv
             assert capsys.readouterr().err.startswith("unidense: error:")

@@ -269,6 +269,14 @@ class TestRepresentable:
         assert pal.representable(hg.clique(6), pal.builtin("ee6")).nodes == 452
         assert pal.representable(hg.clique(5), pal.builtin("ee5")).nodes == 315
 
+    def test_k10_ee11_certificate_nodes_pinned(self):
+        # served by the ordering loop over solve_ternary alone, far inside the
+        # 3M-node budget the certify benchmark gives it
+        F, P = hg.clique(10), pal.builtin("ee11")
+        res = pal.representable(F, P, budget=3_000_000)
+        assert res.status == "certificate" and res.nodes == 161_262
+        assert pal.check_certificate(F, P, res.certificate)
+
     def test_edgeless_f_trivially_representable(self):
         F = hg.make(4, [])
         res = pal.representable(F, pal.builtin("tournament"))

@@ -139,6 +139,17 @@ class TestCountingLemma:
         )
         assert qr.check_counting_lemma(P, 0, 0, 0, 0) == 0
 
+    @pytest.mark.parametrize("args", [
+        (Fraction(-1, 10), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
+        (0, Fraction(3, 2), Fraction(1, 2), Fraction(1, 2)),
+        (0, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2)),
+        (0, Fraction(1, 2), Fraction(1, 2), 2),
+    ])
+    def test_out_of_domain_refused(self, args):
+        P = qr.TripartiteGraph.random((3, 3, 3), 0.5, 0)
+        with pytest.raises(ValueError):
+            qr.check_counting_lemma(P, *args)
+
     def test_seeded_instances_within_three_delta(self):
         # audited delta: exact audit per layer, then the triangle count obeys 3*delta
         for seed in range(50):
