@@ -35,8 +35,9 @@ print(f"  independent re-validation: {ok}")
 
 print()
 print("-- the large clique over the two-colour-per-triangle palette --")
+print("(GR(K3; 3) = 11: K10 has a 3-colouring of its pairs with exactly two")
+print(" colours on every triangle, K11 has none)")
 res = representable(clique(10), builtin("ee11"), budget=3_000_000)
-print(f"K10 vs ee11: {res.status} after {res.nodes} nodes")
+print(f"K10 vs ee11: {res.status} after {res.nodes} nodes, symmetry {res.symmetry}")
 res11 = representable(clique(11), builtin("ee11"), budget=300_000)
-print(f"K11 vs ee11: {res11.status} after {res11.nodes} nodes"
-      " (full exhaustion is out of desk range; export CNF via the CLI)")
+print(f"K11 vs ee11: {res11.status} after {res11.nodes} nodes, symmetry {res11.symmetry}")

@@ -57,6 +57,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"budget must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be a nonnegative node count, got {value}")
+    return value
+
+
 def _load_hypergraph(spec: str) -> _hg.Hypergraph3:
     p = Path(spec)
     if p.exists():
@@ -148,8 +158,9 @@ def _cmd_certify(args) -> int:
     report["verdict"] = res.status
     report["space"] = str(res.space)
     report["nodes"] = res.nodes
+    report["symmetry"] = res.symmetry.to_json()
     lines = [f"certify F={args.F} palette={args.palette}: {res.status} "
-             f"(space {res.space}, nodes {res.nodes})"]
+             f"(space {res.space}, nodes {res.nodes}, symmetry {res.symmetry})"]
     if res.certificate is not None:
         cert = {
             "ordering": list(res.certificate.ordering),
@@ -192,7 +203,7 @@ _TABLE_ROWS = (
     ("cycle5", "cycle5", "vvv", Fraction(4, 27), "free"),
     ("ee5", "k5", "ee", Fraction(1, 3), "free"),
     ("ee6", "k6", "ee", Fraction(1, 2), "free"),
-    ("ee11", "k11", "ee", Fraction(2, 3), "pending"),
+    ("ee11", "k11", "ee", Fraction(2, 3), "free"),
 )
 
 _NOTION_SYMBOL = {"vvv": "vvv", "ev": "ev", "ee": "ee"}
@@ -230,6 +241,7 @@ def _cmd_table(args) -> int:
                 "verdict": verdict,
                 "bound": statement,
                 "space": str(res.space),
+                "symmetry": res.symmetry.to_json(),
             }
         )
         lines.append(
@@ -440,11 +452,13 @@ def _cmd_reduced_map(args) -> int:
     res = _reduced.find_reduced_map(F, A, budget=args.budget, injective=args.injective)
     report["verdict"] = res.status
     report["nodes"] = res.nodes
+    report["symmetry"] = res.symmetry.to_json()
     # index-assignment space; the pair-colouring space per assignment is
     # exhausted by the inner search
     report["lambda_space"] = str(len(A.indices) ** F.n)
     report["exhausted"] = res.status == "free"
-    lines = [f"reduced map F={args.F}: {res.status} (nodes {res.nodes})"]
+    lines = [f"reduced map F={args.F}: {res.status} "
+             f"(nodes {res.nodes}, symmetry {res.symmetry})"]
     if res.reduced_map is not None:
         report["map"] = {
             "lambda": {str(v): i for v, i in sorted(res.reduced_map.lam.items())},
@@ -508,14 +522,14 @@ def build_parser() -> _Parser:
     cert = sub.add_parser("certify", help="representability search")
     cert.add_argument("--F", required=True, help="hypergraph family name or file")
     cert.add_argument("--palette", required=True, help="palette name or file")
-    cert.add_argument("--budget", type=int, default=10**8, help="CSP node budget")
+    cert.add_argument("--budget", type=_budget, default=10**8, help="CSP node budget")
     cert.add_argument("--emit-cnf", help="export the colouring search as DIMACS CNF")
     cert.add_argument("--allow-inconclusive", action="store_true")
     common(cert)
     cert.set_defaults(func=_cmd_certify)
 
     tab = sub.add_parser("table", help="certified lower-bound table")
-    tab.add_argument("--budget", type=int, default=10**6)
+    tab.add_argument("--budget", type=_budget, default=10**6, help="CSP node budget per row")
     common(tab)
     tab.set_defaults(func=_cmd_table)
 
@@ -603,7 +617,7 @@ def build_parser() -> _Parser:
     rm = red_sub.add_parser("map", help="reduced-map search")
     rm.add_argument("input")
     rm.add_argument("--F", required=True)
-    rm.add_argument("--budget", type=int, default=10**8)
+    rm.add_argument("--budget", type=_budget, default=10**8, help="search node budget")
     rm.add_argument("--injective", action="store_true",
                     help="force an injective index assignment")
     rm.add_argument("--allow-inconclusive", action="store_true")

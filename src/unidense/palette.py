@@ -351,12 +351,41 @@ class RepresentabilityCertificate:
     coloring: dict
 
 
+@dataclass(frozen=True)
+class Symmetry:
+    """The symmetry group a search was cut by: its name and its order."""
+
+    name: str = "none"
+    order: int = 1
+
+    @classmethod
+    def product(cls, factors) -> "Symmetry":
+        """Direct product of (name, order) factors; trivial factors are dropped."""
+        factors = [(name, order) for name, order in factors if order > 1]
+        if not factors:
+            return cls()
+        order = 1
+        for _name, k in factors:
+            order *= k
+        return cls(" x ".join(name for name, _k in factors), order)
+
+    def to_json(self) -> dict:
+        return {"group": self.name, "order": self.order}
+
+    def __str__(self) -> str:
+        return self.name if self.order == 1 else f"{self.name} (order {self.order})"
+
+
+NO_SYMMETRY = Symmetry()
+
+
 @dataclass
 class RepresentabilityResult:
     status: str  # "certificate" | "free" | "inconclusive"
     certificate: RepresentabilityCertificate | None
     space: int  # nominal (orderings x colourings) assignment space covered
     nodes: int  # search nodes actually explored
+    symmetry: Symmetry = NO_SYMMETRY  # the group the search was cut by
 
     @property
     def found(self) -> bool:
@@ -406,20 +435,61 @@ def _automorphisms(F: Hypergraph3) -> list[tuple[int, ...]]:
 
 
 def _canonical_orderings(F: Hypergraph3):
-    """One ordering per orbit under vertex relabelling by Aut(F).
+    """One ordering per orbit under vertex relabelling by Aut(F), and the order
+    of the group used.
 
     Representability under sigma is equivalent under a o sigma for any
     automorphism a, so exhausting one representative per orbit is exhaustive.
-    Falls back to all orderings when the group is too large for the orbit
-    filter to pay off.
+    Falls back to all orderings (group order 1) when the group is too large for
+    the orbit filter to pay off.
     """
     autos = _automorphisms(F) if F.n <= 8 else [tuple(range(F.n))]
     if len(autos) == 1 or len(autos) * factorial(F.n) > 2 * 10**7:
-        yield from itertools.permutations(range(F.n))
-        return
-    for sigma in itertools.permutations(range(F.n)):
-        if min(tuple(a[v] for v in sigma) for a in autos) == sigma:
-            yield sigma
+        return itertools.permutations(range(F.n)), 1
+    orbits = (
+        sigma
+        for sigma in itertools.permutations(range(F.n))
+        if min(tuple(a[v] for v in sigma) for a in autos) == sigma
+    )
+    return orbits, len(autos)
+
+
+def _twin_classes(F: Hypergraph3) -> list[list[int]]:
+    """Classes of the twin relation, each sorted, in order of smallest vertex.
+
+    u and w are twins when the transposition (u w) is an automorphism of F,
+    that is, when their links agree once the pairs holding the other vertex
+    are dropped.  The relation is an equivalence ((u x) = (u w)(w x)(u w)),
+    and the transpositions inside a class generate its full symmetric group,
+    so every permutation of a class is an automorphism.  O(n^2 m); K_n is one
+    class.
+    """
+
+    def twins(u, w):
+        return F.degree(u) == F.degree(w) and (
+            {p for p in F.link(u) if w not in p} == {p for p in F.link(w) if u not in p}
+        )
+
+    classes: list[list[int]] = []
+    placed: set[int] = set()
+    for u in range(F.n):
+        if u not in placed:
+            cls = [u] + [w for w in range(u + 1, F.n) if w not in placed and twins(u, w)]
+            placed.update(cls)
+            classes.append(cls)
+    return classes
+
+
+def _values_interchangeable(codes, K: int) -> bool:
+    """Whether the pattern codes are invariant under every colour permutation.
+
+    The transposition (0 1) and the cycle c -> c + 1 mod K generate S_K.
+    """
+    swap = (1, 0) + tuple(range(2, K)) if K >= 2 else (0,)
+    shift = tuple((c + 1) % K for c in range(K))
+    return all(
+        tuple(g[c] for c in t) in codes for g in (swap, shift) for t in codes
+    )
 
 
 def ternary_tables(triples):
@@ -449,17 +519,42 @@ def ternary_tables(triples):
 _OTHER_TWO = ((1, 2), (0, 2), (0, 1))
 
 
-def solve_ternary(domains, constraints, counter, budget):
+def solve_ternary(domains, constraints, counter, budget, interchangeable=False, chain=()):
     """Forward-checked backtracking over bitmask domains.
 
     This is the one search engine behind both :func:`representable` and
     :func:`unidense.reduced.find_reduced_map`.  domains[v] is the bitmask of
     values variable v may take; each constraint is (vars3, tables) with three
-    distinct variables and tables from :func:`ternary_tables`.  Variables are
-    taken by descending constraint count (ties by index) and values lowest bit
-    first.  counter[0] grows by one node per value tried; the search stops once
-    it exceeds budget.  Returns (status, assignment) with status "sat", "unsat"
-    or "budget"; the assignment is a list of values when status is "sat".
+    distinct variables and tables from :func:`ternary_tables`.  The chain
+    variables are taken first, in chain order; after them the variable with
+    the fewest live values is taken, ties going to more constraints and then
+    to the lower index.  Values are tried lowest bit first.  counter[0] grows
+    by one node per value tried; the search stops once it exceeds budget.
+    Returns (status, assignment) with status "sat", "unsat" or "budget"; the
+    assignment is a list of values when status is "sat".
+
+    Two symmetry rules cut the search to canonical solutions.  The caller
+    asserts that they hold for its instance.
+
+    * interchangeable: every permutation of the values maps solutions to
+      solutions, and all domains are full.  A variable then takes a value
+      already used or the smallest unused one, so the used values are always
+      {0..k-1}; the live values of a variable are its domain below k + 1.
+    * chain = (v1, v2, ...): some permutation group of the variables maps
+      solutions to solutions and can sort the values along the chain, so some
+      solution, if any exists, is non-decreasing along it.  Assigning v_i
+      narrows the domain of v_{i+1} to values >= the value of v_i.
+
+    Soundness: take a node whose partial assignment P extends to a solution S
+    that is non-decreasing along the chain, and let S give the next variable x
+    a value u > k, where k is the smallest unused value.  Swapping u and k in
+    S gives a solution S' that still extends P, because P uses only values
+    below k, and S'(x) = k is a value the search tries.  S' is still
+    non-decreasing along the chain: if x is a chain variable, the earlier
+    chain values are below k and every later one is at least u, so values u
+    become k and the rest stay put; otherwise the whole chain lies in P.  So
+    the search meets a solution whenever one exists, and "unsat" means full
+    exhaustion up to the symmetry.
     """
     n = len(domains)
     domains = list(domains)
@@ -468,7 +563,14 @@ def solve_ternary(domains, constraints, counter, budget):
     for con in constraints:
         for v in con[0]:
             cons_of_var[v].append(con)
-    order = sorted(range(n), key=lambda v: (-len(cons_of_var[v]), v))
+    chain = tuple(chain)
+    chain_next = dict(zip(chain, chain[1:]))
+    in_chain = set(chain)
+    rest_vars = [v for v in range(n) if v not in in_chain]
+    # pick key: live values, then more constraints, then lower index
+    most = max((len(c) for c in cons_of_var), default=0)
+    span = (most + 1) * n
+    tiebreak = [(most - len(cons_of_var[v])) * n + v for v in range(n)]
 
     def propagate(var, trail):
         for vars3, (allowed, comp2, proj1) in cons_of_var[var]:
@@ -494,11 +596,21 @@ def solve_ternary(domains, constraints, counter, budget):
                     domains[p] = nd
         return True
 
-    def bt(depth):
+    def bt(depth, used):
         if depth == n:
             return "sat"
-        var = order[depth]
-        rest = domains[var]
+        live = (1 << (used + 1)) - 1 if interchangeable else -1
+        if depth < len(chain):
+            var = chain[depth]
+        else:
+            var, best = -1, None
+            for v in rest_vars:
+                if assign[v] < 0:
+                    key = (domains[v] & live).bit_count() * span + tiebreak[v]
+                    if best is None or key < best:
+                        var, best = v, key
+        nxt = chain_next.get(var)
+        rest = domains[var] & live
         while rest:
             c = (rest & -rest).bit_length() - 1
             rest &= rest - 1
@@ -507,16 +619,23 @@ def solve_ternary(domains, constraints, counter, budget):
                 return "budget"
             assign[var] = c
             trail: list[tuple[int, int]] = []
-            if propagate(var, trail):
-                res = bt(depth + 1)
+            ok = propagate(var, trail)
+            if ok and nxt is not None:
+                nd = domains[nxt] & -(1 << c)
+                ok = nd != 0
+                if ok and nd != domains[nxt]:
+                    trail.append((nxt, domains[nxt]))
+                    domains[nxt] = nd
+            if ok:
+                res = bt(depth + 1, max(used, c + 1))
                 if res != "unsat":
                     return res
-            for p, old in trail:
+            for p, old in reversed(trail):
                 domains[p] = old
             assign[var] = -1
         return "unsat"
 
-    status = bt(0)
+    status = bt(0, 0)
     return status, (assign if status == "sat" else None)
 
 
@@ -550,6 +669,15 @@ def representable(
     after full exhaustion; certificates are re-validated by
     :func:`check_certificate` before being returned.
 
+    The search is cut by the symmetries the instance has, and the result names
+    the group used.  When the pattern codes are invariant under S_K, colours
+    are interchangeable.  For a symmetric palette and no fixed ordering, every
+    permutation of a twin class C of F (see :func:`_twin_classes`) maps
+    solutions to solutions; with v0 the smallest vertex of the largest class,
+    the colours of the pairs (v0, t), t in C other than v0, may then be
+    taken non-decreasing in t.  Asymmetric palettes keep one ordering per
+    Aut(F) orbit instead.
+
     probe_seed and probe_steps are accepted and ignored.  They configured a
     randomized certificate probe that has been removed; they stay in the
     signature only so that existing callers which pass them, the benchmark
@@ -559,11 +687,16 @@ def representable(
     K = len(colors)
     pairs = sorted(F.shadow())
     s = len(pairs)
+    pidx = {p: i for i, p in enumerate(pairs)}
 
     if not F.edges:
         cert = RepresentabilityCertificate(tuple(range(F.n)), {})
         return RepresentabilityResult("certificate", cert, 1, 0)
 
+    codes = palette.pattern_codes()
+    interchangeable = _values_interchangeable(codes, K)
+    groups = [(f"S{K}", factorial(K))] if interchangeable else []
+    chain: tuple[int, ...] = ()
     if fixed_ordering is not None:
         ordering = tuple(fixed_ordering)
         if sorted(ordering) != list(range(F.n)):
@@ -573,11 +706,16 @@ def representable(
     elif palette.symmetric:
         orderings = iter([tuple(range(F.n))])
         space = K**s
+        v0, *row = max(_twin_classes(F), key=len)
+        if len(row) >= 2 and all((v0, t) in pidx for t in row):
+            chain = tuple(pidx[v0, t] for t in row)
+            groups.append((f"Sym({len(row)})", factorial(len(row))))
     else:
-        orderings = _canonical_orderings(F)
+        orderings, autos = _canonical_orderings(F)
+        groups.append(("Aut(F)", autos))
         space = factorial(F.n) * K**s
+    symmetry = Symmetry.product(groups)
 
-    codes = palette.pattern_codes()
     freq = [0] * K
     for p in codes:
         for c in p:
@@ -587,7 +725,6 @@ def representable(
     value_order = sorted(range(K), key=lambda c: (-freq[c], c))
     rank = {c: r for r, c in enumerate(value_order)}
     tables = ternary_tables((rank[a], rank[b], rank[c]) for a, b, c in codes)
-    pidx = {p: i for i, p in enumerate(pairs)}
 
     counter = [0]
     for ordering in orderings:
@@ -595,16 +732,18 @@ def representable(
             (tuple(pidx[p] for p in slots), tables)
             for slots in _edge_slots_for_ordering(F, ordering)
         ]
-        status, assign = solve_ternary([(1 << K) - 1] * s, constraints, counter, budget)
+        status, assign = solve_ternary(
+            [(1 << K) - 1] * s, constraints, counter, budget, interchangeable, chain
+        )
         if status == "sat":
             coloring = {p: colors[value_order[assign[i]]] for i, p in enumerate(pairs)}
             cert = RepresentabilityCertificate(tuple(ordering), coloring)
             if not check_certificate(F, palette, cert):  # pragma: no cover - safety net
                 raise AssertionError("internal error: produced certificate failed validation")
-            return RepresentabilityResult("certificate", cert, space, counter[0])
+            return RepresentabilityResult("certificate", cert, space, counter[0], symmetry)
         if status == "budget":
-            return RepresentabilityResult("inconclusive", None, space, counter[0])
-    return RepresentabilityResult("free", None, space, counter[0])
+            return RepresentabilityResult("inconclusive", None, space, counter[0], symmetry)
+    return RepresentabilityResult("free", None, space, counter[0], symmetry)
 
 
 def zero_density_certificate(F: Hypergraph3, budget: int | None = None) -> RepresentabilityResult:

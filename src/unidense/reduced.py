@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .hypergraph import Hypergraph3, rng
-from .palette import Palette, solve_ternary, ternary_tables
+from .palette import NO_SYMMETRY, Palette, Symmetry, solve_ternary, ternary_tables
 
 
 class ReducedError(ValueError):
@@ -420,10 +420,28 @@ class ReducedMapResult:
     status: str  # "map" | "free" | "inconclusive"
     reduced_map: ReducedMap | None
     nodes: int
+    symmetry: Symmetry = NO_SYMMETRY  # the group the search was cut by
 
     @property
     def found(self) -> bool:
         return self.status == "map"
+
+
+def _index_homogeneous(A: ReducedHypergraph) -> bool:
+    """Whether every permutation of the indices is an automorphism of A.
+
+    It is when all classes have one size and every index triple carries one
+    constituent that is closed under the six coordinate permutations, as
+    :func:`from_palette` of a symmetric palette does: an index permutation
+    then only permutes the roles inside each triple.
+    """
+    if len(set(A.class_sizes.values())) != 1 or not A.constituents:
+        return False
+    first, *others = A.constituents.values()
+    if any(edges != first for edges in others):
+        return False
+    perms = list(itertools.permutations(range(3)))
+    return all(tuple(t[s] for s in perm) in first for t in first for perm in perms)
 
 
 def find_reduced_map(
@@ -437,6 +455,11 @@ def find_reduced_map(
     the shadow pairs to :func:`unidense.palette.solve_ternary`, the engine
     shared with :func:`unidense.palette.representable`.
 
+    When A is index-homogeneous (see :func:`_index_homogeneous`), indices are
+    interchangeable: a vertex takes an index already used or the first unused
+    one, by the argument of :func:`unidense.palette.solve_ternary`, and the
+    result names the group Sym(|I|).
+
     Exhaustion certifies F-freeness; a budget stop is reported as inconclusive.
     Certificates are re-validated before being returned.
     """
@@ -445,6 +468,9 @@ def find_reduced_map(
     if not F.edges:
         lam = {v: A.indices[v % len(A.indices)] for v in range(F.n)}
         return ReducedMapResult("map", ReducedMap(lam, {}), 0)
+    m = len(A.indices)
+    first_use = _index_homogeneous(A)
+    symmetry = Symmetry.product([(f"Sym({m})", math.factorial(m))] if first_use else [])
 
     vorder = sorted(range(F.n), key=lambda v: (-F.degree(v), v))
     vpos = {v: i for i, v in enumerate(vorder)}
@@ -483,14 +509,14 @@ def find_reduced_map(
             return status, None
         return "sat", {p: (classes[i], assign[i]) for i, p in enumerate(shadow)}
 
-    def bt_lambda(step):
+    def bt_lambda(step, used):
         if step == F.n:
             status, phi = solve_phi()
             if status == "sat":
                 return "sat", phi
             return status, None
         v = vorder[step]
-        for idx in A.indices:
+        for pos, idx in enumerate(A.indices[: used + 1] if first_use else A.indices):
             counter[0] += 1
             if budget is not None and counter[0] > budget:
                 return "budget", None
@@ -506,21 +532,21 @@ def find_reduced_map(
                     ok = False
                     break
             if ok:
-                res, phi = bt_lambda(step + 1)
+                res, phi = bt_lambda(step + 1, max(used, pos + 1))
                 if res != "unsat":
                     return res, phi
             del lam[v]
         return "unsat", None
 
-    status, phi = bt_lambda(0)
+    status, phi = bt_lambda(0, 0)
     if status == "sat":
         rm = ReducedMap(dict(lam), phi)
         if not validate_reduced_map(F, A, rm):  # pragma: no cover - safety net
             raise AssertionError("internal error: reduced map failed validation")
-        return ReducedMapResult("map", rm, counter[0])
+        return ReducedMapResult("map", rm, counter[0], symmetry)
     if status == "budget":
-        return ReducedMapResult("inconclusive", None, counter[0])
-    return ReducedMapResult("free", None, counter[0])
+        return ReducedMapResult("inconclusive", None, counter[0], symmetry)
+    return ReducedMapResult("free", None, counter[0], symmetry)
 
 
 # -- the greedy tetrahedron extraction ---------------------------------------------

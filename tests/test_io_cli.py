@@ -177,6 +177,34 @@ class TestCli:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--F", "k4minus", "--palette", "tournament", "--budget", "-5"],
+        ["table", "--budget", "-1"],
+        ["reduced", "map", "IN", "--F", "k4", "--budget", "-3"],
+    ])
+    def test_negative_budget_exit_64(self, tmp_path, capsys, argv):
+        a = tmp_path / "a.json"
+        uio.write_reduced(rd.from_palette(pal.builtin("ee6"), 4), a)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([str(a) if x == "IN" else x for x in argv])
+        assert exc.value.code == 64
+        assert "budget must be a nonnegative node count" in capsys.readouterr().err
+
+    def test_symmetry_in_json_reports(self, tmp_path):
+        rpt = tmp_path / "r.json"
+        assert cli.main([
+            "certify", "--F", "k6", "--palette", "ee6", "--json", str(rpt)
+        ]) == 0
+        data = json.loads(rpt.read_text())
+        assert data["verdict"] == "free"
+        assert data["symmetry"] == {"group": "S2 x Sym(5)", "order": 240}
+        a = tmp_path / "a.json"
+        uio.write_reduced(rd.from_palette(pal.builtin("ee6"), 7), a)
+        assert cli.main(["reduced", "map", str(a), "--F", "k6", "--json", str(rpt)]) == 0
+        data = json.loads(rpt.read_text())
+        assert data["verdict"] == "free"
+        assert data["symmetry"] == {"group": "Sym(7)", "order": 5040}
+
     def test_certify_unknown_family_exit_usage(self):
         assert cli.main(["certify", "--F", "mystery", "--palette", "tournament"]) == 64
 
@@ -399,7 +427,7 @@ class TestCli:
     def test_emit_cnf(self, tmp_path):
         cnf = tmp_path / "k11.cnf"
         code = cli.main([
-            "certify", "--F", "k11", "--palette", "ee11", "--budget", "20000",
+            "certify", "--F", "k11", "--palette", "ee11", "--budget", "1000",
             "--emit-cnf", str(cnf), "--allow-inconclusive",
         ])
         assert code == 2
@@ -413,3 +441,13 @@ class TestCli:
 
     def test_table_runs_green(self):
         assert cli.main(["table", "--budget", "200000"]) == 0
+
+    def test_table_json_all_rows_free_with_symmetry(self, tmp_path):
+        rpt = tmp_path / "table.json"
+        assert cli.main(["table", "--json", str(rpt)]) == 0
+        rows = json.loads(rpt.read_text())["rows"]
+        assert len(rows) == 11 and all(row["verdict"] == "free" for row in rows)
+        assert all(row["symmetry"]["group"] for row in rows)
+        k11 = rows[-1]
+        assert (k11["palette"], k11["F"]) == ("ee11", "k11")
+        assert k11["symmetry"] == {"group": "S3 x Sym(10)", "order": 21772800}

@@ -266,16 +266,23 @@ class TestRepresentable:
 
     def test_node_counts_pinned(self):
         # any change of search order shows up here
-        assert pal.representable(hg.clique(6), pal.builtin("ee6")).nodes == 452
-        assert pal.representable(hg.clique(5), pal.builtin("ee5")).nodes == 315
+        assert pal.representable(hg.clique(6), pal.builtin("ee6")).nodes == 26
+        assert pal.representable(hg.clique(5), pal.builtin("ee5")).nodes == 70
 
     def test_k10_ee11_certificate_nodes_pinned(self):
         # served by the ordering loop over solve_ternary alone, far inside the
         # 3M-node budget the certify benchmark gives it
         F, P = hg.clique(10), pal.builtin("ee11")
         res = pal.representable(F, P, budget=3_000_000)
-        assert res.status == "certificate" and res.nodes == 161_262
+        assert res.status == "certificate" and res.nodes == 841
         assert pal.check_certificate(F, P, res.certificate)
+
+    def test_k11_ee11_free_nodes_pinned(self):
+        # GR(K3; 3) = 11: K11 has no 3-colouring of its pairs with exactly two
+        # colours on every triangle; exhausted under S3 x Sym(10)
+        res = pal.representable(hg.clique(11), pal.builtin("ee11"), budget=200_000)
+        assert res.status == "free" and res.nodes == 17_686
+        assert res.symmetry == pal.Symmetry("S3 x Sym(10)", 21_772_800)
 
     def test_edgeless_f_trivially_representable(self):
         F = hg.make(4, [])

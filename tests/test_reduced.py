@@ -511,10 +511,42 @@ class TestFindReducedMap:
                 checked += 1
         assert checked >= 200 and 50 < found < checked - 50
 
+    def test_homogeneous_first_use_agrees_with_naive_oracle(self):
+        # from_palette of a symmetric palette is index-homogeneous, so the
+        # search takes indices in first-use order; the oracle tries them all
+        rng = np.random.default_rng(29)
+        checked = found = 0
+        for name in ("ee5", "ee6", "ramsey6", "random2", "random3"):
+            for trial in range(8):
+                if name.startswith("random"):
+                    colors = "abc"[: int(name[-1])]
+                    gens = [p for p in itertools.product(colors, repeat=3) if rng.random() < 0.15]
+                    P = pal.symmetric_closure(gens, pal.WeightedColorSet.uniform(colors))
+                else:
+                    P = pal.builtin(name)
+                m = int(rng.integers(3, 5))
+                A = rd.from_palette(P, m)
+                fn = int(rng.integers(3, 5))
+                fe = [t for t in itertools.combinations(range(fn), 3) if rng.random() < 0.7]
+                F = hg.make(fn, fe or [(0, 1, 2)])
+                for injective in (False, True):
+                    got = rd.find_reduced_map(F, A, injective=injective)
+                    assert got.symmetry.name == f"Sym({m})"
+                    assert got.found == naive_reduced_map(F, A, injective)
+                    if got.found:
+                        found += 1
+                        assert rd.validate_reduced_map(F, A, got.reduced_map)
+                    checked += 1
+        assert checked == 80 and 10 < found < 70
+
+    def test_inhomogeneous_instance_has_no_symmetry(self):
+        A = rd.from_palette(pal.builtin("tournament"), 4)  # asymmetric palette
+        assert rd.find_reduced_map(hg.clique(4), A).symmetry == pal.NO_SYMMETRY
+
     def test_node_count_pinned(self):
         # any change of search order shows up here
         A = rd.from_palette(pal.builtin("ee5"), 5)
-        assert rd.find_reduced_map(hg.clique(5), A).nodes == 38830
+        assert rd.find_reduced_map(hg.clique(5), A).nodes == 156
 
     def test_single_edge_trivial(self):
         A = rd.from_palette(pal.builtin("ee6"), 3)
