@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
@@ -87,27 +86,43 @@ def random_pair_coloring(n: int, base: WeightedColorSet, seed) -> PairColoring:
     return PairColoring(n, base, np.minimum(codes, len(base.colors) - 1))
 
 
+_SLAB_CELLS = 1 << 20  # pattern-cube lookups one slab of build_H may hold
+
+
 def build_H(phi: PairColoring, P: Palette) -> Hypergraph3:
     """Edges are the triples x < y < z whose pair colours, read as
-    (smallest pair, outer pair, largest pair), form a palette pattern."""
+    (smallest pair, outer pair, largest pair), form a palette pattern.
+
+    The pair colours fill the upper triangle of an n x n code matrix M whose
+    other cells hold a code K that no pattern uses.  A triple (x, y, z) is then
+    an edge iff cube[M[x,y], M[x,z], M[y,z]] holds, which already fails unless
+    x < y < z.  The lookup runs over slabs of rows x, each with y and z past
+    the slab's first row and at most _SLAB_CELLS cells, and np.argwhere lists
+    every slab's edges in lexicographic order.
+    """
     for c in phi.base.colors:
         if c not in P.base.colors:
             raise PaletteError(f"colouring colour {c!r} unknown to the palette")
     n = phi.n
     K = len(P.base.colors)
-    translate = np.array([P.base.index(c) for c in phi.base.colors], dtype=np.int64)
-    codes = translate[phi.codes]
-    allowed = np.zeros(K * K * K, dtype=bool)
+    translate = np.array([P.base.index(c) for c in phi.base.colors], dtype=np.intp)
+    M = np.full((n, n), K, dtype=np.intp)
+    M[np.triu_indices(n, 1)] = translate[phi.codes]
+    cube = np.zeros((K + 1,) * 3, dtype=bool)
     for a, b, c in P.pattern_codes():
-        allowed[(a * K + b) * K + c] = True
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), 3))
-    triples = np.fromiter(flat, dtype=np.int64, count=3 * comb(n, 3)).reshape(-1, 3)
-    x, y, z = triples.T
-    c1 = codes[x * (2 * n - x - 1) // 2 + (y - x - 1)]
-    c2 = codes[x * (2 * n - x - 1) // 2 + (z - x - 1)]
-    c3 = codes[y * (2 * n - y - 1) // 2 + (z - y - 1)]
-    mask = allowed[(c1 * K + c2) * K + c3]
-    return Hypergraph3(n, triples[mask])
+        cube[a, b, c] = True
+    slabs = [np.empty((0, 3), dtype=np.int64)]
+    x0 = 0
+    while x0 < n - 2:
+        w = n - x0 - 1  # y and z run over x0+1 .. n-1
+        x1 = min(n - 2, x0 + max(1, _SLAB_CELLS // (w * w)))
+        rest = M[x0 + 1 :, x0 + 1 :]
+        hit = cube[M[x0:x1, x0 + 1 :, None], M[x0:x1, None, x0 + 1 :], rest[None]]
+        slabs.append(np.argwhere(hit) + (x0, x0 + 1, x0 + 1))
+        x0 = x1
+    E = np.concatenate(slabs)
+    del slabs  # the parts go before the constructor copies E
+    return Hypergraph3(n, E)
 
 
 def tournament_hypergraph(n: int, seed) -> Hypergraph3:

@@ -2,10 +2,14 @@
 the subset-search engine that the density and quasirandom audits share, and
 the one seeded random stream every module draws from.
 
-Vertices are dense integers ``0..n-1``.  Edges are stored as lexicographically
-sorted triples; adjacency is additionally kept as a pair -> bitmask-of-third-
-vertices map so that membership tests and counting loops are O(1) per query.
-Instances are immutable after construction and safe to share across threads.
+Vertices are dense integers ``0..n-1``.  A hypergraph stores its edges as one
+canonical int64 ``(m, 3)`` array: each triple sorted, the rows distinct and in
+lexicographic order.  The views that queries read (the edge tuple, the edge
+set, the pair -> bitmask-of-third-vertices map and the vertex links) are built
+from that array on first use and cached, so a hypergraph that is only
+generated, written or compared never pays for them.  Instances are immutable
+after construction and safe to share across threads: two threads that build
+the same view at once build equal values, and either may be kept.
 """
 
 from __future__ import annotations
@@ -30,49 +34,83 @@ class Hypergraph3:
     immaterial.
     """
 
-    __slots__ = ("n", "edges", "_edge_set", "_thirds", "_link")
+    __slots__ = ("n", "_array", "_edges", "_edge_set", "_pairs", "_adj")
 
     def __init__(self, n: int, triples=()):
         if n < 0:
             raise HypergraphError(f"vertex count must be nonnegative, got {n}")
         E = _canonical_triples(n, triples)
+        E.flags.writeable = False
         self.n = n
-        self.edges = tuple(zip(*E.T.tolist()))  # plain ints keep bitmasks unbounded
-        self._edge_set = frozenset(self.edges)
-        self._thirds, self._link = _adjacency(n, E)
+        self._array = E
+        self._edges = self._edge_set = self._pairs = self._adj = None
+
+    # -- stored form and views ----------------------------------------------
+
+    @property
+    def array(self) -> np.ndarray:
+        """The edges as a read-only int64 (m, 3) array: rows sorted, distinct,
+        in lexicographic order."""
+        return self._array
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The edges as plain-int triples, in the order of ``array``."""
+        if self._edges is None:
+            self._edges = tuple(zip(*self._array.T.tolist()))  # plain ints keep bitmasks unbounded
+        return self._edges
+
+    def _pair_rows(self):
+        """(keys, pair_id, rows) of :func:`_pair_rows`, built on first use."""
+        if self._pairs is None:
+            self._pairs = _pair_rows(self.n, self._array)
+        return self._pairs
+
+    def _adjacency(self):
+        """(thirds map, link tuples) of :func:`_adjacency`, built on first use."""
+        if self._adj is None:
+            self._adj = _adjacency(self.n, self._array, *self._pair_rows())
+        return self._adj
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._array)
+
+    @property
+    def edge_set(self) -> frozenset:
+        """The edges as a frozenset of plain-int triples, each sorted."""
+        if self._edge_set is None:
+            self._edge_set = frozenset(self.edges)
+        return self._edge_set
 
     def has_edge(self, a: int, b: int, c: int) -> bool:
-        return tuple(sorted((a, b, c))) in self._edge_set
+        return tuple(sorted((a, b, c))) in self.edge_set
 
     def thirds(self, u: int, v: int) -> int:
         """Bitmask of vertices w with {u, v, w} an edge."""
         if u > v:
             u, v = v, u
-        return self._thirds.get((u, v), 0)
+        return (self._adj or self._adjacency())[0].get((u, v), 0)
 
     def degree(self, v: int) -> int:
-        return len(self._link[v])
+        return len(self.link(v))
 
     def link(self, v: int) -> tuple[tuple[int, int], ...]:
         """Pairs (x, y) with x < y such that {v, x, y} is an edge."""
-        return self._link[v]
+        return (self._adj or self._adjacency())[1][v]
 
     def shadow(self) -> set[tuple[int, int]]:
         """All pairs {u, v} covered by at least one edge."""
-        return set(self._thirds)
+        return {divmod(k, self.n) for k in self._pair_rows()[0].tolist()}
 
     def density(self):
         from fractions import Fraction
 
         if self.n < 3:
             return Fraction(0)
-        return Fraction(len(self.edges), comb(self.n, 3))
+        return Fraction(self.edge_count, comb(self.n, 3))
 
     # -- dunder -----------------------------------------------------------
 
@@ -80,14 +118,14 @@ class Hypergraph3:
         return (
             isinstance(other, Hypergraph3)
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self._array, other._array)
         )
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self._array.tobytes()))
 
     def __repr__(self):
-        return f"Hypergraph3(n={self.n}, m={len(self.edges)})"
+        return f"Hypergraph3(n={self.n}, m={self.edge_count})"
 
 
 # -- array construction ------------------------------------------------------
@@ -128,30 +166,58 @@ def _canonical_triples(n: int, triples) -> np.ndarray:
     ):
         plain = rows.tolist() if isinstance(rows, np.ndarray) else rows
         E = np.array([_checked_triple(t, n) for t in plain], dtype=np.int64)
+    if _strictly_increasing(E):
+        return E  # already canonical, as generators and files give it
     E = E[np.lexsort((E[:, 2], E[:, 1], E[:, 0]))]
     fresh = np.ones(len(E), dtype=bool)
     fresh[1:] = (E[1:] != E[:-1]).any(axis=1)
     return E[fresh]
 
 
-def _adjacency(n: int, E: np.ndarray):
-    """The thirds map and the link lists of the canonical edge array E.
+def _strictly_increasing(E: np.ndarray) -> bool:
+    """Whether the rows of E strictly increase in lexicographic order."""
+    a, b, c = E.T
+    up = (a[1:] > a[:-1]) | (
+        (a[1:] == a[:-1]) & ((b[1:] > b[:-1]) | ((b[1:] == b[:-1]) & (c[1:] > c[:-1])))
+    )
+    return bool(up.all())
 
-    Each edge {a, b, c} gives vertex a the opposite pair (b, c), and so on;
-    an entry sets bit a of thirds[(b, c)] and appends (b, c) to link[a].
-    Thirds masks are assembled as little-endian bytes, one row of ceil(n/8)
-    per shadow pair, and each shadow pair is one tuple shared by the map and
-    every link it appears in.  Links list their pairs in edge order.
+
+def _pair_rows(n: int, E: np.ndarray):
+    """The shadow pairs of the canonical edge array E and their thirds rows.
+
+    Each edge {a, b, c} gives vertex a the opposite pair (b, c), and so on.
+    Returns (keys, pair_id, rows): ``keys`` are the shadow pairs as u*n + v
+    (u < v), ascending; ``pair_id[i, k]`` is the index in ``keys`` of the pair
+    of edge i opposite its vertex ``E[i, k]``; and ``rows`` is a uint64
+    (len(keys), ceil(n/64)) array whose row p has bit w set when pair p and w
+    form an edge.
     """
+    a, b, c = E.T
+    opposite = np.column_stack((b * n + c, a * n + c, a * n + b))
+    keys, pair_id = np.unique(opposite.ravel(), return_inverse=True)
     vertex = E.ravel()
-    keys, pair_id = np.unique((E[:, [1, 0, 0]] * n + E[:, [2, 2, 1]]).ravel(), return_inverse=True)
+    words = (n + 63) >> 6
+    rows = np.zeros(len(keys) * words, dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), (vertex & 63).astype(np.uint64))
+    np.bitwise_or.at(rows, pair_id * words + (vertex >> 6), bits)
+    return keys, pair_id.reshape(-1, 3), rows.reshape(len(keys), words)
+
+
+def _adjacency(n: int, E: np.ndarray, keys, pair_id, rows):
+    """The thirds map and the link lists of the canonical edge array E, from
+    its :func:`_pair_rows`.
+
+    Edge {a, b, c} sets bit a of thirds[(b, c)] and appends (b, c) to link[a],
+    and so on.  Each shadow pair is one tuple shared by the map and every link
+    it appears in.  Links list their pairs in edge order.
+    """
     pairs = [divmod(k, n) for k in keys.tolist()]
-    width = (n + 7) // 8
-    buf = np.zeros(len(pairs) * width, dtype=np.uint8)
-    np.bitwise_or.at(buf, pair_id * width + (vertex >> 3), (1 << (vertex & 7)).astype(np.uint8))
-    raw = buf.tobytes()
+    width = 8 * rows.shape[1]
+    raw = rows.astype("<u8", copy=False).tobytes()
     thirds = {p: int.from_bytes(raw[i * width : (i + 1) * width], "little") for i, p in enumerate(pairs)}
-    flat = list(map(pairs.__getitem__, pair_id[np.argsort(vertex, kind="stable")].tolist()))
+    vertex = E.ravel()
+    flat = list(map(pairs.__getitem__, pair_id.ravel()[np.argsort(vertex, kind="stable")].tolist()))
     ends = np.cumsum(np.bincount(vertex, minlength=n)).tolist()
     link = tuple(tuple(flat[lo:hi]) for lo, hi in zip([0] + ends, ends))
     return thirds, link
@@ -471,29 +537,47 @@ def embeds(F: Hypergraph3, H: Hypergraph3) -> bool:
     return find_embedding(F, H) is not None
 
 
+_MEET_WORDS = 1 << 18  # uint64 words the pair rows gathered for one chunk may hold
+
+
+def _rows_meet(H: Hypergraph3, groups) -> bool:
+    """Whether some edge has, for some group of its pair columns (see
+    :func:`_pair_rows`), thirds rows with a common bit.
+
+    The edges are taken in chunks whose gathered rows hold at most
+    _MEET_WORDS words, and the first chunk with a meeting ends the scan.
+    """
+    _, pair_id, rows = H._pair_rows()
+    step = max(1, _MEET_WORDS // (3 * max(1, rows.shape[1])))
+    for lo in range(0, len(pair_id), step):
+        chunk = pair_id[lo : lo + step]
+        gathered = [rows.take(chunk[:, k], axis=0) for k in range(3)]
+        for first, second, *rest in groups:
+            common = gathered[first] & gathered[second]
+            for k in rest:
+                common &= gathered[k]
+            if common.any():
+                return True
+    return False
+
+
 def contains_clique4(H: Hypergraph3) -> bool:
     """Exhaustive tetrahedron test: some edge {x,y,z} has a common fourth vertex.
 
     Equivalent to checking all 4-subsets: {x,y,z,w} spans a K4 iff w completes
-    all three pairs of some edge.
+    all three pairs of some edge, that is, iff the thirds rows of the edge's
+    three pairs meet (none of them holds x, y or z).
     """
-    for x, y, z in H.edges:
-        if H.thirds(x, y) & H.thirds(x, z) & H.thirds(y, z):
-            return True
-    return False
+    return _rows_meet(H, ((0, 1, 2),))
 
 
 def contains_clique4_minus(H: Hypergraph3) -> bool:
-    """Exhaustive K4-minus test via link triangles.
+    """Exhaustive K4-minus test: two pairs of an edge at a shared vertex have a
+    common third vertex.
 
-    A copy of the 3-edge hypergraph on 4 vertices exists iff some vertex x has a
-    triangle in its link graph, which covers every 4-subset of V(H).  The link
-    neighbours of a are ``H.thirds(x, a)``, so the link pair (a, b) lies on a
-    triangle iff those of a and b meet.
+    A 4-set spans at least three edges iff some vertex x of it lies on three,
+    xab, xac and xbc.  Then c completes both pairs xa and xb of the edge xab.
+    Conversely, w completing the pairs xa and xb of an edge xab gives the
+    edges xab, xaw and xbw.  Every 4-subset of V(H) is therefore covered.
     """
-    for x in range(H.n):
-        link_nbrs = [H.thirds(x, a) for a in range(H.n)]
-        for a, b in H.link(x):
-            if link_nbrs[a] & link_nbrs[b]:
-                return True
-    return False
+    return _rows_meet(H, ((1, 2), (0, 2), (0, 1)))

@@ -56,9 +56,8 @@ def _is_rows(x, width: int) -> bool:
 
 
 def hypergraph_to_text(H: Hypergraph3) -> str:
-    lines = [f"{H.n} {len(H.edges)}"]
-    lines.extend(f"{a} {b} {c}" for a, b, c in H.edges)
-    return "\n".join(lines) + "\n"
+    rows = ("%d %d %d\n" * H.edge_count) % tuple(H.array.ravel().tolist())
+    return f"{H.n} {H.edge_count}\n" + rows
 
 
 def hypergraph_from_text(text: str) -> Hypergraph3:
@@ -76,7 +75,7 @@ def hypergraph_from_text(text: str) -> Hypergraph3:
 
 
 def hypergraph_to_json(H: Hypergraph3) -> dict:
-    return {"n": H.n, "edges": [list(e) for e in H.edges]}
+    return {"n": H.n, "edges": H.array.tolist()}
 
 
 def hypergraph_from_json(obj: dict) -> Hypergraph3:

@@ -423,7 +423,7 @@ def _pair(u: int, v: int) -> tuple[int, int]:
 
 def _automorphisms(F: Hypergraph3) -> list[tuple[int, ...]]:
     """Brute-force automorphism group; intended for |V(F)| <= 8."""
-    edges = F._edge_set
+    edges = F.edge_set
     degs = [F.degree(v) for v in range(F.n)]
     autos = []
     for perm in itertools.permutations(range(F.n)):

@@ -3,6 +3,7 @@ independent tournament oracle, and lift correctness by replay."""
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -93,6 +94,49 @@ class TestBuildH:
         )
         Hsub = cn.build_H(sub, P)
         assert set(Hsub.edges) == {e for e in H.edges if max(e) < 7}
+
+
+def build_H_by_enumeration(phi, P):
+    """The enumeration build_H made before its pattern cube: all C(n, 3)
+    triples from itertools.combinations, kept by their three pair codes."""
+    n = phi.n
+    K = len(P.base.colors)
+    translate = np.array([P.base.index(c) for c in phi.base.colors], dtype=np.int64)
+    codes = translate[phi.codes]
+    allowed = np.zeros(K * K * K, dtype=bool)
+    for a, b, c in P.pattern_codes():
+        allowed[(a * K + b) * K + c] = True
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), 3))
+    triples = np.fromiter(flat, dtype=np.int64, count=3 * comb(n, 3)).reshape(-1, 3)
+    x, y, z = triples.T
+    c1 = codes[x * (2 * n - x - 1) // 2 + (y - x - 1)]
+    c2 = codes[x * (2 * n - x - 1) // 2 + (z - x - 1)]
+    c3 = codes[y * (2 * n - y - 1) // 2 + (z - y - 1)]
+    return hg.Hypergraph3(n, triples[allowed[(c1 * K + c2) * K + c3]])
+
+
+class TestBuildHEnumeration:
+    @pytest.mark.parametrize("name", ["tournament", "roedl", "rainbow", "ee5"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 31])
+    def test_equals_enumeration(self, name, n):
+        P = pal.builtin(name)
+        for seed in range(3):
+            phi = cn.random_pair_coloring(n, P.base, seed)
+            assert cn.build_H(phi, P).edges == build_H_by_enumeration(phi, P).edges
+
+    def test_colouring_in_another_colour_order(self):
+        P = pal.builtin("ee5")
+        base = pal.WeightedColorSet.uniform(tuple(reversed(P.base.colors)))
+        phi = cn.random_pair_coloring(14, base, 2)
+        assert cn.build_H(phi, P).edges == build_H_by_enumeration(phi, P).edges
+
+    def test_slab_boundaries(self, monkeypatch):
+        P = pal.builtin("roedl")
+        phi = cn.random_pair_coloring(23, P.base, 6)
+        want = build_H_by_enumeration(phi, P)
+        for cells in (1, 50, 400, 10**6):
+            monkeypatch.setattr(cn, "_SLAB_CELLS", cells)
+            assert cn.build_H(phi, P).edges == want.edges
 
 
 class TestTournament:

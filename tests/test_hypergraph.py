@@ -1,12 +1,56 @@
 """Tests for the core hypergraph type, named families, and embedding search."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unidense import construct as cn
 from unidense import hypergraph as hg
+from unidense import io as uio
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def triple_lists(draw, max_n):
+    """(n, triples): any subset of the triples of 0..n-1, each written in a
+    drawn vertex order, sometimes with a planted K4 or K4-minus."""
+    n = draw(st.integers(0, max_n))
+    every = list(itertools.combinations(range(n), 3))
+    keep = draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
+    triples = [t for t, k in zip(every, keep) if k]
+    plant = draw(st.sampled_from([None, "k4", "k4minus"]))
+    if plant and n >= 4:
+        x, a, b, c = draw(st.permutations(range(n)))[:4]
+        triples += [(x, a, b), (x, a, c), (x, b, c)] + ([(a, b, c)] if plant == "k4" else [])
+    return n, [draw(st.permutations(t)) for t in triples]
+
+
+def literal_4_subsets(n, triples):
+    """(some 4-set spans 4 edges, some 4-set spans at least 3), by counting
+    the edges inside every 4-subset of 0..n-1."""
+    edges = {tuple(sorted(t)) for t in triples}
+    k4 = k4_minus = False
+    for q in itertools.combinations(range(n), 4):
+        inside = sum(t in edges for t in itertools.combinations(q, 3))
+        k4 |= inside == 4
+        k4_minus |= inside >= 3
+    return k4, k4_minus
+
+
+def injective_maps(fn, f_triples, hn, h_triples):
+    """Every injective, edge-preserving map of 0..fn-1 into 0..hn-1."""
+    f_edges = {tuple(sorted(t)) for t in f_triples}
+    h_edges = {tuple(sorted(t)) for t in h_triples}
+    return [
+        img
+        for img in itertools.permutations(range(hn), fn)
+        if all(tuple(sorted((img[a], img[b], img[c]))) in h_edges for a, b, c in f_edges)
+    ]
 
 
 class TestMake:
@@ -64,7 +108,7 @@ def reference_structure(n, triples):
 
 def assert_matches_reference(H, n, triples):
     edges, thirds, link = reference_structure(n, triples)
-    assert H.n == n and H.edges == edges
+    assert H.n == n and H.edges == edges and H.edge_set == frozenset(edges)
     assert all(type(x) is int for e in H.edges for x in e)
     assert H.shadow() == set(thirds)
     for u in range(n):
@@ -287,3 +331,86 @@ class TestFastContainment:
                     has_k4m = True
             assert hg.contains_clique4(H) == has_k4
             assert hg.contains_clique4_minus(H) == has_k4m
+
+    @pytest.mark.parametrize("words", [1, 4, 7])
+    def test_chunk_boundaries(self, monkeypatch, words):
+        monkeypatch.setattr(hg, "_MEET_WORDS", words)
+        rng = np.random.default_rng(12)
+        for n, p in ((9, 0.2), (9, 0.35), (12, 0.1), (30, 0.05)):
+            triples = [t for t in itertools.combinations(range(n), 3) if rng.random() < p]
+            H = hg.make(n, triples)
+            assert (hg.contains_clique4(H), hg.contains_clique4_minus(H)) == literal_4_subsets(n, triples)
+
+
+@PROPERTY
+@given(triple_lists(9))
+def test_containment_matches_literal_4_subsets(case):
+    n, triples = case
+    H = hg.make(n, triples)
+    assert (hg.contains_clique4(H), hg.contains_clique4_minus(H)) == literal_4_subsets(n, triples)
+
+
+@PROPERTY
+@given(triple_lists(5), triple_lists(6))
+def test_find_embedding_matches_injective_scan(f_case, h_case):
+    (fn, f_triples), (hn, h_triples) = f_case, h_case
+    emb = hg.find_embedding(hg.make(fn, f_triples), hg.make(hn, h_triples))
+    maps = injective_maps(fn, f_triples, hn, h_triples)
+    assert (emb is None) == (not maps)
+    assert emb is None or emb.mapping in maps
+
+
+class TestLazyViews:
+    """The edge array is the stored form; every view is built from it on
+    first use and must equal the literal construction whatever ran before."""
+
+    def test_views_after_array_only_queries(self):
+        rng = np.random.default_rng(8)
+        for n in (0, 3, 4, 9, 25, 70):
+            triples = [tuple(rng.permutation(n)[:3].tolist()) for _ in range(3 * n)]
+            triples += triples[: n // 2]
+            H = hg.make(n, triples)
+            hg.contains_clique4(H)
+            hg.contains_clique4_minus(H)
+            twin = hg.make(n, np.array(triples, dtype=np.int64).reshape(-1, 3))
+            assert H == twin and hash(H) == hash(twin)
+            text = uio.hypergraph_from_text(uio.hypergraph_to_text(H))
+            obj = uio.hypergraph_from_json(json.loads(json.dumps(uio.hypergraph_to_json(H))))
+            assert H._edges is None and H._adj is None  # nothing above needed a view
+            for G in (H, twin, text, obj):
+                assert_matches_reference(G, n, triples)
+
+    def test_writes_match_the_edge_view(self):
+        H = cn.tournament_hypergraph(20, 3)
+        text, obj = uio.hypergraph_to_text(H), uio.hypergraph_to_json(H)
+        assert H._edges is None
+        assert text == f"{H.n} {H.edge_count}\n" + "".join(f"{a} {b} {c}\n" for a, b, c in H.edges)
+        assert obj == {"n": 20, "edges": [list(e) for e in H.edges]}
+        assert (uio.hypergraph_to_text(H), uio.hypergraph_to_json(H)) == (text, obj)
+
+    def test_array_is_read_only(self):
+        given_rows = np.array([[2, 1, 0], [0, 1, 3], [0, 1, 2]])
+        canonical = np.array([[0, 1, 2], [0, 1, 3]], dtype=np.int64)
+        for rows in (given_rows, canonical):
+            H = hg.make(4, rows)
+            assert H.array.dtype == np.int64 and H.array.tolist() == [[0, 1, 2], [0, 1, 3]]
+            with pytest.raises(ValueError):
+                H.array[0, 0] = 3
+            with pytest.raises(AttributeError):
+                H.array = canonical
+            assert rows.flags.writeable  # the caller's array is not frozen
+        assert given_rows.tolist() == [[2, 1, 0], [0, 1, 3], [0, 1, 2]]
+
+    def test_equal_hypergraphs_hash_equal(self):
+        triples = [(0, 1, 2), (3, 1, 0), (2, 4, 3), (0, 2, 1)]
+        built = [
+            hg.make(5, triples),
+            hg.make(5, np.array(triples)),
+            hg.make(5, np.array(triples, dtype=np.int32)),
+            hg.make(5, reversed(triples)),
+            hg.make(5, [(0, 1, 2), (0, 1, 3), (2, 3, 4)]),
+        ]
+        assert all(G == built[0] and hash(G) == hash(built[0]) for G in built)
+        assert hg.make(6, triples) != built[0]
+        assert hg.make(5, triples[:2]) != built[0]
+        assert len(set(built)) == 1
