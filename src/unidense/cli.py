@@ -4,11 +4,14 @@ Subcommands: palette {info, closure}, certify, table, gen {tournament, roedl,
 palette, lift}, audit {uniform, star, quasirandom, counting-lemma}, reduced
 {check, purge, project, map, tetra}.
 
-Exit codes: 0 = verdict obtained (either way), 2 = inconclusive,
-64+ = usage or I/O errors.  Rationals are "p/q" strings; floats are rejected
-for d, eta, and delta.  Every command is deterministic given its full flag set
-including the seed; rerunning byte-reproduces the JSON report apart from the
-"timing" key.
+Exit codes: 0 = verdict obtained (either way), 1 = a table row differs from
+its expected bound, reduced tetra refused, or a certificate failed
+revalidation (no report is written then), 2 = inconclusive, 64+ = usage or
+I/O errors.  Rationals are "p/q" strings; floats are rejected for d, eta, and
+delta.  Every command is deterministic given its full flag set including the
+seed; rerunning byte-reproduces the JSON report apart from the "timing" key,
+whose "seconds" is the wall time of the command's work.  Every --json report
+carries "command", "inputs", "version" and "timing".
 """
 
 from __future__ import annotations
@@ -31,9 +34,14 @@ from . import quasirandom as _qr
 from . import reduced as _reduced
 
 EX_OK = 0
+EX_FAIL = 1
 EX_INCONCLUSIVE = 2
 EX_USAGE = 64
 EX_IOERR = 66
+
+
+class _Failed(Exception):
+    """A check that failed after the command ran: exit 1, no report."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,80 +89,69 @@ def _load_palette(spec: str) -> _palette.Palette:
     return _palette.builtin(spec)
 
 
-def _emit(report: dict, json_path, text_lines) -> None:
-    for line in text_lines:
-        print(line)
-    if json_path:
-        Path(json_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-def _base_report(args, command: str) -> dict:
-    inputs = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "json") and v is not None
+def _map_json(rm: _reduced.ReducedMap) -> dict:
+    return {
+        "lambda": {str(v): i for v, i in sorted(rm.lam.items())},
+        "phi": {f"{u},{v}": [list(cls), local] for (u, v), (cls, local) in sorted(rm.phi.items())},
     }
-    inputs = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in inputs.items()}
-    return {"command": command, "inputs": inputs, "version": __version__, "timing": {}}
 
 
-def _frac_str(f) -> str:
-    return _io.format_fraction(f)
+def _search_exit(args, status: str) -> int:
+    """Exit code of a budgeted search; inconclusive warns unless allowed."""
+    if status != "inconclusive":
+        return EX_OK
+    if not args.allow_inconclusive:
+        print("search budget exhausted without a verdict", file=sys.stderr)
+    return EX_INCONCLUSIVE
 
+
+# Each _cmd_* handler takes the parsed arguments and the base report, fills
+# the report and returns (exit code, text lines); main times it, prints the
+# lines and writes the --json report.
 
 # -- palette ------------------------------------------------------------------
 
 
-def _cmd_palette_info(args) -> int:
+def _cmd_palette_info(args, report):
     P = _load_palette(args.builtin or args.file)
-    report = _base_report(args, "palette info")
-    t0 = time.perf_counter()
-    dens = {star: P.density(star) for star in ("vvv", "ev", "ee")}
     report["palette"] = _io.palette_to_json(P)
-    report["density"] = {star: _frac_str(v) for star, v in dens.items()}
+    report["density"] = {
+        star: _io.format_fraction(P.density(star)) for star in ("vvv", "ev", "ee")
+    }
     report["symmetric"] = P.symmetric
     report["patterns"] = len(P.patterns)
-    report["timing"]["seconds"] = time.perf_counter() - t0
     lines = [
         f"palette {P.name or args.file}: {len(P.patterns)} patterns over "
         f"{len(P.base.colors)} colours, symmetric={P.symmetric}",
-        f"  density vvv = {_frac_str(dens['vvv'])}",
-        f"  density ev  = {_frac_str(dens['ev'])}",
-        f"  density ee  = {_frac_str(dens['ee'])}",
     ]
+    lines += [f"  density {star:3s} = {value}" for star, value in report["density"].items()]
     if P.claims:
         report["claims"] = [
-            {"notion": star, "density": _frac_str(d), "target": target}
+            {"notion": star, "density": _io.format_fraction(d), "target": target}
             for star, d, target in P.claims
         ]
         for star, d, target in P.claims:
-            lines.append(f"  claim: {star}-density {_frac_str(d)} vs {target}")
-    _emit(report, args.json, lines)
-    return EX_OK
+            lines.append(f"  claim: {star}-density {_io.format_fraction(d)} vs {target}")
+    return EX_OK, lines
 
 
-def _cmd_palette_closure(args) -> int:
+def _cmd_palette_closure(args, report):
     gens = _io.read_palette(args.generators)
     P = _palette.symmetric_closure(gens.patterns, gens.base)
-    report = _base_report(args, "palette closure")
     report["palette"] = _io.palette_to_json(P)
     if args.out:
         _io.write_palette(P, args.out)
-    _emit(report, args.json, [f"closed palette: {len(P.patterns)} patterns"
-                              + (f" -> {args.out}" if args.out else "")])
-    return EX_OK
+    return EX_OK, [f"closed palette: {len(P.patterns)} patterns"
+                   + (f" -> {args.out}" if args.out else "")]
 
 
 # -- certify ------------------------------------------------------------------
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args, report):
     F = _load_hypergraph(args.F)
     P = _load_palette(args.palette)
-    report = _base_report(args, "certify")
-    t0 = time.perf_counter()
     res = _palette.representable(F, P, budget=args.budget)
-    report["timing"]["seconds"] = time.perf_counter() - t0
     report["verdict"] = res.status
     report["space"] = str(res.space)
     report["nodes"] = res.nodes
@@ -173,20 +170,14 @@ def _cmd_certify(args) -> int:
             {tuple(int(x) for x in k.split(",")): v for k, v in cert["coloring"].items()},
         )
         if not _palette.check_certificate(F, P, reloaded):
-            print("certificate failed revalidation", file=sys.stderr)
-            return 1
+            raise _Failed("certificate failed revalidation")
         lines.append("  certificate validated")
     if args.emit_cnf:
         num_vars, clauses, varmap, meta = _palette.cnf_encoding(F, P)
         _io.write_dimacs(args.emit_cnf, num_vars, clauses, varmap, meta)
         report["cnf"] = {"path": str(args.emit_cnf), "vars": num_vars, "clauses": len(clauses)}
         lines.append(f"  CNF written to {args.emit_cnf} ({num_vars} vars, {len(clauses)} clauses)")
-    _emit(report, args.json, lines)
-    if res.status == "inconclusive":
-        if not args.allow_inconclusive:
-            print("search budget exhausted without a verdict", file=sys.stderr)
-        return EX_INCONCLUSIVE
-    return EX_OK
+    return _search_exit(args, res.status), lines
 
 
 # -- table --------------------------------------------------------------------
@@ -206,14 +197,10 @@ _TABLE_ROWS = (
     ("ee11", "k11", "ee", Fraction(2, 3), "free"),
 )
 
-_NOTION_SYMBOL = {"vvv": "vvv", "ev": "ev", "ee": "ee"}
 
-
-def _cmd_table(args) -> int:
-    report = _base_report(args, "table")
-    t0 = time.perf_counter()
+def _cmd_table(args, report):
     lines = ["palette      F        notion  density  verdict      bound"]
-    rows = []
+    rows = report["rows"] = []
     cache: dict = {}
     mismatch = False
     for pal_spec, f_spec, notion, bound, expected in _TABLE_ROWS:
@@ -227,17 +214,14 @@ def _cmd_table(args) -> int:
         verdict = res.status if res.status != "inconclusive" else "pending"
         if dens != bound or verdict != expected:
             mismatch = True
-        statement = (
-            f"pi_{_NOTION_SYMBOL[notion]}({f_spec}) >= {_frac_str(bound)} certified"
-            if verdict == "free"
-            else f"pi_{_NOTION_SYMBOL[notion]}({f_spec}) >= {_frac_str(bound)} pending (budget)"
-        )
+        statement = (f"pi_{notion}({f_spec}) >= {_io.format_fraction(bound)} "
+                     + ("certified" if verdict == "free" else "pending (budget)"))
         rows.append(
             {
                 "palette": pal_spec,
                 "F": f_spec,
                 "notion": notion,
-                "density": _frac_str(dens),
+                "density": _io.format_fraction(dens),
                 "verdict": verdict,
                 "bound": statement,
                 "space": str(res.space),
@@ -245,26 +229,23 @@ def _cmd_table(args) -> int:
             }
         )
         lines.append(
-            f"{pal_spec:12s} {f_spec:8s} {notion:7s} {_frac_str(dens):8s} {verdict:12s} {statement}"
+            f"{pal_spec:12s} {f_spec:8s} {notion:7s} {_io.format_fraction(dens):8s} "
+            f"{verdict:12s} {statement}"
         )
-    report["rows"] = rows
-    report["timing"]["seconds"] = time.perf_counter() - t0
-    _emit(report, args.json, lines)
     if mismatch:
         print("table mismatch against expected bounds", file=sys.stderr)
-        return 1
-    return EX_OK
+        return EX_FAIL, lines
+    return EX_OK, lines
 
 
 # -- gen ----------------------------------------------------------------------
 
 
-def _cmd_gen(args) -> int:
-    report = _base_report(args, f"gen {args.kind}")
+def _cmd_gen(args, report):
+    report["command"] = f"gen {args.kind}"
     report["seed"] = args.seed
     report["rng_algorithm"] = _hg.RNG_ALGORITHM
-    t0 = time.perf_counter()
-    coloring_path = None
+    phi = None
     if args.kind == "tournament":
         H = _construct.tournament_hypergraph(args.n, args.seed)
     elif args.kind == "roedl":
@@ -275,180 +256,107 @@ def _cmd_gen(args) -> int:
         P = _load_palette(args.palette)
         phi = _construct.random_pair_coloring(args.n, P.base, args.seed)
         H = _construct.build_H(phi, P)
-        if args.coloring_out:
-            Path(args.coloring_out).write_text(_io.coloring_to_text(phi))
-            coloring_path = str(args.coloring_out)
-    elif args.kind == "lift":
+    else:
         if not args.reduced:
             raise _reduced.ReducedError("gen lift requires --reduced")
         A = _io.read_reduced(args.reduced)
         lifted = _construct.lift_reduced(A, args.h, args.seed)
-        H = lifted.hypergraph
-        if args.coloring_out:
-            Path(args.coloring_out).write_text(_io.coloring_to_text(lifted.coloring))
-            coloring_path = str(args.coloring_out)
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.kind)
-    report["timing"]["seconds"] = time.perf_counter() - t0
+        H, phi = lifted.hypergraph, lifted.coloring
+    if phi is not None and args.coloring_out:
+        Path(args.coloring_out).write_text(_io.coloring_to_text(phi))
+        report["coloring"] = str(args.coloring_out)
     _io.write_hypergraph(H, args.out)
     report["hypergraph"] = {"n": H.n, "edges": H.edge_count, "path": str(args.out)}
-    if coloring_path:
-        report["coloring"] = coloring_path
-    _emit(
-        report,
-        args.json,
-        [f"gen {args.kind}: n={H.n}, {H.edge_count} edges -> {args.out}"],
-    )
-    return EX_OK
+    return EX_OK, [f"gen {args.kind}: n={H.n}, {H.edge_count} edges -> {args.out}"]
 
 
 # -- audit ----------------------------------------------------------------------
 
 
-def _cmd_audit_uniform(args) -> int:
+def _cmd_audit_density(args, report):
     H = _io.read_hypergraph(args.input)
-    report = _base_report(args, "audit uniform")
-    t0 = time.perf_counter()
-    rep = _density.audit_uniform_dense(
-        H,
-        args.d,
-        args.eta,
-        exact_threshold=args.exact_threshold,
-        samples=args.samples,
-        seed=args.seed,
-    )
-    report["timing"]["seconds"] = time.perf_counter() - t0
+    sampling = dict(exact_threshold=args.exact_threshold, samples=args.samples, seed=args.seed)
+    if args.command == "audit uniform":
+        label = "uniform"
+        rep = _density.audit_uniform_dense(H, args.d, args.eta, **sampling)
+    else:
+        label = args.notion
+        rep = _density.audit_star_dense(H, args.notion, args.d, args.eta, **sampling)
     report["report"] = rep.to_dict()
-    _emit(
-        report,
-        args.json,
-        [
-            f"audit uniform (d={_frac_str(rep.d)}, eta={_frac_str(rep.eta)}): "
-            f"{'pass' if rep.ok else 'FAIL'} [{rep.mode}] min_slack={_frac_str(rep.min_slack)}"
-        ],
-    )
-    return EX_OK
+    return EX_OK, [
+        f"audit {label} (d={_io.format_fraction(rep.d)}, eta={_io.format_fraction(rep.eta)}): "
+        f"{'pass' if rep.ok else 'FAIL'} [{rep.mode}] min_slack={_io.format_fraction(rep.min_slack)}"
+    ]
 
 
-def _cmd_audit_star(args) -> int:
-    H = _io.read_hypergraph(args.input)
-    report = _base_report(args, "audit star")
-    t0 = time.perf_counter()
-    rep = _density.audit_star_dense(
-        H,
-        args.notion,
-        args.d,
-        args.eta,
-        exact_threshold=args.exact_threshold,
-        samples=args.samples,
-        seed=args.seed,
-    )
-    report["timing"]["seconds"] = time.perf_counter() - t0
-    report["report"] = rep.to_dict()
-    _emit(
-        report,
-        args.json,
-        [
-            f"audit {args.notion} (d={_frac_str(rep.d)}, eta={_frac_str(rep.eta)}): "
-            f"{'pass' if rep.ok else 'FAIL'} [{rep.mode}] min_slack={_frac_str(rep.min_slack)}"
-        ],
-    )
-    return EX_OK
-
-
-def _cmd_audit_quasirandom(args) -> int:
+def _cmd_audit_quasirandom(args, report):
     G = _io.read_bipartite(args.input)
-    report = _base_report(args, "audit quasirandom")
-    t0 = time.perf_counter()
     rep = _qr.audit_quasirandom(
         G, args.delta, args.d, exact_bits=args.exact_bits, samples=args.samples, seed=args.seed
     )
-    report["timing"]["seconds"] = time.perf_counter() - t0
     report["report"] = rep.to_dict()
-    _emit(
-        report,
-        args.json,
-        [
-            f"audit quasirandom (delta={_frac_str(rep.delta)}, d={_frac_str(rep.d)}): "
-            f"{'pass' if rep.ok else 'FAIL'} [{rep.mode}] max_dev={_frac_str(rep.max_deviation)}"
-        ],
-    )
-    return EX_OK
+    return EX_OK, [
+        f"audit quasirandom (delta={_io.format_fraction(rep.delta)}, "
+        f"d={_io.format_fraction(rep.d)}): {'pass' if rep.ok else 'FAIL'} [{rep.mode}] "
+        f"max_dev={_io.format_fraction(rep.max_deviation)}"
+    ]
 
 
-def _cmd_audit_counting(args) -> int:
+def _cmd_audit_counting(args, report):
     P = _io.read_tripartite(args.input)
-    report = _base_report(args, "audit counting-lemma")
-    t0 = time.perf_counter()
     dev = _qr.check_counting_lemma(P, args.delta, args.dxy, args.dxz, args.dyz)
-    ok = abs(dev) <= 3 * Fraction(args.delta)
-    report["timing"]["seconds"] = time.perf_counter() - t0
-    report["deviation"] = _frac_str(dev)
-    report["bound"] = _frac_str(3 * Fraction(args.delta))
+    bound = 3 * Fraction(args.delta)
+    ok = abs(dev) <= bound
+    report["deviation"] = _io.format_fraction(dev)
+    report["bound"] = _io.format_fraction(bound)
     report["ok"] = ok
-    _emit(
-        report,
-        args.json,
-        [f"counting lemma: deviation {_frac_str(dev)} vs 3*delta = "
-         f"{_frac_str(3 * Fraction(args.delta))}: {'pass' if ok else 'FAIL'}"],
-    )
-    return EX_OK
+    return EX_OK, [f"counting lemma: deviation {report['deviation']} vs 3*delta = "
+                   f"{report['bound']}: {'pass' if ok else 'FAIL'}"]
 
 
 # -- reduced ---------------------------------------------------------------------
 
 
-def _cmd_reduced_check(args) -> int:
+def _cmd_reduced_check(args, report):
     A = _io.read_reduced(args.input)
-    report = _base_report(args, "reduced check")
     if args.eta is not None and args.star in ("ev", "ee"):
         ok, exc = _reduced.check_eta_dense(A, args.star, args.d, args.eta)
         report["ok"] = ok
         report["exceptional_total"] = exc.total()
-        lines = [f"reduced check {args.star} (d={args.d}, eta={args.eta}): "
-                 f"{'pass' if ok else 'FAIL'} ({exc.total()} exceptional entries)"]
-    else:
-        chk = _reduced.check_dense(A, args.star, args.d)
-        report["ok"] = chk.ok
-        report["min_ratio"] = _frac_str(chk.min_ratio)
-        lines = [f"reduced check {args.star} (d={args.d}): "
-                 f"{'pass' if chk.ok else 'FAIL'} (min ratio {_frac_str(chk.min_ratio)})"]
-        if chk.witness:
-            report["witness"] = repr(chk.witness)
-    _emit(report, args.json, lines)
-    return EX_OK
+        return EX_OK, [f"reduced check {args.star} (d={args.d}, eta={args.eta}): "
+                       f"{'pass' if ok else 'FAIL'} ({exc.total()} exceptional entries)"]
+    chk = _reduced.check_dense(A, args.star, args.d)
+    report["ok"] = chk.ok
+    report["min_ratio"] = _io.format_fraction(chk.min_ratio)
+    if chk.witness:
+        report["witness"] = repr(chk.witness)
+    return EX_OK, [f"reduced check {args.star} (d={args.d}): "
+                   f"{'pass' if chk.ok else 'FAIL'} (min ratio {report['min_ratio']})"]
 
 
-def _cmd_reduced_purge(args) -> int:
+def _cmd_reduced_purge(args, report):
     A = _io.read_reduced(args.input)
-    report = _base_report(args, "reduced purge")
     res = _reduced.purge_ev(A, args.d)
     _io.write_reduced(res.reduced, args.out)
-    removed = sum(
-        A.class_sizes[p] - len(kept) for p, kept in res.kept.items()
-    )
+    removed = sum(A.class_sizes[p] - len(kept) for p, kept in res.kept.items())
     report["removed_vertices"] = removed
     report["out"] = str(args.out)
-    _emit(report, args.json, [f"purge at d={args.d}: removed {removed} vertices -> {args.out}"])
-    return EX_OK
+    return EX_OK, [f"purge at d={args.d}: removed {removed} vertices -> {args.out}"]
 
 
-def _cmd_reduced_project(args) -> int:
+def _cmd_reduced_project(args, report):
     A = _io.read_reduced(args.input)
-    report = _base_report(args, "reduced project")
     report["seed"] = args.seed
     res = _reduced.project_random(A, args.ell, seed=args.seed)
     _io.write_reduced(res.reduced, args.out)
     report["out"] = str(args.out)
     report["psi"] = {f"{i},{j}": list(images) for (i, j), images in sorted(res.psi.items())}
-    _emit(report, args.json, [f"projected to classes of size {args.ell} -> {args.out}"])
-    return EX_OK
+    return EX_OK, [f"projected to classes of size {args.ell} -> {args.out}"]
 
 
-def _cmd_reduced_map(args) -> int:
+def _cmd_reduced_map(args, report):
     A = _io.read_reduced(args.input)
     F = _load_hypergraph(args.F)
-    report = _base_report(args, "reduced map")
     res = _reduced.find_reduced_map(F, A, budget=args.budget, injective=args.injective)
     report["verdict"] = res.status
     report["nodes"] = res.nodes
@@ -457,41 +365,24 @@ def _cmd_reduced_map(args) -> int:
     # exhausted by the inner search
     report["lambda_space"] = str(len(A.indices) ** F.n)
     report["exhausted"] = res.status == "free"
-    lines = [f"reduced map F={args.F}: {res.status} "
-             f"(nodes {res.nodes}, symmetry {res.symmetry})"]
     if res.reduced_map is not None:
-        report["map"] = {
-            "lambda": {str(v): i for v, i in sorted(res.reduced_map.lam.items())},
-            "phi": {
-                f"{u},{v}": [list(cls), local]
-                for (u, v), (cls, local) in sorted(res.reduced_map.phi.items())
-            },
-        }
-    _emit(report, args.json, lines)
-    if res.status == "inconclusive":
-        if not args.allow_inconclusive:
-            print("search budget exhausted without a verdict", file=sys.stderr)
-        return EX_INCONCLUSIVE
-    return EX_OK
+        report["map"] = _map_json(res.reduced_map)
+    return _search_exit(args, res.status), [
+        f"reduced map F={args.F}: {res.status} (nodes {res.nodes}, symmetry {res.symmetry})"
+    ]
 
 
-def _cmd_reduced_tetra(args) -> int:
+def _cmd_reduced_tetra(args, report):
     A = _io.read_reduced(args.input)
-    report = _base_report(args, "reduced tetra")
     try:
         rm = _reduced.tetrahedron_greedy(A, args.eps)
     except _reduced.ReducedError as exc:
         report["verdict"] = "refused"
         report["reason"] = str(exc)
-        _emit(report, args.json, [f"tetra refused: {exc}"])
-        return 1
+        return EX_FAIL, [f"tetra refused: {exc}"]
     report["verdict"] = "map"
-    report["map"] = {
-        "lambda": {str(v): i for v, i in sorted(rm.lam.items())},
-        "phi": {f"{u},{v}": [list(cls), local] for (u, v), (cls, local) in sorted(rm.phi.items())},
-    }
-    _emit(report, args.json, ["tetrahedron reduced map found and validated"])
-    return EX_OK
+    report["map"] = _map_json(rm)
+    return EX_OK, ["tetrahedron reduced map found and validated"]
 
 
 # -- parser ------------------------------------------------------------------------
@@ -502,8 +393,9 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"unidense {__version__}")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp):
+    def command(sp, name, func):
         sp.add_argument("--json", help="write a machine-readable report to this path")
+        sp.set_defaults(command=name, func=func)
 
     pal = sub.add_parser("palette", help="palette inspection and closure")
     pal_sub = pal.add_subparsers(dest="palcmd", required=True)
@@ -511,13 +403,11 @@ def build_parser() -> _Parser:
     g = info.add_mutually_exclusive_group(required=True)
     g.add_argument("--builtin", help="builtin palette name")
     g.add_argument("--file", help="palette JSON file")
-    common(info)
-    info.set_defaults(func=_cmd_palette_info)
+    command(info, "palette info", _cmd_palette_info)
     clo = pal_sub.add_parser("closure", help="symmetric closure of generator patterns")
     clo.add_argument("--generators", required=True, help="JSON with colors/patterns")
     clo.add_argument("--out", help="write the closed palette here")
-    common(clo)
-    clo.set_defaults(func=_cmd_palette_closure)
+    command(clo, "palette closure", _cmd_palette_closure)
 
     cert = sub.add_parser("certify", help="representability search")
     cert.add_argument("--F", required=True, help="hypergraph family name or file")
@@ -525,13 +415,11 @@ def build_parser() -> _Parser:
     cert.add_argument("--budget", type=_budget, default=10**8, help="CSP node budget")
     cert.add_argument("--emit-cnf", help="export the colouring search as DIMACS CNF")
     cert.add_argument("--allow-inconclusive", action="store_true")
-    common(cert)
-    cert.set_defaults(func=_cmd_certify)
+    command(cert, "certify", _cmd_certify)
 
     tab = sub.add_parser("table", help="certified lower-bound table")
     tab.add_argument("--budget", type=_budget, default=10**6, help="CSP node budget per row")
-    common(tab)
-    tab.set_defaults(func=_cmd_table)
+    command(tab, "table", _cmd_table)
 
     gen = sub.add_parser("gen", help="seeded generators")
     gen.add_argument("kind", choices=("tournament", "roedl", "palette", "lift"))
@@ -542,8 +430,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--h", type=int, default=16, help="block size for kind=lift")
     gen.add_argument("--out", required=True)
     gen.add_argument("--coloring-out", help="also dump the pair colouring")
-    common(gen)
-    gen.set_defaults(func=_cmd_gen)
+    command(gen, "gen", _cmd_gen)
 
     aud = sub.add_parser("audit", help="density and quasirandomness audits")
     aud_sub = aud.add_subparsers(dest="audcmd", required=True)
@@ -555,8 +442,7 @@ def build_parser() -> _Parser:
     au.add_argument("--exact-threshold", type=int, default=22)
     au.add_argument("--samples", type=int, default=10**5)
     au.add_argument("--seed", type=int, default=0)
-    common(au)
-    au.set_defaults(func=_cmd_audit_uniform)
+    command(au, "audit uniform", _cmd_audit_density)
 
     ast = aud_sub.add_parser("star", help="three-set / pair-set density notions")
     ast.add_argument("input", help="hypergraph file")
@@ -566,8 +452,7 @@ def build_parser() -> _Parser:
     ast.add_argument("--exact-threshold", type=int, default=None)
     ast.add_argument("--samples", type=int, default=10**5)
     ast.add_argument("--seed", type=int, default=0)
-    common(ast)
-    ast.set_defaults(func=_cmd_audit_star)
+    command(ast, "audit star", _cmd_audit_density)
 
     aq = aud_sub.add_parser("quasirandom", help="bipartite subset-deviation audit")
     aq.add_argument("input", help="bipartite graph JSON")
@@ -576,8 +461,7 @@ def build_parser() -> _Parser:
     aq.add_argument("--exact-bits", type=int, default=20)
     aq.add_argument("--samples", type=int, default=2000)
     aq.add_argument("--seed", type=int, default=0)
-    common(aq)
-    aq.set_defaults(func=_cmd_audit_quasirandom)
+    command(aq, "audit quasirandom", _cmd_audit_quasirandom)
 
     ac = aud_sub.add_parser("counting-lemma", help="triangle count vs product density")
     ac.add_argument("input", help="tripartite graph JSON")
@@ -585,8 +469,7 @@ def build_parser() -> _Parser:
     ac.add_argument("--dxy", type=_fraction, required=True)
     ac.add_argument("--dxz", type=_fraction, required=True)
     ac.add_argument("--dyz", type=_fraction, required=True)
-    common(ac)
-    ac.set_defaults(func=_cmd_audit_counting)
+    command(ac, "audit counting-lemma", _cmd_audit_counting)
 
     red = sub.add_parser("reduced", help="reduced-hypergraph operations")
     red_sub = red.add_subparsers(dest="redcmd", required=True)
@@ -596,23 +479,20 @@ def build_parser() -> _Parser:
     rc.add_argument("--star", choices=("vvv", "ev", "ee"), required=True)
     rc.add_argument("--d", type=_fraction, required=True)
     rc.add_argument("--eta", type=_fraction, default=None)
-    common(rc)
-    rc.set_defaults(func=_cmd_reduced_check)
+    command(rc, "reduced check", _cmd_reduced_check)
 
     rp = red_sub.add_parser("purge", help="remove low-degree class vertices")
     rp.add_argument("input")
     rp.add_argument("--d", type=_fraction, required=True)
     rp.add_argument("--out", required=True)
-    common(rp)
-    rp.set_defaults(func=_cmd_reduced_purge)
+    command(rp, "reduced purge", _cmd_reduced_purge)
 
     rj = red_sub.add_parser("project", help="random projection to uniform class size")
     rj.add_argument("input")
     rj.add_argument("--ell", type=int, required=True)
     rj.add_argument("--seed", type=int, default=0)
     rj.add_argument("--out", required=True)
-    common(rj)
-    rj.set_defaults(func=_cmd_reduced_project)
+    command(rj, "reduced project", _cmd_reduced_project)
 
     rm = red_sub.add_parser("map", help="reduced-map search")
     rm.add_argument("input")
@@ -621,23 +501,36 @@ def build_parser() -> _Parser:
     rm.add_argument("--injective", action="store_true",
                     help="force an injective index assignment")
     rm.add_argument("--allow-inconclusive", action="store_true")
-    common(rm)
-    rm.set_defaults(func=_cmd_reduced_map)
+    command(rm, "reduced map", _cmd_reduced_map)
 
     rt = red_sub.add_parser("tetra", help="greedy tetrahedron extraction")
     rt.add_argument("input")
     rt.add_argument("--eps", type=_fraction, required=True)
-    common(rt)
-    rt.set_defaults(func=_cmd_reduced_tetra)
+    command(rt, "reduced tetra", _cmd_reduced_tetra)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    inputs = {
+        k: str(v) if isinstance(v, Fraction) else v
+        for k, v in sorted(vars(args).items())
+        if k not in ("func", "command", "json") and v is not None
+    }
+    report = {"command": args.command, "inputs": inputs, "version": __version__}
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        code, lines = args.func(args, report)
+        report["timing"] = {"seconds": time.perf_counter() - t0}
+        for line in lines:
+            print(line)
+        if args.json:
+            Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        return code
+    except _Failed as exc:
+        print(exc, file=sys.stderr)
+        return EX_FAIL
     except (OSError, json.JSONDecodeError) as exc:
         print(f"unidense: I/O error: {exc}", file=sys.stderr)
         return EX_IOERR

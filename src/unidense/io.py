@@ -10,7 +10,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .hypergraph import Hypergraph3, HypergraphError
+from .hypergraph import Hypergraph3, HypergraphError, bit_positions
 from .palette import Palette, PaletteError, WeightedColorSet
 
 
@@ -200,6 +200,8 @@ def reduced_from_json(obj: dict):
         index_key(key, 3): frozenset(tuple(e) for e in edges)
         for key, edges in constituents.items()
     }
+    if len(classes) != len(obj["classes"]) or len(cons) != len(constituents):
+        raise ReducedError("reduced JSON names one class or constituent under two keys")
     return ReducedHypergraph(tuple(range(obj["indices"])), classes, cons)
 
 
@@ -232,12 +234,7 @@ def partite_to_text(parts, layers) -> str:
             part_of[v] = pi
     edge_lines = []
     for (pi, pj), G in sorted(layers.items()):
-        for x in range(G.nx):
-            row = G.rows[x]
-            while row:
-                y = (row & -row).bit_length() - 1
-                edge_lines.append(f"{parts[pi][x]} {parts[pj][y]}")
-                row &= row - 1
+        edge_lines += [f"{parts[pi][x]} {parts[pj][y]}" for x, y in _layer_edges(G)]
     head = [f"{n} {len(edge_lines)}", " ".join(str(part_of[v]) for v in sorted(labels))]
     return "\n".join(head + edge_lines) + "\n"
 
@@ -328,9 +325,13 @@ def read_tripartite(path):
     return tripartite_from_text(path.read_text())
 
 
+def _layer_edges(G) -> list:
+    """The edges of a bipartite graph as [x, y] lists, by x and then y."""
+    return [[x, y] for x, row in enumerate(G.rows) for y in bit_positions(row)]
+
+
 def bipartite_to_json(G) -> dict:
-    edges = [[x, y] for x in range(G.nx) for y in range(G.ny) if G.rows[x] >> y & 1]
-    return {"sides": [G.nx, G.ny], "edges": edges}
+    return {"sides": [G.nx, G.ny], "edges": _layer_edges(G)}
 
 
 def bipartite_from_json(obj: dict):
@@ -345,14 +346,11 @@ def bipartite_from_json(obj: dict):
 
 
 def tripartite_to_json(P) -> dict:
-    def layer_edges(G):
-        return [[x, y] for x in range(G.nx) for y in range(G.ny) if G.rows[x] >> y & 1]
-
     return {
         "parts": [list(p) for p in P.parts],
-        "xy": layer_edges(P.xy),
-        "xz": layer_edges(P.xz),
-        "yz": layer_edges(P.yz),
+        "xy": _layer_edges(P.xy),
+        "xz": _layer_edges(P.xz),
+        "yz": _layer_edges(P.yz),
     }
 
 

@@ -84,10 +84,8 @@ class BipartiteGraph:
     def transpose(self) -> "BipartiteGraph":
         cols = [0] * self.ny
         for x, r in enumerate(self.rows):
-            while r:
-                y = (r & -r).bit_length() - 1
+            for y in bit_positions(r):
                 cols[y] |= 1 << x
-                r &= r - 1
         return BipartiteGraph(self.ny, self.nx, tuple(cols))
 
 
@@ -274,16 +272,10 @@ def triangle_count(P: TripartiteGraph) -> int:
 def triangles(P: TripartiteGraph):
     """Yield triangles as local-index triples (x, y, z)."""
     for x in range(P.xy.nx):
-        row_xy = P.xy.rows[x]
         row_xz = P.xz.rows[x]
-        while row_xy:
-            y = (row_xy & -row_xy).bit_length() - 1
-            common = row_xz & P.yz.rows[y]
-            while common:
-                z = (common & -common).bit_length() - 1
+        for y in bit_positions(P.xy.rows[x]):
+            for z in bit_positions(row_xz & P.yz.rows[y]):
                 yield (x, y, z)
-                common &= common - 1
-            row_xy &= row_xy - 1
 
 
 def check_counting_lemma(P: TripartiteGraph, delta, dXY, dXZ, dYZ) -> Fraction:
@@ -302,18 +294,22 @@ def check_counting_lemma(P: TripartiteGraph, delta, dXY, dXZ, dYZ) -> Fraction:
     return Fraction(triangle_count(P) - expected, sizes)
 
 
+def _edge_triangles(H: Hypergraph3, P: TripartiteGraph) -> tuple[int, int]:
+    """How many triangles of P are edges of H, and how many triangles P has."""
+    X, Y, Z = P.parts
+    hits = total = 0
+    for x, y, z in triangles(P):
+        total += 1
+        hits += H.has_edge(X[x], Y[y], Z[z])
+    return hits, total
+
+
 def relative_density(H: Hypergraph3, P: TripartiteGraph) -> Fraction:
     """Fraction of the triangles of P that are edges of H (0 when triangle-free)."""
-    X, Y, Z = P.parts
     for part in P.parts:
         if any(v < 0 or v >= H.n for v in part):
             raise GraphError("tripartite parts must be subsets of V(H)")
-    total = 0
-    hits = 0
-    for x, y, z in triangles(P):
-        total += 1
-        if H.has_edge(X[x], Y[y], Z[z]):
-            hits += 1
+    hits, total = _edge_triangles(H, P)
     if total == 0:
         return Fraction(0)
     return Fraction(hits, total)
@@ -352,20 +348,16 @@ def audit_triad_regular(
     if k3_p == 0:
         return TriadRegularityReport(delta3, d3, True, Fraction(0), 0, seed)
     gen = rng(seed)
-    X, Y, Z = P.parts
 
     def subsample(G: BipartiteGraph, rate: float) -> BipartiteGraph:
         if rate >= 1.0:
             return G
         rows = []
-        for x in range(G.nx):
-            r = G.rows[x]
+        for r in G.rows:
             keep = 0
-            while r:
-                y = (r & -r).bit_length() - 1
+            for y in bit_positions(r):
                 if gen.random() < rate:
                     keep |= 1 << y
-                r &= r - 1
             rows.append(keep)
         return BipartiteGraph(G.nx, G.ny, tuple(rows))
 
@@ -377,12 +369,7 @@ def audit_triad_regular(
                 P.parts, subsample(P.xy, rate), subsample(P.xz, rate), subsample(P.yz, rate)
             )
             drawn += 1
-            hits = 0
-            total = 0
-            for x, y, z in triangles(Q):
-                total += 1
-                if H.has_edge(X[x], Y[y], Z[z]):
-                    hits += 1
+            hits, total = _edge_triangles(H, Q)
             dev = abs(Fraction(hits) - d3 * total) / k3_p
             worst = max(worst, dev)
             if rate >= 1.0:

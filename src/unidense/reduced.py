@@ -54,6 +54,14 @@ def _check_constituent(edges, lim, name: str) -> None:
                 raise ReducedError(f"constituent edge {e} outside classes of {name}")
 
 
+def _refuse_stray_keys(keys, allowed, kind: str) -> None:
+    """Refuse the first key that is not in ``allowed``, rather than drop it."""
+    allowed = set(allowed)
+    for key in keys:
+        if key not in allowed:
+            raise ReducedError(f"{kind} key {key} is not a sorted {kind} of the index set")
+
+
 def _checked_classes(indices, class_sizes) -> tuple[tuple, dict]:
     """The sorted indices and the size of every class, each at least one."""
     indices = tuple(sorted(indices))
@@ -65,6 +73,7 @@ def _checked_classes(indices, class_sizes) -> tuple[tuple, dict]:
         if size is None or size < 1:
             raise ReducedError(f"class ({i},{j}) missing or empty")
         sizes[(i, j)] = int(size)
+    _refuse_stray_keys(class_sizes, sizes, "pair")
     return indices, sizes
 
 
@@ -76,8 +85,10 @@ class ReducedHypergraph:
 
     def __init__(self, indices, class_sizes, constituents):
         indices, sizes = _checked_classes(indices, class_sizes)
+        triples = list(itertools.combinations(indices, 3))
+        _refuse_stray_keys(constituents, triples, "triple")
         cons = {}
-        for i, j, k in itertools.combinations(indices, 3):
+        for i, j, k in triples:
             edges = frozenset(map(tuple, constituents.get((i, j, k), ())))
             _check_constituent(edges, (sizes[(i, j)], sizes[(i, k)], sizes[(j, k)]), f"({i},{j},{k})")
             cons[(i, j, k)] = edges

@@ -132,6 +132,10 @@ class TestGraphFormats:
         (uio.bipartite_from_json, {"sides": [2, -1], "edges": []}),
         (uio.bipartite_from_json, {"sides": [2, 2], "edges": [[0]]}),
         (uio.tripartite_from_json, {"parts": [[0], [1], ["z"]], "xy": [], "xz": [], "yz": []}),
+        # one class or constituent under two keys
+        (uio.reduced_from_json, {"indices": 3, "classes": {"0,1": 1, "0,2": 1, "1,2": 1, "01,2": 2}}),
+        (uio.reduced_from_json, {"indices": 3, "classes": {"0,1": 1, "0,2": 1, "1,2": 1},
+                                 "constituents": {"0,1,2": [[0, 0, 0]], "0, 1, 2": []}}),
     ])
     def test_malformed_json_rejected(self, read, obj):
         with pytest.raises((hg.HypergraphError, rd.ReducedError, qr.GraphError)):
@@ -262,6 +266,16 @@ class TestCli:
          '{"sides": [3, 0], "edges": []}'),
         (["audit", "counting-lemma", "IN", "--delta", "1/4", "--dxy", "1/2", "--dxz", "1/2",
           "--dyz", "1/2"], '{"parts": [[0], [1]], "xy": []}'),
+        # keys the instance would never read: an unsorted triple, an index
+        # outside the set, a class outside the set
+        (["reduced", "check", "IN", "--star", "vvv", "--d", "1/2"],
+         '{"indices": 3, "classes": {"0,1": 1, "0,2": 1, "1,2": 1}, '
+         '"constituents": {"1,0,2": [[0, 0, 0]]}}'),
+        (["reduced", "check", "IN", "--star", "vvv", "--d", "1/2"],
+         '{"indices": 3, "classes": {"0,1": 1, "0,2": 1, "1,2": 1}, '
+         '"constituents": {"0,1,9": []}}'),
+        (["reduced", "check", "IN", "--star", "vvv", "--d", "1/2"],
+         '{"indices": 3, "classes": {"0,1": 1, "0,2": 1, "1,2": 1, "5,7": 1}}'),
     ])
     def test_malformed_graph_json_exit_64(self, tmp_path, capsys, argv, content):
         p = tmp_path / "in.json"
@@ -344,15 +358,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("unidense: error:") and message in err
 
-    def test_json_report_reproducible(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for path in (a, b):
-            assert cli.main([
-                "certify", "--F", "k5", "--palette", "ee5", "--json", str(path)
-            ]) == 0
-        da, db = json.loads(a.read_text()), json.loads(b.read_text())
-        da.pop("timing"), db.pop("timing")
-        assert da == db
+    @pytest.mark.parametrize("command, argv", [
+        ("certify", ["--F", "k5", "--palette", "ee5"]),
+        ("table", ["--budget", "200000"]),
+        ("gen tournament", ["--n", "9", "--seed", "3", "--out", "OUT"]),
+        ("audit uniform", ["H", "--d", "1/4", "--eta", "1/10"]),
+        ("reduced check", ["A", "--star", "ee", "--d", "2/3", "--eta", "0"]),
+    ])
+    def test_json_report_reproducible(self, tmp_path, command, argv):
+        files = {"H": tmp_path / "t.txt", "A": tmp_path / "a.json", "OUT": tmp_path / "o.txt"}
+        uio.write_hypergraph(cn.tournament_hypergraph(8, 0), files["H"])
+        uio.write_reduced(rd.from_palette(pal.builtin("ee11"), 4), files["A"])
+        argv = command.split() + [str(files.get(a, a)) for a in argv]
+        reports = []
+        for name in ("r1.json", "r2.json"):
+            assert cli.main(argv + ["--json", str(tmp_path / name)]) == 0
+            reports.append(json.loads((tmp_path / name).read_text()))
+        for data in reports:
+            assert data["command"] == command and data["version"] == cli.__version__
+            assert isinstance(data["timing"]["seconds"], float)
+            assert not {"func", "command", "json"} & set(data["inputs"])
+            data.pop("timing")
+        assert reports[0] == reports[1]
 
     def test_gen_and_audit_pipeline(self, tmp_path):
         h = tmp_path / "t.json"

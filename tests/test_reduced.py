@@ -40,6 +40,16 @@ class TestConstruction:
                 {(0, 1, 2): {(0, 0, 2)}},  # third coordinate out of range
             )
 
+    @pytest.mark.parametrize("classes, cons", [
+        ({(0, 1): 1, (0, 2): 1, (1, 2): 1}, {(1, 0, 2): {(0, 0, 0)}}),  # unsorted triple
+        ({(0, 1): 1, (0, 2): 1, (1, 2): 1}, {(0, 1, 9): frozenset()}),  # index outside I
+        ({(0, 1): 1, (0, 2): 1, (1, 2): 1, (5, 7): 1}, {}),  # class outside I
+        ({(0, 1): 1, (0, 2): 1, (1, 2): 1, (1, 0): 2}, {}),  # unsorted pair
+    ])
+    def test_stray_keys_refused(self, classes, cons):
+        # a key the instance never reads is refused, not dropped
+        with pytest.raises(rd.ReducedError, match="is not a sorted"):
+            rd.ReducedHypergraph((0, 1, 2), classes, cons)
     def test_from_palette_shapes(self):
         A = rd.from_palette(pal.builtin("tournament"), 5)
         assert len(A.indices) == 5
