@@ -318,8 +318,10 @@ def _cmd_audit_counting(args, report):
 
 
 def _cmd_reduced_check(args, report):
+    if args.eta is not None and args.star == "vvv":
+        raise ValueError("--eta applies to --star ev and ee only")
     A = _io.read_reduced(args.input)
-    if args.eta is not None and args.star in ("ev", "ee"):
+    if args.eta is not None:
         ok, exc = _reduced.check_eta_dense(A, args.star, args.d, args.eta)
         report["ok"] = ok
         report["exceptional_total"] = exc.total()
@@ -373,6 +375,9 @@ def _cmd_reduced_map(args, report):
 
 
 def _cmd_reduced_tetra(args, report):
+    # an eps out of domain is a usage error; only the greedy's own refusals exit 1
+    if not 0 < args.eps <= 1:
+        raise ValueError(f"eps must lie in (0, 1], got {args.eps}")
     A = _io.read_reduced(args.input)
     try:
         rm = _reduced.tetrahedron_greedy(A, args.eps)
@@ -478,7 +483,8 @@ def build_parser() -> _Parser:
     rc.add_argument("input", help="reduced hypergraph JSON")
     rc.add_argument("--star", choices=("vvv", "ev", "ee"), required=True)
     rc.add_argument("--d", type=_fraction, required=True)
-    rc.add_argument("--eta", type=_fraction, default=None)
+    rc.add_argument("--eta", type=_fraction, default=None,
+                    help="check (d, eta, star)-density instead; ev and ee only")
     command(rc, "reduced check", _cmd_reduced_check)
 
     rp = red_sub.add_parser("purge", help="remove low-degree class vertices")
@@ -505,7 +511,7 @@ def build_parser() -> _Parser:
 
     rt = red_sub.add_parser("tetra", help="greedy tetrahedron extraction")
     rt.add_argument("input")
-    rt.add_argument("--eps", type=_fraction, required=True)
+    rt.add_argument("--eps", type=_fraction, required=True, help="density eps in (0, 1]")
     command(rt, "reduced tetra", _cmd_reduced_tetra)
 
     return p
@@ -542,6 +548,10 @@ def main(argv=None) -> int:
         ValueError,
     ) as exc:
         print(f"unidense: error: {exc}", file=sys.stderr)
+        return EX_USAGE
+    except (MemoryError, OverflowError) as exc:
+        # a size beyond what the machine can index or hold: out-of-domain input
+        print(f"unidense: error: input too large: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EX_USAGE
 
 

@@ -26,6 +26,10 @@ class HypergraphError(ValueError):
     """Malformed hypergraph input (vertex out of range, repeated vertex, ...)."""
 
 
+# pairs are keyed u*n + v in int64 (see _pair_rows), so n*n must fit
+MAX_VERTICES = 3_037_000_499  # isqrt(2**63 - 1)
+
+
 class Hypergraph3:
     """An immutable 3-uniform hypergraph on the vertex set {0, ..., n-1}.
 
@@ -37,8 +41,8 @@ class Hypergraph3:
     __slots__ = ("n", "_array", "_edges", "_edge_set", "_pairs", "_adj")
 
     def __init__(self, n: int, triples=()):
-        if n < 0:
-            raise HypergraphError(f"vertex count must be nonnegative, got {n}")
+        if not 0 <= n <= MAX_VERTICES:
+            raise HypergraphError(f"vertex count must lie in [0, {MAX_VERTICES}], got {n}")
         E = _canonical_triples(n, triples)
         E.flags.writeable = False
         self.n = n

@@ -34,6 +34,15 @@ def format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
+def _read_json(path):
+    """The JSON value stored in a file; nesting too deep for the decoder is
+    refused as malformed input rather than raised as a RecursionError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -96,10 +105,9 @@ def write_hypergraph(H: Hypergraph3, path) -> None:
 
 def read_hypergraph(path) -> Hypergraph3:
     path = Path(path)
-    text = path.read_text()
     if path.suffix == ".json":
-        return hypergraph_from_json(json.loads(text))
-    return hypergraph_from_text(text)
+        return hypergraph_from_json(_read_json(path))
+    return hypergraph_from_text(path.read_text())
 
 
 # -- palettes ----------------------------------------------------------------
@@ -146,7 +154,7 @@ def write_palette(P: Palette, path) -> None:
 
 def read_palette(path) -> Palette:
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = _read_json(path)
     except json.JSONDecodeError as exc:
         raise PaletteError(f"palette file {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     return palette_from_json(obj)
@@ -210,7 +218,7 @@ def write_reduced(A, path) -> None:
 
 
 def read_reduced(path):
-    return reduced_from_json(json.loads(Path(path).read_text()))
+    return reduced_from_json(_read_json(path))
 
 
 # -- bipartite / tripartite graphs ---------------------------------------------
@@ -314,14 +322,14 @@ def tripartite_from_text(text: str):
 def read_bipartite(path):
     path = Path(path)
     if path.suffix == ".json":
-        return bipartite_from_json(json.loads(path.read_text()))
+        return bipartite_from_json(_read_json(path))
     return bipartite_from_text(path.read_text())
 
 
 def read_tripartite(path):
     path = Path(path)
     if path.suffix == ".json":
-        return tripartite_from_json(json.loads(path.read_text()))
+        return tripartite_from_json(_read_json(path))
     return tripartite_from_text(path.read_text())
 
 

@@ -14,7 +14,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, inf, lcm
+from typing import NamedTuple
 
 from .hypergraph import Hypergraph3
 
@@ -492,31 +493,48 @@ def _values_interchangeable(codes, K: int) -> bool:
     )
 
 
-def ternary_tables(triples):
-    """Propagation tables of one ternary constraint, given its allowed triples.
-
-    Returns (allowed, comp2, proj1): comp2[(i, j)][(a, b)] is the bitmask of
-    values at the third position completing a at position i and b at j (i < j);
-    proj1[(i, j)][a] is the bitmask of values at j seen together with a at i.
-    """
-    allowed = frozenset(triples)
-    comp2: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    proj1: dict[tuple[int, int], dict[int, int]] = {}
-    for i, j in itertools.combinations(range(3), 2):
-        k = 3 - i - j
-        d: dict[tuple[int, int], int] = {}
-        for t in allowed:
-            d[t[i], t[j]] = d.get((t[i], t[j]), 0) | (1 << t[k])
-        comp2[(i, j)] = d
-    for i, j in itertools.permutations(range(3), 2):
-        d2: dict[int, int] = {}
-        for t in allowed:
-            d2[t[i]] = d2.get(t[i], 0) | (1 << t[j])
-        proj1[(i, j)] = d2
-    return allowed, comp2, proj1
-
-
 _OTHER_TWO = ((1, 2), (0, 2), (0, 1))
+
+
+class TernaryTables(NamedTuple):
+    """Dense propagation tables of one ternary constraint.
+
+    width is one more than the largest value the allowed triples use.  For
+    each position s, arcs[s] = (proj1, proj2, comp2, comp1) serves the arc
+    from s to the other two positions r1 < r2, every table a list indexed by
+    the value x at s: proj1[x] (proj2[x]) is the bitmask of values at r1
+    (r2) seen together with x; comp2[x][y] is the bitmask of values at r2
+    completing x at s and y at r1, and comp1[x][y] those at r1 completing x
+    at s and y at r2.  A value x that no triple uses at s reads an all-zero
+    row.
+    """
+
+    width: int
+    arcs: tuple
+
+
+def ternary_tables(triples) -> TernaryTables:
+    """Propagation tables of one ternary constraint, given its allowed triples
+    of nonnegative ints; built once and shared by every constraint over them."""
+    allowed = frozenset(triples)
+    width = 1 + max((max(t) for t in allowed), default=-1)
+    zero = [0] * width
+    proj: dict[tuple[int, int], list[int]] = {}
+    comp: dict[tuple[int, int], list[list[int]]] = {}
+    for s, r in itertools.permutations(range(3), 2):
+        t = 3 - s - r
+        p = [0] * width
+        rows: dict[int, list[int]] = {}
+        for tr in allowed:
+            p[tr[s]] |= 1 << tr[r]
+            rows.setdefault(tr[s], [0] * width)[tr[r]] |= 1 << tr[t]
+        proj[s, r] = p
+        comp[s, r] = [rows.get(x, zero) for x in range(width)]
+    arcs = tuple(
+        (proj[s, r1], proj[s, r2], comp[s, r1], comp[s, r2])
+        for s, (r1, r2) in enumerate(_OTHER_TWO)
+    )
+    return TernaryTables(width, arcs)
 
 
 def solve_ternary(domains, constraints, counter, budget, interchangeable=False, chain=()):
@@ -532,6 +550,19 @@ def solve_ternary(domains, constraints, counter, budget, interchangeable=False, 
     by one node per value tried; the search stops once it exceeds budget.
     Returns (status, assignment) with status "sat", "unsat" or "budget"; the
     assignment is a list of values when status is "sat".
+
+    The constraints are compiled into one arc list per variable: the arc of
+    v in a constraint holds the other two variables and the tables of v's
+    position (see :class:`TernaryTables`).  Assigning x to v narrows each
+    free neighbour by one list lookup, its proj row when both neighbours are
+    free and its comp row when the other one is assigned; a constraint whose
+    neighbours are both assigned is checked by one comp bit.  A value at or
+    above the width of one of v's tables has no support there and fails at
+    once.  The fail-first scan walks the non-chain variables sorted by (more
+    constraints, lower index) and keeps the first one with the strictly
+    smallest live count, stopping early at zero.  The search is node for
+    node that of a dict-keyed form of the same tables, kept as the reference
+    in tests/test_engine_oracle.py: same variables, values and counter.
 
     Two symmetry rules cut the search to canonical solutions.  The caller
     asserts that they hold for its instance.
@@ -559,41 +590,37 @@ def solve_ternary(domains, constraints, counter, budget, interchangeable=False, 
     n = len(domains)
     domains = list(domains)
     assign = [-1] * n
-    cons_of_var: list[list] = [[] for _ in range(n)]
-    for con in constraints:
-        for v in con[0]:
-            cons_of_var[v].append(con)
+    arcs: list[list[tuple]] = [[] for _ in range(n)]
+    limit = [inf] * n
+    for vars3, tables in constraints:
+        for s, (r1, r2) in enumerate(_OTHER_TWO):
+            v = vars3[s]
+            arcs[v].append((vars3[r1], vars3[r2], *tables.arcs[s]))
+            limit[v] = min(limit[v], tables.width)
     chain = tuple(chain)
     chain_next = dict(zip(chain, chain[1:]))
     in_chain = set(chain)
-    rest_vars = [v for v in range(n) if v not in in_chain]
-    # pick key: live values, then more constraints, then lower index
-    most = max((len(c) for c in cons_of_var), default=0)
-    span = (most + 1) * n
-    tiebreak = [(most - len(cons_of_var[v])) * n + v for v in range(n)]
+    order = sorted((v for v in range(n) if v not in in_chain), key=lambda v: (-len(arcs[v]), v))
 
-    def propagate(var, trail):
-        for vars3, (allowed, comp2, proj1) in cons_of_var[var]:
-            vals = (assign[vars3[0]], assign[vars3[1]], assign[vars3[2]])
-            free = [r for r in (0, 1, 2) if vals[r] < 0]
-            if not free:
-                if vals not in allowed:
+    def propagate(var, c):
+        """Forward-check var = c along var's arcs; False on a wipe-out."""
+        if c >= limit[var]:
+            return False
+        for u, w, pu, pw, cw, cu in arcs[var]:
+            yu = assign[u]
+            yw = assign[w]
+            if yu < 0:
+                du = domains[u] & (pu[c] if yw < 0 else cu[c][yw])
+                if not du:
                     return False
-                continue
-            if len(free) == 1:
-                r = free[0]
-                i, j = _OTHER_TWO[r]
-                narrowing = ((vars3[r], comp2[i, j].get((vals[i], vals[j]), 0)),)
-            else:
-                s = 3 - free[0] - free[1]
-                narrowing = [(vars3[r], proj1[s, r].get(vals[s], 0)) for r in free]
-            for p, mask in narrowing:
-                nd = domains[p] & mask
-                if not nd:
+                domains[u] = du
+            if yw < 0:
+                dw = domains[w] & (pw[c] if yu < 0 else cw[c][yu])
+                if not dw:
                     return False
-                if nd != domains[p]:
-                    trail.append((p, domains[p]))
-                    domains[p] = nd
+                domains[w] = dw
+            elif yu >= 0 and not cw[c][yu] >> yw & 1:
+                return False
         return True
 
     def bt(depth, used):
@@ -603,13 +630,16 @@ def solve_ternary(domains, constraints, counter, budget, interchangeable=False, 
         if depth < len(chain):
             var = chain[depth]
         else:
-            var, best = -1, None
-            for v in rest_vars:
+            var, best = -1, inf
+            for v in order:
                 if assign[v] < 0:
-                    key = (domains[v] & live).bit_count() * span + tiebreak[v]
-                    if best is None or key < best:
-                        var, best = v, key
+                    k = (domains[v] & live).bit_count()
+                    if k < best:
+                        var, best = v, k
+                        if not k:
+                            break
         nxt = chain_next.get(var)
+        saved = domains[:]
         rest = domains[var] & live
         while rest:
             c = (rest & -rest).bit_length() - 1
@@ -618,20 +648,16 @@ def solve_ternary(domains, constraints, counter, budget, interchangeable=False, 
             if budget is not None and counter[0] > budget:
                 return "budget"
             assign[var] = c
-            trail: list[tuple[int, int]] = []
-            ok = propagate(var, trail)
+            ok = propagate(var, c)
             if ok and nxt is not None:
                 nd = domains[nxt] & -(1 << c)
                 ok = nd != 0
-                if ok and nd != domains[nxt]:
-                    trail.append((nxt, domains[nxt]))
-                    domains[nxt] = nd
+                domains[nxt] = nd
             if ok:
                 res = bt(depth + 1, max(used, c + 1))
                 if res != "unsat":
                     return res
-            for p, old in reversed(trail):
-                domains[p] = old
+            domains[:] = saved
             assign[var] = -1
         return "unsat"
 

@@ -276,6 +276,15 @@ class TestCli:
          '"constituents": {"0,1,9": []}}'),
         (["reduced", "check", "IN", "--star", "vvv", "--d", "1/2"],
          '{"indices": 3, "classes": {"0,1": 1, "0,2": 1, "1,2": 1, "5,7": 1}}'),
+        # sizes beyond machine integers: u*n + v pair keys would wrap in int64,
+        # or a count cannot index a list
+        (["audit", "uniform", "IN", "--d", "1/2", "--eta", "0"], '{"n": 3037000500, "edges": []}'),
+        (["audit", "uniform", "IN", "--d", "1/2", "--eta", "0"],
+         '{"n": 99999999999999999999, "edges": []}'),
+        (["audit", "quasirandom", "IN", "--delta", "1/4", "--d", "1/2"],
+         '{"sides": [100000000000000000000, 1], "edges": []}'),
+        (["reduced", "check", "IN", "--star", "ee", "--d", "1/2"],
+         '{"indices": 100000000000000000000, "classes": {}, "constituents": {}}'),
     ])
     def test_malformed_graph_json_exit_64(self, tmp_path, capsys, argv, content):
         p = tmp_path / "in.json"
@@ -437,6 +446,37 @@ class TestCli:
         a = tmp_path / "small.json"
         uio.write_reduced(rd.from_palette(pal.builtin("ee11"), 5), a)
         assert cli.main(["reduced", "tetra", str(a), "--eps", "2/3"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "uniform", "FILE", "--d", "1/2", "--eta", "1/10"],
+        ["palette", "info", "--file", "FILE"],
+        ["reduced", "check", "FILE", "--star", "ee", "--d", "1/2"],
+        ["audit", "quasirandom", "FILE", "--delta", "1/5", "--d", "1/2"],
+        ["audit", "counting-lemma", "FILE", "--delta", "1/5", "--dxy", "1/2",
+         "--dxz", "1/2", "--dyz", "1/2"],
+    ])
+    def test_deeply_nested_json_exit_64(self, tmp_path, capsys, argv):
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main([str(f) if a == "FILE" else a for a in argv]) == 64
+        assert "JSON nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["2", "0", "-1/2"])
+    def test_reduced_tetra_eps_out_of_domain_exit_64(self, tmp_path, capsys, eps):
+        a = tmp_path / "a.json"
+        uio.write_reduced(rd.from_palette(pal.builtin("ee11"), 10), a)
+        assert cli.main(["reduced", "tetra", str(a), "--eps", eps]) == 64
+        out, err = capsys.readouterr()
+        assert err.startswith("unidense: error:") and "eps must lie in (0, 1]" in err
+        assert "refused" not in out + err
+
+    def test_reduced_check_vvv_refuses_eta(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        uio.write_reduced(rd.from_palette(pal.builtin("ee5"), 4), a)
+        argv = ["reduced", "check", str(a), "--star", "vvv", "--d", "1/2", "--eta", "1/10"]
+        assert cli.main(argv) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and "--eta applies to --star ev and ee only" in err
 
     def test_gen_lift(self, tmp_path):
         a = tmp_path / "a.json"
