@@ -517,12 +517,17 @@ def build_parser() -> _Parser:
     return p
 
 
+# parsed values that are not inputs: the handler, the command name, the
+# report path, and the subcommand names that only restate "command"
+_NOT_INPUTS = ("func", "command", "json", "cmd", "palcmd", "audcmd", "redcmd")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     inputs = {
         k: str(v) if isinstance(v, Fraction) else v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "command", "json") and v is not None
+        if k not in _NOT_INPUTS and v is not None
     }
     report = {"command": args.command, "inputs": inputs, "version": __version__}
     try:
@@ -537,7 +542,7 @@ def main(argv=None) -> int:
     except _Failed as exc:
         print(exc, file=sys.stderr)
         return EX_FAIL
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"unidense: I/O error: {exc}", file=sys.stderr)
         return EX_IOERR
     except (

@@ -236,20 +236,26 @@ class LiftResult:
 
 
 def lift_hypergraph(A: ReducedHypergraph, pc: PartitionedColoring) -> Hypergraph3:
-    """Edges are crossing triples whose three pair colours form a constituent edge."""
+    """Edges are crossing triples whose three pair colours form a constituent edge.
+
+    The colourings of the classes form one (classes, h, h) code array; each
+    stack of constituent cubes is read at the codes of its role classes with
+    one gather, and np.argwhere lists the hits as (constituent, x, y, z)."""
     h = pc.block_size
-    m = len(A.indices)
-    n = h * m
-    offset = {idx: t * h for t, idx in enumerate(A.indices)}
+    n = h * len(A.indices)
+    codes = np.stack([pc.codes[pair] for pair in A.class_sizes])  # sorted, the order of class_rows
     edges = [np.empty((0, 3), dtype=np.int64)]
-    for ijk in sorted(A.constituents):
-        i, j, k = ijk
-        mask = A.cube(ijk)[
-            pc.codes[(i, j)][:, :, None],
-            pc.codes[(i, k)][:, None, :],
-            pc.codes[(j, k)][None, :, :],
+    for triples, cubes in A.stacks:
+        rows = A.class_rows(triples)
+        hit = cubes[
+            np.arange(len(triples))[:, None, None, None],
+            codes[rows[:, 0]][:, :, :, None],
+            codes[rows[:, 1]][:, :, None, :],
+            codes[rows[:, 2]][:, None, :, :],
         ]
-        edges.append(np.argwhere(mask) + (offset[i], offset[j], offset[k]))
+        at = np.argwhere(hit)
+        block = np.searchsorted(A.indices, np.array(triples).reshape(-1, 3))  # index positions
+        edges.append(at[:, 1:] + h * block[at[:, 0]])
     return Hypergraph3(n, np.concatenate(edges))
 
 

@@ -34,13 +34,16 @@ def format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
-def _read_json(path):
-    """The JSON value stored in a file; nesting too deep for the decoder is
-    refused as malformed input rather than raised as a RecursionError."""
+def _read_json(path, error=ValueError):
+    """The JSON value stored in a file.  Text that is not JSON, or nesting
+    too deep for the decoder, raises ``error`` (a ValueError) naming the file,
+    and for a syntax error its line and column, as malformed input."""
     try:
         return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply to read") from None
+        raise error(f"{path}: JSON nested too deeply to read") from None
 
 
 def _is_int(x) -> bool:
@@ -153,11 +156,7 @@ def write_palette(P: Palette, path) -> None:
 
 
 def read_palette(path) -> Palette:
-    try:
-        obj = _read_json(path)
-    except json.JSONDecodeError as exc:
-        raise PaletteError(f"palette file {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    return palette_from_json(obj)
+    return palette_from_json(_read_json(path, PaletteError))
 
 
 # -- pair colourings -----------------------------------------------------------
@@ -174,10 +173,7 @@ def coloring_to_text(pc) -> str:
 
 def reduced_to_json(A) -> dict:
     classes = {f"{i},{j}": A.class_sizes[(i, j)] for (i, j) in sorted(A.class_sizes)}
-    constituents = {
-        f"{i},{j},{k}": sorted([list(e) for e in A.constituents[(i, j, k)]])
-        for (i, j, k) in sorted(A.constituents)
-    }
+    constituents = {f"{i},{j},{k}": edges for (i, j, k), edges in A.edge_lists().items()}
     return {"indices": len(A.indices), "classes": classes, "constituents": constituents}
 
 

@@ -4,8 +4,8 @@ and one tripartite constituent per index triple.
 Class disjointness is enforced by construction: a vertex is addressed as
 (pair, local index), never by a caller-supplied global id.  Within the
 constituent of a sorted triple (i, j, k) the three roles are 0 = class (i,j),
-1 = class (i,k), 2 = class (j,k), and constituent edges are stored as local
-index triples in role order.
+1 = class (i,k), 2 = class (j,k), and a constituent edge is a triple of local
+indices in role order, stored as a True cell of the constituent's cube.
 """
 
 from __future__ import annotations
@@ -36,13 +36,9 @@ def _edge_array(edges) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64, count=3 * len(edges)).reshape(-1, 3)
 
 
-def _cube_edges(cube: np.ndarray) -> frozenset:
-    """The edges of a constituent cube as triples of plain ints."""
-    return frozenset(zip(*(x.tolist() for x in np.nonzero(cube))))
-
-
-def _check_constituent(edges, lim, name: str) -> None:
-    """Every edge is a triple inside the role classes; the first bad one is reported."""
+def _checked_edges(edges, lim, name: str) -> np.ndarray:
+    """The edges as an (m, 3) array once every edge is a triple inside the role
+    classes; the first bad one is reported."""
     try:
         E = _edge_array(edges) if set(map(len, edges)) <= {3} else None
         ok = E is not None and bool(((E >= 0) & (E < lim)).all())
@@ -52,6 +48,7 @@ def _check_constituent(edges, lim, name: str) -> None:
         for e in edges:
             if len(e) != 3 or any(not 0 <= e[r] < lim[r] for r in range(3)):
                 raise ReducedError(f"constituent edge {e} outside classes of {name}")
+    return E
 
 
 def _refuse_stray_keys(keys, allowed, kind: str) -> None:
@@ -77,62 +74,134 @@ def _checked_classes(indices, class_sizes) -> tuple[tuple, dict]:
     return indices, sizes
 
 
-class ReducedHypergraph:
-    """Immutable reduced hypergraph; one boolean cube per constituent is built
-    on first use and serves every degree and density query."""
+def _roles(ijk) -> tuple[tuple[int, int], ...]:
+    i, j, k = ijk
+    return ((i, j), (i, k), (j, k))
 
-    __slots__ = ("indices", "class_sizes", "constituents", "_cubes")
+
+class ReducedHypergraph:
+    """Immutable reduced hypergraph stored as boolean cubes.
+
+    The constituent of the index triple ijk is a cube of its role sizes:
+    cube[a, b, c] is True iff (a, b, c) is an edge.  Cubes of one role-size
+    triple are stacked into one read-only ``(T, s0, s1, s2)`` array, so
+    ``stacks`` is a tuple of ``(triples, cubes)`` pairs, the triples sorted
+    within a stack and the stacks ordered by their first triple; an instance
+    with uniform class sizes has a single stack.  Every degree, density,
+    purge, projection and lift query is a pass over the stacks.
+    ``constituents``, the frozensets of local triples, is a view built on
+    first use; an instance made by ``__init__`` keeps the frozensets it was
+    given as that view.
+    """
+
+    __slots__ = ("indices", "class_sizes", "triples", "stacks", "_slot", "_constituents")
 
     def __init__(self, indices, class_sizes, constituents):
         indices, sizes = _checked_classes(indices, class_sizes)
         triples = list(itertools.combinations(indices, 3))
         _refuse_stray_keys(constituents, triples, "triple")
-        cons = {}
-        for i, j, k in triples:
-            edges = frozenset(map(tuple, constituents.get((i, j, k), ())))
-            _check_constituent(edges, (sizes[(i, j)], sizes[(i, k)], sizes[(j, k)]), f"({i},{j},{k})")
-            cons[(i, j, k)] = edges
-        self.indices = indices
-        self.class_sizes = sizes
-        self.constituents = cons
-        self._cubes: dict = {}
+        cons, pieces = {}, []
+        for ijk in triples:
+            edges = frozenset(map(tuple, constituents.get(ijk, ())))
+            lim = tuple(sizes[p] for p in _roles(ijk))
+            E = _checked_edges(edges, lim, "({},{},{})".format(*ijk))
+            cube = np.zeros((1, *lim), dtype=bool)
+            cube[(0, *E.T)] = True
+            cons[ijk] = edges
+            pieces.append(([ijk], cube))
+        self._set(indices, sizes, pieces)
+        self._constituents = cons
 
     @classmethod
-    def _from_cubes(cls, indices: tuple, class_sizes: dict, cubes: dict) -> "ReducedHypergraph":
-        """The instance whose constituents are the given cubes, keyed by every
-        index triple in order.  The indices and classes are checked as in
-        __init__; each cube's shape is its role sizes, so no edge needs
-        checking, and the cubes become the cache."""
+    def _from_cubes(cls, indices, class_sizes, pieces) -> "ReducedHypergraph":
+        """The instance whose constituents are given as ``(triples, cubes)``
+        pieces covering every index triple once, ``cubes[t]`` being the cube of
+        ``triples[t]``.  The indices and classes are checked as in __init__;
+        each cube's shape is its role sizes, so no edge needs checking.  The
+        pieces are regrouped into stacks (and become read-only), and no
+        frozenset is built."""
         A = cls.__new__(cls)
-        A.indices, A.class_sizes = _checked_classes(indices, class_sizes)
-        A.constituents = {ijk: _cube_edges(cube) for ijk, cube in cubes.items()}
-        for cube in cubes.values():
-            cube.flags.writeable = False
-        A._cubes = cubes
+        A._set(*_checked_classes(indices, class_sizes), pieces)
+        A._constituents = None
         return A
+
+    def _set(self, indices: tuple, sizes: dict, pieces) -> None:
+        """Store the pieces as one stack per role-size triple, triples sorted."""
+        groups: dict = {}
+        for triples, cubes in pieces:
+            if len(triples):
+                groups.setdefault(cubes.shape[1:], []).append((list(triples), cubes))
+        stacks = []
+        for parts in groups.values():
+            triples = [ijk for ts, _cubes in parts for ijk in ts]
+            cubes = parts[0][1] if len(parts) == 1 else np.concatenate([c for _t, c in parts])
+            order = sorted(range(len(triples)), key=triples.__getitem__)
+            if order != list(range(len(triples))):
+                triples, cubes = [triples[t] for t in order], cubes[order]
+            cubes.flags.writeable = False
+            stacks.append((tuple(triples), cubes))
+        stacks.sort(key=lambda stack: stack[0])
+        slot = {ijk: (s, t) for s, (ts, _cubes) in enumerate(stacks) for t, ijk in enumerate(ts)}
+        self.indices, self.class_sizes = indices, sizes
+        self.triples = tuple(itertools.combinations(indices, 3))
+        self.stacks = tuple(stacks)
+        self._slot = slot
+
+    @property
+    def constituents(self) -> dict:
+        """Sorted index triple -> frozenset of its edges as plain-int triples."""
+        if self._constituents is None:
+            self._constituents = {
+                ijk: frozenset(zip(*columns)) for ijk, columns in self._edge_columns().items()
+            }
+        return self._constituents
+
+    def edge_lists(self) -> dict:
+        """Sorted index triple -> its edges as [a, b, c] int lists in sorted order."""
+        columns = self._edge_columns()
+        return {ijk: list(map(list, zip(*ends))) for ijk, ends in columns.items()}
+
+    def _edge_columns(self) -> dict:
+        """Sorted index triple -> the role-0, role-1 and role-2 ends of its
+        edges in sorted order, as three int lists: one np.nonzero per stack."""
+        out = {}
+        for triples, cubes in self.stacks:
+            t, *ends = np.nonzero(cubes)
+            cuts = np.searchsorted(t, np.arange(len(triples) + 1)).tolist()
+            ends = [end.tolist() for end in ends]
+            out.update(
+                (ijk, [end[lo:hi] for end in ends]) for ijk, lo, hi in zip(triples, cuts, cuts[1:])
+            )
+        return {ijk: out[ijk] for ijk in self.triples}
 
     # -- geometry ----------------------------------------------------------
 
     def roles(self, ijk) -> tuple[tuple[int, int], ...]:
-        i, j, k = ijk
-        return ((i, j), (i, k), (j, k))
+        return _roles(ijk)
 
     def role_sizes(self, ijk) -> tuple[int, int, int]:
-        return tuple(self.class_sizes[p] for p in self.roles(ijk))
+        return tuple(self.class_sizes[p] for p in _roles(ijk))
 
     def vertex_count(self) -> int:
         return sum(self.class_sizes.values())
 
+    def class_rows(self, triples) -> np.ndarray:
+        """(T, 3) int array: the position in ``class_sizes``, whose keys are
+        the sorted classes, of the class of each role of each triple."""
+        m = len(self.indices)
+        i, j, k = np.searchsorted(self.indices, np.array(triples).reshape(-1, 3)).T  # positions
+
+        def rank(a, b):  # the rank of the class at positions a < b among all C(m, 2)
+            return a * (2 * m - a - 1) // 2 + (b - a - 1)
+
+        return np.stack([rank(i, j), rank(i, k), rank(j, k)], axis=1)
+
     def cube(self, ijk) -> np.ndarray:
         """Read-only boolean array of the role sizes: cube[a, b, c] is True
-        iff (a, b, c) is an edge of the constituent of ijk."""
-        cube = self._cubes.get(ijk)
-        if cube is None:
-            cube = np.zeros(self.role_sizes(ijk), dtype=bool)
-            cube[tuple(_edge_array(self.constituents[ijk]).T)] = True
-            cube.flags.writeable = False
-            self._cubes[ijk] = cube
-        return cube
+        iff (a, b, c) is an edge of the constituent of ijk.  A view into its
+        stack."""
+        s, t = self._slot[ijk]
+        return self.stacks[s][1][t]
 
     def degree(self, ijk, role: int, v: int) -> int:
         return int(np.count_nonzero(np.take(self.cube(ijk), v, axis=role)))
@@ -152,7 +221,7 @@ class ReducedHypergraph:
             isinstance(other, ReducedHypergraph)
             and self.indices == other.indices
             and self.class_sizes == other.class_sizes
-            and self.constituents == other.constituents
+            and all(np.array_equal(a, b) for (_t, a), (_u, b) in zip(self.stacks, other.stacks))
         )
 
     def __hash__(self):
@@ -160,7 +229,7 @@ class ReducedHypergraph:
 
     def __repr__(self):
         m = len(self.indices)
-        e = sum(len(v) for v in self.constituents.values())
+        e = sum(int(np.count_nonzero(cubes)) for _t, cubes in self.stacks)
         return f"ReducedHypergraph(|I|={m}, edges={e})"
 
 
@@ -187,52 +256,54 @@ def _threshold(d) -> Fraction:
     return d
 
 
-def _pair_counts(cube: np.ndarray, r1: int, r2: int) -> np.ndarray:
-    """Completion counts of the (role r1, role r2) pairs, indexed [u, v]."""
-    return cube.sum(axis=3 - r1 - r2, dtype=np.int64)
+# The witnesses of a notion fall into groups that share a denominator: per
+# constituent, the roles a witness names (none for vvv, one for ev, two for
+# ee), in scan order.  A group's counts sum the cube over the other roles.
+_GROUPS = {"vvv": ((),), "ev": ((0,), (1,), (2,)), "ee": ((0, 1), (0, 2), (1, 2))}
 
 
-def _vertex_counts(cube: np.ndarray, r: int) -> np.ndarray:
-    """Degrees of the role-r vertices."""
-    return cube.sum(axis=tuple(x for x in range(3) if x != r), dtype=np.int64)
+def _group_counts(A: ReducedHypergraph, star: str):
+    """Per stack and group, in that order: (triples, group, counts, q), where
+    counts[t] holds the counts of the group's witnesses in the constituent
+    triples[t], indexed by the kept roles' vertices, and q is their common
+    denominator, the product of the summed roles' sizes."""
+    for triples, cubes in A.stacks:
+        sizes = cubes.shape[1:]
+        for keep in _GROUPS[star]:
+            summed = tuple(r for r in range(3) if r not in keep)
+            counts = cubes.sum(axis=tuple(r + 1 for r in summed), dtype=np.int64)
+            yield triples, keep, counts, math.prod(sizes[r] for r in summed)
 
 
 def _scan_density(A: ReducedHypergraph, star: str):
     """The least ratio over the notion's witnesses, and the first witness
     attaining it in scan order (None if no ratio is below 1).
 
-    Witnesses are scanned constituent by constituent in sorted order; within
-    one, ev takes roles 0, 1, 2 and vertices ascending, and ee takes role
-    pairs (0,1), (0,2), (1,2) and their (u, v) in row-major order.  One group
-    shares a denominator, so its first minimal count is its candidate, and
-    candidates replace the incumbent num/den on a strictly smaller
-    cross-multiplied count.
+    Scan order runs over the constituents in sorted order; within one, ev
+    takes roles 0, 1, 2 and vertices ascending, and ee takes role pairs
+    (0,1), (0,2), (1,2) and their (u, v) in row-major order.  The least count
+    of each constituent and group gives the exact least ratio; the witness is
+    the first constituent and group in that order attaining it, at its first
+    least count.
     """
-    if star not in ("vvv", "ev", "ee"):
+    if star not in _GROUPS:
         raise ReducedError(f"unknown density notion {star!r}")
-    num, den, witness = 1, 1, None
-    for ijk in sorted(A.constituents):
-        sizes, roles = A.role_sizes(ijk), A.roles(ijk)
-        if star == "vvv":
-            groups = [(np.array(len(A.constituents[ijk])), math.prod(sizes), ())]
-        elif star == "ev":
-            groups = [
-                (_vertex_counts(A.cube(ijk), r), math.prod(sizes) // sizes[r], (roles[r],))
-                for r in range(3)
-            ]
-        else:
-            groups = [
-                (_pair_counts(A.cube(ijk), r1, r2), sizes[3 - r1 - r2], (roles[r1], roles[r2]))
-                for r1, r2 in itertools.combinations(range(3), 2)
-            ]
-        for counts, q, classes in groups:
-            at = np.unravel_index(counts.argmin(), counts.shape)
-            c = int(counts[at])
-            if c * den < num * q:
-                num, den = c, q
-                at = tuple(map(int, at))
-                witness = (ijk, *zip(classes, at)) if star == "ee" else (ijk, *classes, *at)
-    return Fraction(num, den), witness
+    groups = []
+    for triples, keep, counts, q in _group_counts(A, star):
+        least = counts.reshape(len(triples), -1).min(axis=1)
+        groups.append((Fraction(int(least.min()), q), triples, keep, counts, least))
+    best = min((g[0] for g in groups), default=Fraction(1))
+    if best == 1:
+        return best, None
+    firsts = []  # each attaining group's first constituent; (ijk, keep) sorts in scan order
+    for ratio, triples, keep, counts, least in groups:
+        if ratio == best:
+            t = int(least.argmin())
+            firsts.append((triples[t], keep, counts[t]))
+    ijk, keep, counts = min(firsts, key=lambda c: c[:2])
+    at = tuple(int(x) for x in np.unravel_index(counts.argmin(), counts.shape))
+    classes = tuple(_roles(ijk)[r] for r in keep)
+    return best, ((ijk, *zip(classes, at)) if star == "ee" else (ijk, *classes, *at))
 
 
 def check_dense(A: ReducedHypergraph, star: str, d) -> DenseCheck:
@@ -267,22 +338,22 @@ def exceptional_sets(A: ReducedHypergraph, star: str, d) -> ExceptionalSets:
     d = _threshold(d)
     if star not in ("ev", "ee"):
         raise ReducedError(f"exceptional sets exist for ev/ee only, not {star!r}")
+    low: dict = {}
+    for triples, keep, counts, q in _group_counts(A, star):
+        at = np.argwhere(counts < _ceil_frac(d * q))
+        cuts = np.searchsorted(at[:, 0], np.arange(len(triples) + 1)).tolist()
+        rows = at[:, 1:].tolist() if star == "ee" else at[:, 1].tolist()
+        for ijk, lo, hi in zip(triples, cuts, cuts[1:]):
+            low[ijk, keep] = tuple(map(tuple, rows[lo:hi])) if star == "ee" else tuple(rows[lo:hi])
+    # an entry is keyed by the class of one role of ijk (the kept role for ev,
+    # the summed one for ee) and the index of ijk outside it: role r's class
+    # misses ijk[2 - r]
+    role = [keep[0] if star == "ev" else 3 - sum(keep) for keep in _GROUPS[star]]
     entries: dict = {}
-    for ijk in sorted(A.constituents):
-        roles = A.roles(ijk)
-        sizes = A.role_sizes(ijk)
-        cube = A.cube(ijk)
-        if star == "ev":
-            for r in range(3):
-                low = _vertex_counts(cube, r) < _ceil_frac(d * (math.prod(sizes) // sizes[r]))
-                k_other = [x for x in ijk if x not in roles[r]][0]
-                entries[(roles[r], k_other)] = tuple(np.flatnonzero(low).tolist())
-        else:
-            for r1, r2 in itertools.combinations(range(3), 2):
-                r3 = 3 - r1 - r2
-                low = _pair_counts(cube, r1, r2) < _ceil_frac(d * sizes[r3])
-                shared = [x for x in roles[r1] if x in roles[r2]][0]
-                entries[(roles[r3], shared)] = tuple(map(tuple, np.argwhere(low).tolist()))
+    for ijk in A.triples:
+        roles = _roles(ijk)
+        for keep, r in zip(_GROUPS[star], role):
+            entries[(roles[r], ijk[2 - r])] = low[ijk, keep]
     return ExceptionalSets(star, entries)
 
 
@@ -337,12 +408,32 @@ def purge_ev(A: ReducedHypergraph, d) -> PurgeResult:
 
 def _restricted(A: ReducedHypergraph, images: dict) -> ReducedHypergraph:
     """The reduced hypergraph on classes range(len(images[pair])): (a, b, c)
-    is an edge of ijk iff its images under the role maps are one in A."""
-    sizes = {pair: len(images[pair]) for pair in A.class_sizes}
-    cubes = {
-        ijk: A.cube(ijk)[np.ix_(*(images[p] for p in A.roles(ijk)))] for ijk in A.constituents
-    }
-    return ReducedHypergraph._from_cubes(A.indices, sizes, cubes)
+    is an edge of ijk iff its images under the role maps are one in A.
+
+    The class maps form one table, a row per class in sorted order; each
+    stack's constituents, grouped by their new role sizes, are read with one
+    gather."""
+    pairs = list(A.class_sizes)  # sorted, the order of class_rows
+    sizes = {pair: len(images[pair]) for pair in pairs}
+    lengths = np.array([sizes[p] for p in pairs], dtype=np.intp)
+    table = np.zeros((len(pairs), int(lengths.max())), dtype=np.intp)
+    for row, pair in enumerate(pairs):
+        table[row, : sizes[pair]] = images[pair]
+    pieces = []
+    for triples, cubes in A.stacks:
+        rows = A.class_rows(triples)
+        shapes, group = np.unique(lengths[rows], axis=0, return_inverse=True)
+        for g, (n0, n1, n2) in enumerate(shapes.tolist()):
+            ts = np.flatnonzero(group.reshape(-1) == g)
+            at = rows[ts]
+            sub = cubes[
+                ts[:, None, None, None],
+                table[at[:, 0], :n0][:, :, None, None],
+                table[at[:, 1], :n1][:, None, :, None],
+                table[at[:, 2], :n2][:, None, None, :],
+            ]
+            pieces.append(([triples[t] for t in ts.tolist()], sub))
+    return ReducedHypergraph._from_cubes(A.indices, sizes, pieces)
 
 
 @dataclass
@@ -413,8 +504,7 @@ def validate_reduced_map(F: Hypergraph3, A: ReducedHypergraph, rm: ReducedMap) -
             return False
         slot = {tuple(sorted((rm.lam[a], rm.lam[b]))): rm.phi[tuple(sorted((a, b)))][1]
                 for a, b in itertools.combinations((u, v, w), 2)}
-        trip = tuple(slot[p] for p in A.roles(ijk))
-        if trip not in A.constituents[ijk]:
+        if not A.cube(ijk)[tuple(slot[p] for p in A.roles(ijk))]:
             return False
     return True
 
@@ -446,13 +536,13 @@ def _index_homogeneous(A: ReducedHypergraph) -> bool:
     :func:`from_palette` of a symmetric palette does: an index permutation
     then only permutes the roles inside each triple.
     """
-    if len(set(A.class_sizes.values())) != 1 or not A.constituents:
+    if len(set(A.class_sizes.values())) != 1 or not A.stacks:
         return False
-    first, *others = A.constituents.values()
-    if any(edges != first for edges in others):
-        return False
-    perms = list(itertools.permutations(range(3)))
-    return all(tuple(t[s] for s in perm) in first for t in first for perm in perms)
+    ((_triples, cubes),) = A.stacks
+    first = cubes[0]
+    return bool((cubes == first).all()) and all(
+        np.array_equal(first, first.transpose(perm)) for perm in itertools.permutations(range(3))
+    )
 
 
 def find_reduced_map(
@@ -603,39 +693,27 @@ def tetrahedron_greedy(A: ReducedHypergraph, eps) -> ReducedMap:
     cur = list(Y)
     pxx: dict = {}
     for x1, x2 in itertools.combinations(X, 2):  # lexicographic pair order
-        size = A.class_sizes[(x1, x2)]
-        best_a, best_surv = None, []
-        for a in range(size):
-            surv = [
-                y
-                for y in cur
-                if (a, pxy[(x1, y)], pxy[(x2, y)]) in A.constituents[(x1, x2, y)]
-            ]
-            if len(surv) > len(best_surv):
-                best_a, best_surv = a, surv
-        if best_a is None or Fraction(len(best_surv)) < eps * len(cur):
+        # hit[t, a]: (a, pxy[x1, y], pxy[x2, y]) is an edge of (x1, x2, y) for y = cur[t]
+        hit = np.array([A.cube((x1, x2, y))[:, pxy[(x1, y)], pxy[(x2, y)]] for y in cur])
+        counts = hit.sum(axis=0)
+        best_a = int(counts.argmax())  # the first a with the most survivors
+        if counts[best_a] == 0 or Fraction(int(counts[best_a])) < eps * len(cur):
             raise ReducedError(
                 f"pigeonhole failed on pair ({x1},{x2}): density precondition violated"
             )
         pxx[(x1, x2)] = best_a
-        cur = best_surv
+        cur = [y for y, ok in zip(cur, hit[:, best_a].tolist()) if ok]
 
     if len(cur) < 2:  # pragma: no cover - excluded by the precheck
         raise ReducedError("fewer than two tail survivors; precheck should have refused")
     y1, y2 = cur[0], cur[1]
 
-    size_yy = A.class_sizes[(y1, y2)]
-    best_b, best_xs = None, []
-    for b in range(size_yy):
-        xs = [
-            x
-            for x in X
-            if (pxy[(x, y1)], pxy[(x, y2)], b) in A.constituents[(x, y1, y2)]
-        ]
-        if len(xs) > len(best_xs):
-            best_b, best_xs = b, xs
-    if best_b is None or Fraction(len(best_xs)) < eps * len(X):
+    hit = np.array([A.cube((x, y1, y2))[pxy[(x, y1)], pxy[(x, y2)], :] for x in X])
+    counts = hit.sum(axis=0)
+    best_b = int(counts.argmax())
+    if counts[best_b] == 0 or Fraction(int(counts[best_b])) < eps * len(X):
         raise ReducedError("pigeonhole failed on the tail pair: density precondition violated")
+    best_xs = [x for x, ok in zip(X, hit[:, best_b].tolist()) if ok]
     if len(best_xs) < 2:  # pragma: no cover - |X| > 1/eps makes eps|X| > 1
         raise ReducedError("fewer than two head survivors")
     x1, x2 = best_xs[0], best_xs[1]
@@ -693,17 +771,17 @@ def random_dense_reduced(m: int, size: int, d, seed=0) -> ReducedHypergraph:
     gen = rng(seed)
     p = min(0.97, float(d) + 0.25)
     classes = {(i, j): size for i, j in itertools.combinations(range(m), 2)}
-    cubes = {}
-    for ijk in itertools.combinations(range(m), 3):
-        cube = gen.random((size, size, size)) < p
+    triples = list(itertools.combinations(range(m), 3))
+    cubes = np.empty((len(triples), size, size, size), dtype=bool)
+    for cube in cubes:
+        cube[...] = gen.random((size, size, size)) < p
         for r1, r2 in itertools.combinations(range(3), 2):
             lines = cube.transpose(r1, r2, 3 - r1 - r2)  # a view: lines[u, v] over the third role
             missing = need - lines.sum(axis=2)
             for u, v in np.argwhere(missing > 0).tolist():
                 pool = np.flatnonzero(~lines[u, v])
                 lines[u, v, gen.permutation(pool)[: missing[u, v]]] = True
-        cubes[ijk] = cube
-    return ReducedHypergraph._from_cubes(tuple(range(m)), classes, cubes)
+    return ReducedHypergraph._from_cubes(tuple(range(m)), classes, [(triples, cubes)])
 
 
 # -- useless-triple classification ------------------------------------------------------
@@ -718,8 +796,11 @@ def count_useless_triples(A: ReducedHypergraph, B: ReducedHypergraph, xi):
     if A.indices != B.indices or A.class_sizes != B.class_sizes:
         raise ReducedError("useless-triple count needs matching indices and classes")
     useless = []
-    for ijk in sorted(A.constituents):
-        lost = int(np.count_nonzero(A.cube(ijk) & ~B.cube(ijk)))
-        if lost * xi.denominator > xi.numerator * math.prod(A.role_sizes(ijk)):
-            useless.append(ijk)
+    for (triples, a), (_triples, b) in zip(A.stacks, B.stacks):
+        lost = np.count_nonzero(a & ~b, axis=(1, 2, 3)).tolist()
+        bound = math.prod(a.shape[1:])
+        useless += [
+            ijk for ijk, n in zip(triples, lost) if n * xi.denominator > xi.numerator * bound
+        ]
+    useless.sort()
     return len(useless), useless

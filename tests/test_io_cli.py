@@ -293,6 +293,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("unidense: error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["audit", "uniform", "IN", "--d", "1/2", "--eta", "0"],
+        ["audit", "star", "IN", "--notion", "ev", "--d", "1/2", "--eta", "0"],
+        ["reduced", "check", "IN", "--star", "ee", "--d", "1/2"],
+        ["gen", "lift", "--reduced", "IN", "--out", "OUT"],
+        ["palette", "info", "--file", "IN"],
+        ["palette", "closure", "--generators", "IN"],
+        ["certify", "--F", "k4", "--palette", "IN"],
+        ["audit", "quasirandom", "IN", "--delta", "1/4", "--d", "1/2"],
+        ["audit", "counting-lemma", "IN", "--delta", "1/4", "--dxy", "1/2", "--dxz", "1/2",
+         "--dyz", "1/2"],
+    ], ids=lambda argv: " ".join(a for a in argv[:2]))
+    @pytest.mark.parametrize("content", ["not json", '{"n": 3,\n "edges": [}'])
+    def test_text_that_is_not_json_exit_64(self, tmp_path, capsys, argv, content):
+        # every JSON reader: hypergraph, reduced, palette and partite files
+        p = tmp_path / "in.json"
+        p.write_text(content)
+        files = {"IN": str(p), "OUT": str(tmp_path / "out.txt")}
+        assert cli.main([files.get(a, a) for a in argv]) == 64
+        err = capsys.readouterr().err
+        line = 2 if "\n" in content else 1
+        assert err.startswith("unidense: error:") and f"in.json: line {line}, column" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "uniform", "IN", "--d", "1/2", "--eta", "0"],
+        ["reduced", "check", "IN", "--star", "ee", "--d", "1/2"],
+        ["audit", "quasirandom", "IN", "--delta", "1/4", "--d", "1/2"],
+    ], ids=lambda argv: " ".join(a for a in argv[:2]))
+    def test_missing_file_exit_66(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "missing.json")
+        assert cli.main([missing if a == "IN" else a for a in argv]) == 66
+        assert capsys.readouterr().err.startswith("unidense: I/O error:")
+
     @pytest.mark.parametrize("content", [
         "",
         "4 0\n",
@@ -373,6 +406,10 @@ class TestCli:
         ("gen tournament", ["--n", "9", "--seed", "3", "--out", "OUT"]),
         ("audit uniform", ["H", "--d", "1/4", "--eta", "1/10"]),
         ("reduced check", ["A", "--star", "ee", "--d", "2/3", "--eta", "0"]),
+        ("palette info", ["--builtin", "ee5"]),
+        ("audit star", ["H", "--notion", "ev", "--d", "1/4", "--eta", "1/10"]),
+        ("reduced purge", ["A", "--d", "1/2", "--out", "OUT"]),
+        ("reduced map", ["A", "--F", "k4"]),
     ])
     def test_json_report_reproducible(self, tmp_path, command, argv):
         files = {"H": tmp_path / "t.txt", "A": tmp_path / "a.json", "OUT": tmp_path / "o.txt"}
@@ -386,7 +423,10 @@ class TestCli:
         for data in reports:
             assert data["command"] == command and data["version"] == cli.__version__
             assert isinstance(data["timing"]["seconds"], float)
-            assert not {"func", "command", "json"} & set(data["inputs"])
+            # neither the parser's own values nor the subcommand names
+            # that only restate "command"
+            assert not {"func", "command", "json", "cmd", "palcmd", "audcmd", "redcmd"} & set(
+                data["inputs"])
             data.pop("timing")
         assert reports[0] == reports[1]
 
