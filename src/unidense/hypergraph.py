@@ -15,6 +15,7 @@ the same view at once build equal values, and either may be kept.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from math import comb
@@ -35,7 +36,8 @@ class Hypergraph3:
 
     ``triples`` may be any iterable of 3-element sequences or an integer
     ``(m, 3)`` ndarray; vertex order inside a triple and repeats are
-    immaterial.
+    immaterial.  A label that is not an integer (a float, even 1.0, or a
+    string) raises :class:`HypergraphError`; it is never truncated.
     """
 
     __slots__ = ("n", "_array", "_edges", "_edge_set", "_pairs", "_adj")
@@ -140,7 +142,10 @@ def _checked_triple(t, n: int) -> tuple[int, int, int]:
     t = tuple(t)
     if len(t) != 3:
         raise HypergraphError(f"not a triple: {t!r}")
-    a, b, c = sorted(int(x) for x in t)
+    try:
+        a, b, c = sorted(operator.index(x) for x in t)
+    except TypeError:
+        raise HypergraphError(f"non-integer vertex in triple {t!r}") from None
     if a == b or b == c:
         raise HypergraphError(f"repeated vertex in triple {t!r}")
     if a < 0 or c >= n:
@@ -152,19 +157,23 @@ def _canonical_triples(n: int, triples) -> np.ndarray:
     """The distinct triples, each sorted, as an int64 (m, 3) array in
     lexicographic order.
 
-    The triples are read and checked as one array.  When that fails (a bad
-    triple, ragged rows, ints beyond int64, sets, ...) they are read again one
-    by one as plain ints, so the first bad triple raises its error.
+    The triples are read and checked as one array of the dtype numpy infers.
+    When that fails (a bad triple, ragged rows, labels that are not integers,
+    ints beyond int64, sets, ...) they are read again one by one as plain ints,
+    so the first bad triple raises its error.
     """
     rows = triples if isinstance(triples, np.ndarray) else list(triples)
     if len(rows) == 0:
         return np.empty((0, 3), dtype=np.int64)
     try:
-        E = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
+        E = np.asarray(rows)
     except (TypeError, ValueError, OverflowError):
         E = None
+    if E is not None and E.dtype.kind in "iu" and E.ndim == 2:
+        E = np.sort(E, axis=1).astype(np.int64, copy=False)
     if (
         E is None
+        or E.dtype != np.int64
         or E.shape != (len(rows), 3)
         or not ((E[:, 0] >= 0) & (E[:, 0] < E[:, 1]) & (E[:, 1] < E[:, 2]) & (E[:, 2] < n)).all()
     ):
@@ -387,9 +396,9 @@ def random_masks(nbits: int, gen, samples: int) -> list[int]:
     """max(1, samples // 3) random subsets at each element density 1/4, 1/2, 3/4."""
     masks = []
     for density in (0.25, 0.5, 0.75):
-        for _ in range(max(1, samples // 3)):
-            bits = gen.random(nbits) < density
-            masks.append(sum(1 << i for i in range(nbits) if bits[i]))
+        bits = gen.random((max(1, samples // 3), nbits)) < density  # row i is sample i's draws
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        masks += [int.from_bytes(row.tobytes(), "little") for row in packed]
     return masks
 
 

@@ -6,9 +6,12 @@ Rationals travel as "p/q" strings everywhere.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from .hypergraph import Hypergraph3, HypergraphError, bit_positions
 from .palette import Palette, PaletteError, WeightedColorSet
@@ -64,6 +67,109 @@ def _is_rows(x, width: int) -> bool:
     return isinstance(x, list) and all(_is_ints(r, width) for r in x)
 
 
+# -- integer-line text ---------------------------------------------------------
+#
+# The hypergraph and partite text formats are lines of decimal numerals.  A
+# line ends at \n, \r\n, \r, \v or \f.  Blank lines, and lines whose first
+# non-blank character is "#", are skipped.  Every other line holds ASCII
+# digits and blanks (space, \t, \r, \v, \f) only, and no numeral is longer
+# than 18 digits, so every value fits int64.
+
+_MAX_DIGITS = 18
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)  # 0 other, 1 blank, 2 digit
+_BYTE_CLASS[list(b" \t\r\n\v\f")] = 1
+_BYTE_CLASS[ord("0") : ord("9") + 1] = 2
+
+
+def _int_lines(text: str, error):
+    """The numerals of the text's kept lines, read as arrays.
+
+    Returns (values, counts, lines): every numeral as int64 in file order, the
+    numeral count of each kept line and that line's 1-based number in the
+    file.  A byte outside the grammar above, or a numeral of more than 18
+    digits, raises ``error`` naming its line and word.  Only once every byte
+    has been checked does numpy's text parser read the numerals.
+    """
+    data = text.encode()
+    a = np.frombuffer(data, dtype=np.uint8)
+    kind = np.take(_BYTE_CLASS, a)
+    ends = a == 13  # \r ends a line unless \n follows
+    ends[:-1] &= a[1:] != 10
+    ends |= (a == 10) | (a == 11) | (a == 12)
+    breaks = np.flatnonzero(ends)
+    other = np.flatnonzero(kind == 0)
+    if len(other):  # only comment lines may hold them
+        line = np.searchsorted(breaks, other)
+        line_start = np.concatenate(([0], breaks + 1))
+        nonblank = np.flatnonzero(kind != 1)
+        comment = a[nonblank[np.searchsorted(nonblank, line_start[line])]] == ord("#")
+        if not comment.all():
+            bad = np.argmin(comment)
+            raise error(f"line {line[bad] + 1}: {_word_at(data, other[bad])!r} is not a decimal integer")
+        line = np.unique(line)  # blank the comment lines out
+        edge = np.zeros(len(a) + 1, dtype=np.int8)
+        edge[line_start[line]] = 1
+        edge[np.append(breaks, len(a))[line]] = -1
+        blank = np.cumsum(edge[:-1]) > 0
+        a = np.where(blank, np.uint8(ord(" ")), a)
+        kind = np.where(blank, np.uint8(1), kind)
+    digit = kind == 2
+    first, last = digit.copy(), digit.copy()
+    first[1:] &= ~digit[:-1]
+    last[:-1] &= ~digit[1:]
+    starts, stops = np.flatnonzero(first), np.flatnonzero(last) + 1
+    long = np.flatnonzero(stops - starts > _MAX_DIGITS)
+    if len(long):
+        i = starts[long[0]]
+        raise error(
+            f"line {np.searchsorted(breaks, i) + 1}: numeral {_word_at(data, i)} "
+            f"has more than {_MAX_DIGITS} digits"
+        )
+    counts = np.diff(np.concatenate(([0], np.searchsorted(starts, breaks), [len(starts)])))
+    kept = np.flatnonzero(counts)
+    values = np.zeros(0, dtype=np.int64)
+    if len(starts):  # from a digit to a digit, so the parser sees numerals and blanks only
+        values = np.fromstring(a[starts[0] : stops[-1]].tobytes(), dtype=np.int64, sep=" ")
+    return values, counts[kept], kept + 1
+
+
+def _word_at(data: bytes, pos) -> str:
+    """The blank-delimited word of data around byte pos."""
+    lo = hi = int(pos)
+    while lo and _BYTE_CLASS[data[lo - 1]] != 1:
+        lo -= 1
+    while hi < len(data) and _BYTE_CLASS[data[hi]] != 1:
+        hi += 1
+    return data[lo:hi].decode()
+
+
+def _int_table(text: str, error, width: int, lead: int = 0):
+    """A text of an 'n m' header, ``lead`` (0 or 1) free lines, then m lines
+    of ``width`` numerals.
+
+    Returns (n, lead_values, rows, lines): the lead line's values, the rows as
+    an int64 (m, width) array, and the file line of each kept line (header,
+    lead line, rows).
+    """
+    values, counts, lines = _int_lines(text, error)
+    if not len(counts):
+        raise error("the file has no 'n m' header")
+    if counts[0] != 2:
+        raise error(f"line {lines[0]}: the header 'n m' needs 2 numbers, not {counts[0]}")
+    if len(counts) < 1 + lead:
+        raise error(f"line {lines[0]}: no part-assignment line follows the header")
+    n, m = values[:2].tolist()
+    widths = counts[1 + lead :]
+    if len(widths) != m:
+        raise error(f"line {lines[0]}: header promises {m} edges, file has {len(widths)}")
+    wrong = np.flatnonzero(widths != width)
+    if len(wrong):
+        i = wrong[0]
+        raise error(f"line {lines[1 + lead + i]}: expected {width} numbers, got {widths[i]}")
+    body = 2 + int(counts[1 : 1 + lead].sum())
+    return n, values[2:body], values[body:].reshape(m, width), lines
+
+
 # -- hypergraphs -------------------------------------------------------------
 
 
@@ -73,17 +179,13 @@ def hypergraph_to_text(H: Hypergraph3) -> str:
 
 
 def hypergraph_from_text(text: str) -> Hypergraph3:
-    rows = [ln for ln in (ln.strip() for ln in text.splitlines()) if ln and not ln.startswith("#")]
-    if not rows:
-        raise HypergraphError("empty hypergraph file")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise HypergraphError(f"expected header 'n m', got {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    if len(rows) - 1 != m:
-        raise HypergraphError(f"header promises {m} edges, file has {len(rows) - 1}")
-    triples = [tuple(int(x) for x in ln.split()) for ln in rows[1:]]
-    return Hypergraph3(n, triples)
+    n, _, E, lines = _int_table(text, HypergraphError, 3)
+    try:
+        return Hypergraph3(n, E)
+    except HypergraphError as exc:  # name the line of the bad triple, or else the header
+        ok = (E[:, 0] != E[:, 1]) & (E[:, 0] != E[:, 2]) & (E[:, 1] != E[:, 2]) & (E < n).all(axis=1)
+        line = lines[0] if ok.all() else lines[1 + np.argmin(ok)]
+        raise HypergraphError(f"line {line}: {exc}") from None
 
 
 def hypergraph_to_json(H: Hypergraph3) -> dict:
@@ -257,42 +359,33 @@ class PartiteFormatError(ValueError):
 
 
 def _partite_from_text(text: str, want_parts: int):
-    rows = [ln for ln in (ln.strip() for ln in text.splitlines()) if ln and not ln.startswith("#")]
-    if len(rows) < 2:
-        raise PartiteFormatError("partite file needs an 'n m' header and a part-assignment line")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise PartiteFormatError(f"expected header 'n m', got {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    if len(rows) - 2 != m:
-        raise PartiteFormatError(f"header promises {m} edges, file has {len(rows) - 2}")
-    assignment = [int(x) for x in rows[1].split()]
+    n, assignment, E, lines = _int_table(text, PartiteFormatError, 2, lead=1)
     if len(assignment) != n:
-        raise PartiteFormatError(f"part header lists {len(assignment)} vertices, expected {n}")
-    if sorted(set(assignment)) != list(range(want_parts)):
-        raise PartiteFormatError(f"expected {want_parts} parts in the header")
-    parts = tuple(
-        tuple(v for v in range(n) if assignment[v] == p) for p in range(want_parts)
-    )
-    local = {}
+        raise PartiteFormatError(
+            f"line {lines[1]}: part header lists {len(assignment)} vertices, expected {n}"
+        )
+    if np.unique(assignment).tolist() != list(range(want_parts)):
+        raise PartiteFormatError(f"line {lines[1]}: expected {want_parts} parts in the header")
+    outside = (E >= n).any(axis=1)
+    side = assignment[np.where(outside[:, None], 0, E)]
+    bad = outside | (side[:, 0] == side[:, 1])
+    if bad.any():
+        i = np.argmax(bad)
+        u, v = E[i].tolist()
+        what = f"has an endpoint outside 0..{n - 1}" if outside[i] else "inside one part"
+        raise PartiteFormatError(f"line {lines[2 + i]}: edge {u} {v} {what}")
+    parts = tuple(np.flatnonzero(assignment == p) for p in range(want_parts))
+    local = np.empty(n, dtype=np.int64)
     for part in parts:
-        for i, v in enumerate(part):
-            local[v] = i
+        local[part] = np.arange(len(part))
+    swap = side[:, :1] > side[:, 1:]  # each edge from its lower part to its higher one
+    E, side = np.where(swap, E[:, ::-1], E), np.where(swap, side[:, ::-1], side)
     edges = {}
-    for ln in rows[2:]:
-        ends = ln.split()
-        if len(ends) != 2:
-            raise PartiteFormatError(f"expected edge line 'u v', got {ln!r}")
-        u, v = int(ends[0]), int(ends[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise PartiteFormatError(f"edge {u} {v} has an endpoint outside 0..{n - 1}")
-        pu, pv = assignment[u], assignment[v]
-        if pu == pv:
-            raise PartiteFormatError(f"edge {u} {v} inside one part")
-        if pu > pv:
-            u, v, pu, pv = v, u, pv, pu
-        edges.setdefault((pu, pv), []).append((local[u], local[v]))
-    return parts, edges
+    for pu, pv in itertools.combinations(range(want_parts), 2):
+        at = (side == (pu, pv)).all(axis=1)
+        if at.any():
+            edges[(pu, pv)] = list(zip(*local[E[at]].T.tolist()))
+    return tuple(tuple(part.tolist()) for part in parts), edges
 
 
 def bipartite_from_text(text: str):

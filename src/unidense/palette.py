@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, inf, lcm
@@ -661,7 +662,14 @@ def solve_ternary(domains, constraints, counter, budget, interchangeable=False, 
             assign[var] = -1
         return "unsat"
 
-    status = bt(0, 0)
+    try:
+        status = bt(0, 0)
+    except RecursionError:
+        # bt recurses once per variable; an explicit stack would lift this cap
+        raise ValueError(
+            f"{n} shadow pairs to colour: the search recurses once per pair, deeper than "
+            f"the interpreter's recursion limit ({sys.getrecursionlimit()}) allows"
+        ) from None
     return status, (assign if status == "sat" else None)
 
 

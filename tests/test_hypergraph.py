@@ -171,6 +171,53 @@ class TestConstructorReference:
             hg.make(4, np.array([[0, 1], [1, 2]]))
 
 
+class TestNonIntegerLabels:
+    @pytest.mark.parametrize("triples", [
+        [(1.5, 2, 3)],
+        [(0.9, 2, 3)],
+        [(1.0, 2, 3)],
+        [("1", 2, 3)],
+        [(0, 1, 2), (np.float64(1), 3, 4)],
+        np.array([[0.5, 1.0, 2.0]]),
+        np.array([[0.0, 1.0, 2.0]]),
+        np.array([["0", "1", "2"]]),
+    ], ids=repr)
+    def test_refused_and_named(self, triples):
+        # once truncated to ints (1.5 read as 1, 0.9 as 0) or read from strings
+        with pytest.raises(hg.HypergraphError, match=r"non-integer vertex in triple \("):
+            hg.make(5, triples)
+
+    def test_integer_dtypes_still_read(self):
+        want = hg.make(5, [(0, 1, 2), (1, 3, 4)])
+        rows = [[2, 1, 0], [4, 3, 1]]
+        for dtype in (np.uint8, np.int16, np.uint32, np.int64, np.uint64):
+            assert hg.make(5, np.array(rows, dtype=dtype)) == want
+        assert hg.make(5, [(True, 0, 2), (1, 3, 4)]) == want  # bool is an int subclass
+        with pytest.raises(hg.HypergraphError, match="out of range"):
+            hg.make(5, np.array([[2**63, 1, 2]], dtype=np.uint64))
+
+
+def loop_random_masks(nbits, gen, samples):
+    """random_masks as it was written first, one sample and one bit at a time."""
+    masks = []
+    for density in (0.25, 0.5, 0.75):
+        for _ in range(max(1, samples // 3)):
+            bits = gen.random(nbits) < density
+            masks.append(sum(1 << i for i in range(nbits) if bits[i]))
+    return masks
+
+
+@pytest.mark.parametrize("nbits, samples", [
+    (60, 500), (40, 100), (64, 2000), (16, 300), (150, 500), (1, 5), (0, 3),
+    (7 * 7, 50), (60 * 60, 10),  # the n*n-bit masks of the ee audit
+])
+def test_random_masks_match_loop(nbits, samples):
+    for seed in (0, 5):
+        got = hg.random_masks(nbits, hg.rng(seed), samples)
+        assert got == loop_random_masks(nbits, hg.rng(seed), samples)
+        assert all(type(m) is int for m in got)
+
+
 class TestShadow:
     def test_k4_minus_covers_all_pairs(self):
         # oracle: union of pairs of each edge

@@ -51,9 +51,12 @@ class TestHypergraphFormats:
         with pytest.raises(hg.HypergraphError):
             uio.hypergraph_from_text("3\n0 1 2\n")
 
-    @pytest.mark.parametrize("row", ["0 1.5 2", "0 1 2e0", "0 1 2.0", "0 1 x", "0 1 99999999999999999999"])
+    @pytest.mark.parametrize("row", [
+        "0 1.5 2", "0 1 2e0", "0 1 2.0", "0 1 x", "0 1 99999999999999999999",
+        "0 1 +3", "0 1 1_0", "0 1 -1", "0 1 ٢", "0 1 " + "0" * 18 + "2",
+    ])
     def test_non_integer_token_rejected(self, row):
-        with pytest.raises(ValueError):
+        with pytest.raises(hg.HypergraphError, match="^line 2: "):
             uio.hypergraph_from_text(f"3 1\n{row}\n")
 
 
@@ -223,6 +226,17 @@ class TestCli:
         ]) == 0
         assert "seed" not in json.loads(rpt.read_text())
 
+    def test_certify_deep_search_refused_not_a_traceback(self, tmp_path, capsys):
+        # the search recurses once per shadow pair: K44 (946 pairs) fits the
+        # interpreter's recursion limit, K46 (1035 pairs) does not
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"colors": ["a"], "patterns": [["a", "a", "a"]]}))
+        assert cli.main(["certify", "--F", "k44", "--palette", str(one)]) == 0
+        assert "certificate validated" in capsys.readouterr().out
+        assert cli.main(["certify", "--F", "k46", "--palette", str(one)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("unidense: error: 1035 shadow pairs") and "Traceback" not in err
+
     def test_usage_error_exit_64(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["certify", "--F", "k4"])  # missing --palette
@@ -341,6 +355,7 @@ class TestCli:
         assert cli.main(["audit", "quasirandom", str(g), "--delta", "1/4", "--d", "1/2"]) == 64
         err = capsys.readouterr().err
         assert err.startswith("unidense: error:") and "Traceback" not in err
+        assert ("line " in err) == bool(content)  # an empty file has no line to name
 
     def test_out_of_domain_thresholds_exit_64(self, tmp_path, capsys):
         h = tmp_path / "t.txt"
@@ -370,7 +385,7 @@ class TestCli:
         h.write_text(f"3 1\n{row}\n")
         assert cli.main(["audit", "uniform", str(h), "--d", "1/4", "--eta", "0"]) == 64
         err = capsys.readouterr().err
-        assert err.startswith("unidense: error:") and "Traceback" not in err
+        assert err.startswith("unidense: error: line 2: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["--star", "ee", "--d=-1/2"],
