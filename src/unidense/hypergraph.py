@@ -392,13 +392,17 @@ def rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def pack_rows(bits: np.ndarray) -> list[int]:
+    """The rows of a 2-D boolean array as ints: bit j of int i is bits[i, j]."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def random_masks(nbits: int, gen, samples: int) -> list[int]:
     """max(1, samples // 3) random subsets at each element density 1/4, 1/2, 3/4."""
     masks = []
     for density in (0.25, 0.5, 0.75):
-        bits = gen.random((max(1, samples // 3), nbits)) < density  # row i is sample i's draws
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        masks += [int.from_bytes(row.tobytes(), "little") for row in packed]
+        masks += pack_rows(gen.random((max(1, samples // 3), nbits)) < density)  # row i is sample i
     return masks
 
 

@@ -538,7 +538,9 @@ def ternary_tables(triples) -> TernaryTables:
     return TernaryTables(width, arcs)
 
 
-def solve_ternary(domains, constraints, counter, budget, interchangeable=False, chain=()):
+def solve_ternary(
+    domains, constraints, counter, budget, interchangeable=False, chain=(), accept=None
+):
     """Forward-checked backtracking over bitmask domains.
 
     This is the one search engine behind both :func:`representable` and
@@ -551,6 +553,12 @@ def solve_ternary(domains, constraints, counter, budget, interchangeable=False, 
     by one node per value tried; the search stops once it exceeds budget.
     Returns (status, assignment) with status "sat", "unsat" or "budget"; the
     assignment is a list of values when status is "sat".
+
+    accept, if given, is called on each total assignment (the engine's own
+    list, to be read before returning) and its status stands in for "sat":
+    "unsat" rejects the assignment and the search goes on.  The hook may run
+    a search of its own on the same counter and budget.  The search recurses
+    once per variable; callers turn a RecursionError into :func:`too_deep`.
 
     The constraints are compiled into one arc list per variable: the arc of
     v in a constraint holds the other two variables and the tables of v's
@@ -586,7 +594,9 @@ def solve_ternary(domains, constraints, counter, budget, interchangeable=False, 
     chain values are below k and every later one is at least u, so values u
     become k and the rest stay put; otherwise the whole chain lies in P.  So
     the search meets a solution whenever one exists, and "unsat" means full
-    exhaustion up to the symmetry.
+    exhaustion up to the symmetry.  With accept, "solution" means a total
+    assignment the hook takes, and the rules need the hook's answers to be
+    invariant under the same permutations.
     """
     n = len(domains)
     domains = list(domains)
@@ -626,7 +636,7 @@ def solve_ternary(domains, constraints, counter, budget, interchangeable=False, 
 
     def bt(depth, used):
         if depth == n:
-            return "sat"
+            return "sat" if accept is None else accept(assign)
         live = (1 << (used + 1)) - 1 if interchangeable else -1
         if depth < len(chain):
             var = chain[depth]
@@ -662,15 +672,18 @@ def solve_ternary(domains, constraints, counter, budget, interchangeable=False, 
             assign[var] = -1
         return "unsat"
 
-    try:
-        status = bt(0, 0)
-    except RecursionError:
-        # bt recurses once per variable; an explicit stack would lift this cap
-        raise ValueError(
-            f"{n} shadow pairs to colour: the search recurses once per pair, deeper than "
-            f"the interpreter's recursion limit ({sys.getrecursionlimit()}) allows"
-        ) from None
+    status = bt(0, 0)
     return status, (assign if status == "sat" else None)
+
+
+def too_deep(size: str, step: str) -> ValueError:
+    """The error for a search through :func:`solve_ternary` that recursed
+    deeper than the interpreter allows: size names the instance's size and
+    step what the search recurses on.  An explicit stack would lift the cap."""
+    return ValueError(
+        f"{size}: the search recurses once per {step}, deeper than "
+        f"the interpreter's recursion limit ({sys.getrecursionlimit()}) allows"
+    )
 
 
 def _edge_slots_for_ordering(F: Hypergraph3, ordering) -> list[tuple]:
@@ -766,9 +779,12 @@ def representable(
             (tuple(pidx[p] for p in slots), tables)
             for slots in _edge_slots_for_ordering(F, ordering)
         ]
-        status, assign = solve_ternary(
-            [(1 << K) - 1] * s, constraints, counter, budget, interchangeable, chain
-        )
+        try:
+            status, assign = solve_ternary(
+                [(1 << K) - 1] * s, constraints, counter, budget, interchangeable, chain
+            )
+        except RecursionError:
+            raise too_deep(f"{s} shadow pairs to colour", "pair") from None
         if status == "sat":
             coloring = {p: colors[value_order[assign[i]]] for i, p in enumerate(pairs)}
             cert = RepresentabilityCertificate(tuple(ordering), coloring)

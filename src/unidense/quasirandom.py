@@ -21,6 +21,7 @@ import numpy as np
 from .hypergraph import (
     Hypergraph3,
     bit_positions,
+    pack_rows,
     random_masks,
     rng,
     split_sums,
@@ -59,9 +60,7 @@ class BipartiteGraph:
 
     @classmethod
     def random(cls, nx_: int, ny_: int, p: float, seed) -> "BipartiteGraph":
-        m = rng(seed).random((nx_, ny_)) < p
-        rows = tuple(int(sum(1 << y for y in range(ny_) if m[x, y])) for x in range(nx_))
-        return cls(nx_, ny_, rows)
+        return cls(nx_, ny_, tuple(pack_rows(rng(seed).random((nx_, ny_)) < p)))
 
     @classmethod
     def complete(cls, nx_: int, ny_: int) -> "BipartiteGraph":

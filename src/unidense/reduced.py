@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .hypergraph import Hypergraph3, rng
-from .palette import NO_SYMMETRY, Palette, Symmetry, solve_ternary, ternary_tables
+from .palette import NO_SYMMETRY, Palette, Symmetry, solve_ternary, ternary_tables, too_deep
 
 
 class ReducedError(ValueError):
@@ -205,16 +205,6 @@ class ReducedHypergraph:
 
     def degree(self, ijk, role: int, v: int) -> int:
         return int(np.count_nonzero(np.take(self.cube(ijk), v, axis=role)))
-
-    def completions(self, ijk, r1: int, r2: int, u: int, v: int) -> int:
-        """Bitmask over the remaining role of vertices completing (u, v) to an edge."""
-        sizes = self.role_sizes(ijk)
-        if not (0 <= u < sizes[r1] and 0 <= v < sizes[r2]):
-            return 0
-        at = [slice(None)] * 3
-        at[r1], at[r2] = u, v
-        line = np.packbits(self.cube(ijk)[tuple(at)], bitorder="little")
-        return int.from_bytes(line.tobytes(), "little")
 
     def __eq__(self, other):
         return (
@@ -551,97 +541,78 @@ def find_reduced_map(
     budget: int | None = None,
     injective: bool = False,
 ) -> ReducedMapResult:
-    """Backtracking search for a reduced map: index assignments lambda are
-    enumerated vertex by vertex, and each total lambda hands the colouring of
-    the shadow pairs to :func:`unidense.palette.solve_ternary`, the engine
-    shared with :func:`unidense.palette.representable`.
+    """Search for a reduced map as two nested runs of
+    :func:`unidense.palette.solve_ternary`, the engine shared with
+    :func:`unidense.palette.representable`, on one node counter and budget.
 
-    When A is index-homogeneous (see :func:`_index_homogeneous`), indices are
-    interchangeable: a vertex takes an index already used or the first unused
-    one, by the argument of :func:`unidense.palette.solve_ternary`, and the
-    result names the group Sym(|I|).
+    The outer run gives each vertex of F an index position.  Each edge of F
+    is a constraint allowing every ordering of each distinct index triple
+    whose constituent is nonempty; as every shadow pair lies in an edge, this
+    also keeps the ends of a pair on distinct indices.  Its accept hook takes
+    each total lambda: with injective it first asks for F.n distinct indices,
+    then the inner run colours the shadow pairs, pair (u, v) taking a vertex
+    of class (lambda(u), lambda(v)) and each edge a constituent edge.
 
-    Exhaustion certifies F-freeness; a budget stop is reported as inconclusive.
-    Certificates are re-validated before being returned.
+    When A is index-homogeneous (see :func:`_index_homogeneous`), every index
+    permutation maps maps to maps, so indices are the outer run's
+    interchangeable values and the result names the group Sym(|I|).
+
+    Exhaustion certifies F-freeness; a budget stop is reported as
+    inconclusive.  Maps are re-validated before being returned.  An F whose
+    vertices and shadow pairs outrun the interpreter's recursion limit is
+    refused with a ValueError naming its size.
     """
-    if len(A.indices) < 2:
-        raise ReducedError("index set too small")
-    if not F.edges:
-        lam = {v: A.indices[v % len(A.indices)] for v in range(F.n)}
-        return ReducedMapResult("map", ReducedMap(lam, {}), 0)
     m = len(A.indices)
+    if m < 2:
+        raise ReducedError("index set too small")
     first_use = _index_homogeneous(A)
     symmetry = Symmetry.product([(f"Sym({m})", math.factorial(m))] if first_use else [])
-
-    vorder = sorted(range(F.n), key=lambda v: (-F.degree(v), v))
-    vpos = {v: i for i, v in enumerate(vorder)}
+    pos = {i: p for p, i in enumerate(A.indices)}
+    lam_tables = ternary_tables(
+        t
+        for triples, cubes in A.stacks
+        for ijk, nonempty in zip(triples, cubes.any(axis=(1, 2, 3)).tolist())
+        if nonempty
+        for t in itertools.permutations([pos[i] for i in ijk])
+    )
     shadow = sorted(F.shadow())
-    nbrs: dict[int, list[int]] = {v: [] for v in range(F.n)}
-    for u, v in shadow:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    edges_full_at: list[list[tuple[int, int, int]]] = [[] for _ in range(F.n)]
-    for e in F.edges:
-        edges_full_at[max(vpos[v] for v in e)].append(e)
-
+    pidx = {p: t for t, (u, v) in enumerate(shadow) for p in ((u, v), (v, u))}
+    tables: dict = {}  # (shape, bytes) of a constituent's cube -> its colouring tables
     counter = [0]
-    lam: dict[int, int] = {}
+    found = []
 
-    tables: dict = {}
-
-    def solve_phi():
-        """Colour the shadow pairs once lambda is total."""
-        pidx = {p: i for i, p in enumerate(shadow)}
-        classes = [tuple(sorted((lam[u], lam[v]))) for u, v in shadow]
-        constraints = []  # (vars ordered by role, tables)
+    def colour(assign):
+        """The accept hook: colour the shadow pairs under the total lambda."""
+        if injective and len(set(assign)) < F.n:
+            return "unsat"
+        lam = [A.indices[p] for p in assign]
+        constraints = []
         for e in F.edges:
-            ijk = tuple(sorted(lam[x] for x in e))
-            if ijk not in tables:
-                tables[ijk] = ternary_tables(A.constituents[ijk])
-            role_of = {p: r for r, p in enumerate(A.roles(ijk))}
-            by_role = [None, None, None]
-            for a, b in itertools.combinations(e, 2):
-                fp = tuple(sorted((a, b)))
-                by_role[role_of[tuple(sorted((lam[a], lam[b])))]] = pidx[fp]
-            constraints.append((tuple(by_role), tables[ijk]))
+            x, y, z = sorted(e, key=lam.__getitem__)
+            cube = A.cube((lam[x], lam[y], lam[z]))
+            key = (cube.shape, cube.tobytes())  # equal constituents share their tables
+            if key not in tables:
+                tables[key] = ternary_tables(map(tuple, np.argwhere(cube).tolist()))
+            constraints.append(((pidx[x, y], pidx[x, z], pidx[y, z]), tables[key]))
+        classes = [tuple(sorted((lam[u], lam[v]))) for u, v in shadow]
         domains = [(1 << A.class_sizes[c]) - 1 for c in classes]
-        status, assign = solve_ternary(domains, constraints, counter, budget)
-        if status != "sat":
-            return status, None
-        return "sat", {p: (classes[i], assign[i]) for i, p in enumerate(shadow)}
+        status, local = solve_ternary(domains, constraints, counter, budget)
+        if status == "sat":
+            found.append(ReducedMap(dict(enumerate(lam)), dict(zip(shadow, zip(classes, local)))))
+        return status
 
-    def bt_lambda(step, used):
-        if step == F.n:
-            status, phi = solve_phi()
-            if status == "sat":
-                return "sat", phi
-            return status, None
-        v = vorder[step]
-        for pos, idx in enumerate(A.indices[: used + 1] if first_use else A.indices):
-            counter[0] += 1
-            if budget is not None and counter[0] > budget:
-                return "budget", None
-            if injective and idx in lam.values():
-                continue
-            if any(u in lam and lam[u] == idx for u in nbrs[v]):
-                continue
-            lam[v] = idx
-            ok = True
-            for e in edges_full_at[step]:
-                ijk = tuple(sorted(lam[x] for x in e))
-                if len(set(ijk)) == 3 and not A.constituents[ijk]:
-                    ok = False
-                    break
-            if ok:
-                res, phi = bt_lambda(step + 1, max(used, pos + 1))
-                if res != "unsat":
-                    return res, phi
-            del lam[v]
-        return "unsat", None
-
-    status, phi = bt_lambda(0, 0)
+    try:
+        status, _lam = solve_ternary(
+            [(1 << m) - 1] * F.n, [(e, lam_tables) for e in F.edges], counter, budget,
+            interchangeable=first_use, accept=colour,
+        )
+    except RecursionError:
+        raise too_deep(
+            f"{F.n} vertices to index and {len(shadow)} pairs to colour",
+            "vertex and once per pair",
+        ) from None
     if status == "sat":
-        rm = ReducedMap(dict(lam), phi)
+        (rm,) = found
         if not validate_reduced_map(F, A, rm):  # pragma: no cover - safety net
             raise AssertionError("internal error: reduced map failed validation")
         return ReducedMapResult("map", rm, counter[0], symmetry)

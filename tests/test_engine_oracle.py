@@ -191,3 +191,84 @@ def test_engine_matches_dict_engine(csp, budget):
     event(f"{want[0]}{' +chain' if chain else ''}{' +values' if interchangeable else ''}")
     assert got == want
     assert new_counter == old_counter
+
+
+@st.composite
+def small_csps(draw):
+    """(domains, [(vars3, triples)], interchangeable) small enough to enumerate;
+    interchangeable only where its preconditions hold."""
+    K = draw(st.integers(1, 3))
+    values = draw(st.booleans())
+    nvars = draw(st.integers(1, 6))
+    triple = st.tuples(*[st.integers(0, K - 1)] * 3)
+    scopes = list(itertools.permutations(range(nvars), 3))
+    shared = closed(draw(st.sets(triple, max_size=10)), K, values, False)
+    cons = []
+    for v3 in draw(st.lists(st.sampled_from(scopes), max_size=8)) if scopes else []:
+        own = values or draw(st.booleans())
+        cons.append((v3, shared if own else set(draw(st.sets(triple, max_size=10)))))
+    full = (1 << K) - 1
+    domain = st.just(full) if values else st.integers(1, full)
+    return draw(st.lists(domain, min_size=nvars, max_size=nvars)), cons, values
+
+
+def brute_solutions(domains, cons):
+    """Every assignment within the domains that meets every constraint."""
+    choices = [[c for c in range(d.bit_length()) if d >> c & 1] for d in domains]
+    return {
+        a
+        for a in itertools.product(*choices)
+        if all(tuple(a[v] for v in v3) in codes for v3, codes in cons)
+    }
+
+
+def first_use(a):
+    """The relabelling of a by values in order of first use along the variables."""
+    seen = {}
+    return tuple(seen.setdefault(c, len(seen)) for c in a)
+
+
+@SETTINGS
+@given(small_csps())
+def test_accept_hook_sees_every_solution(csp):
+    # a hook that answers "unsat" turns the search into an enumeration: with
+    # no symmetry rule it meets every solution once, and with interchangeable
+    # values one first-use representative of each solution's orbit
+    domains, cons, interchangeable = csp
+    seen = []
+
+    def record(assign):
+        seen.append(tuple(assign))
+        return "unsat"
+
+    tables = {}
+    compiled = [(v3, tables.setdefault(frozenset(c), pal.ternary_tables(c))) for v3, c in cons]
+    got = pal.solve_ternary(domains, compiled, [0], None, interchangeable, accept=record)
+    assert got == ("unsat", None)
+    want = brute_solutions(domains, cons)
+    assert len(seen) == len(set(seen)) and set(seen) <= want
+    if interchangeable:
+        assert {first_use(a) for a in seen} == {first_use(a) for a in want}
+        assert len(seen) == len({first_use(a) for a in want})
+    else:
+        assert set(seen) == want
+    event(f"{len(want)} solutions{' +values' if interchangeable else ''}")
+
+
+def test_accept_hook_answers_end_the_search():
+    # x0 < x1 < x2 over three values has the one solution (0, 1, 2)
+    tables = pal.ternary_tables([(0, 1, 2)])
+    calls = []
+
+    def answer(status):
+        def hook(assign):
+            calls.append(tuple(assign))
+            return status
+        return hook
+
+    for status, want in (("sat", ("sat", [0, 1, 2])), ("unsat", ("unsat", None)),
+                         ("budget", ("budget", None))):
+        calls.clear()
+        counter = [0]
+        got = pal.solve_ternary([7, 7, 7], [((0, 1, 2), tables)], counter, 100, accept=answer(status))
+        assert got == want and calls == [(0, 1, 2)]

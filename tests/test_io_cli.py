@@ -237,6 +237,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("unidense: error: 1035 shadow pairs") and "Traceback" not in err
 
+    def test_reduced_map_deep_search_refused_not_a_traceback(self, tmp_path, capsys):
+        # the index search recurses once per vertex: 1200 vertices and one
+        # edge (three shadow pairs) outrun the interpreter's recursion limit
+        a, f = tmp_path / "a.json", tmp_path / "f.txt"
+        uio.write_reduced(rd.from_palette(pal.builtin("ee6"), 3), a)
+        uio.write_hypergraph(hg.make(1200, [(0, 1, 2)]), f)
+        assert cli.main(["reduced", "map", str(a), "--F", str(f)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("unidense: error: 1200 vertices") and "Traceback" not in err
+        assert "1200 shadow pairs" not in err and "3 pairs" in err
+
     def test_usage_error_exit_64(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["certify", "--F", "k4"])  # missing --palette
