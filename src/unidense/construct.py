@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hypergraph import Hypergraph3, rng
+from .hypergraph import Hypergraph3, pack_rows, rng
 from .palette import Palette, PaletteError, WeightedColorSet, roedl_palette, tournament_palette
 from .quasirandom import BipartiteGraph
 from .reduced import ReducedHypergraph
@@ -212,10 +212,7 @@ class PartitionedColoring:
     def class_graph(self, i: int, j: int, local: int) -> BipartiteGraph:
         """Bipartite graph between blocks i and j formed by one colour class."""
         arr = self.codes[(i, j)] == local
-        rows = tuple(
-            int(sum(1 << y for y in range(arr.shape[1]) if arr[x, y])) for x in range(arr.shape[0])
-        )
-        return BipartiteGraph(arr.shape[0], arr.shape[1], rows)
+        return BipartiteGraph(arr.shape[0], arr.shape[1], tuple(pack_rows(arr)))
 
 
 def random_partitioned_coloring(A: ReducedHypergraph, h: int, seed) -> PartitionedColoring:

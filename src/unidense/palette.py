@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, inf, lcm
@@ -557,8 +556,8 @@ def solve_ternary(
     accept, if given, is called on each total assignment (the engine's own
     list, to be read before returning) and its status stands in for "sat":
     "unsat" rejects the assignment and the search goes on.  The hook may run
-    a search of its own on the same counter and budget.  The search recurses
-    once per variable; callers turn a RecursionError into :func:`too_deep`.
+    a search of its own on the same counter and budget.  The levels live on
+    an explicit stack, so the search has no depth limit.
 
     The constraints are compiled into one arc list per variable: the arc of
     v in a constraint holds the other two variables and the tables of v's
@@ -634,30 +633,47 @@ def solve_ternary(
                 return False
         return True
 
-    def bt(depth, used):
-        if depth == n:
-            return "sat" if accept is None else accept(assign)
-        live = (1 << (used + 1)) - 1 if interchangeable else -1
-        if depth < len(chain):
-            var = chain[depth]
+    # the levels above the current one, each suspended as (its variable, that
+    # variable's chain successor, the domains before it was assigned, its
+    # untried values, the used count above it)
+    stack: list[tuple] = []
+    used = 0
+    while True:
+        depth = len(stack)
+        if depth < n:
+            live = (1 << (used + 1)) - 1 if interchangeable else -1
+            if depth < len(chain):
+                var = chain[depth]
+            else:
+                var, best = -1, inf
+                for v in order:
+                    if assign[v] < 0:
+                        k = (domains[v] & live).bit_count()
+                        if k < best:
+                            var, best = v, k
+                            if not k:
+                                break
+            nxt = chain_next.get(var)
+            saved = domains[:]
+            rest = domains[var] & live
         else:
-            var, best = -1, inf
-            for v in order:
-                if assign[v] < 0:
-                    k = (domains[v] & live).bit_count()
-                    if k < best:
-                        var, best = v, k
-                        if not k:
-                            break
-        nxt = chain_next.get(var)
-        saved = domains[:]
-        rest = domains[var] & live
-        while rest:
+            status = "sat" if accept is None else accept(assign)
+            if status != "unsat":
+                return status, (assign if status == "sat" else None)
+            rest = 0  # back to the last level's next value
+        while True:
+            if not rest:
+                if not stack:
+                    return "unsat", None
+                var, nxt, saved, rest, used = stack.pop()
+                domains[:] = saved
+                assign[var] = -1
+                continue
             c = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             counter[0] += 1
             if budget is not None and counter[0] > budget:
-                return "budget"
+                return "budget", None
             assign[var] = c
             ok = propagate(var, c)
             if ok and nxt is not None:
@@ -665,25 +681,11 @@ def solve_ternary(
                 ok = nd != 0
                 domains[nxt] = nd
             if ok:
-                res = bt(depth + 1, max(used, c + 1))
-                if res != "unsat":
-                    return res
+                stack.append((var, nxt, saved, rest, used))
+                used = max(used, c + 1)
+                break
             domains[:] = saved
             assign[var] = -1
-        return "unsat"
-
-    status = bt(0, 0)
-    return status, (assign if status == "sat" else None)
-
-
-def too_deep(size: str, step: str) -> ValueError:
-    """The error for a search through :func:`solve_ternary` that recursed
-    deeper than the interpreter allows: size names the instance's size and
-    step what the search recurses on.  An explicit stack would lift the cap."""
-    return ValueError(
-        f"{size}: the search recurses once per {step}, deeper than "
-        f"the interpreter's recursion limit ({sys.getrecursionlimit()}) allows"
-    )
 
 
 def _edge_slots_for_ordering(F: Hypergraph3, ordering) -> list[tuple]:
@@ -779,12 +781,9 @@ def representable(
             (tuple(pidx[p] for p in slots), tables)
             for slots in _edge_slots_for_ordering(F, ordering)
         ]
-        try:
-            status, assign = solve_ternary(
-                [(1 << K) - 1] * s, constraints, counter, budget, interchangeable, chain
-            )
-        except RecursionError:
-            raise too_deep(f"{s} shadow pairs to colour", "pair") from None
+        status, assign = solve_ternary(
+            [(1 << K) - 1] * s, constraints, counter, budget, interchangeable, chain
+        )
         if status == "sat":
             coloring = {p: colors[value_order[assign[i]]] for i, p in enumerate(pairs)}
             cert = RepresentabilityCertificate(tuple(ordering), coloring)

@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .hypergraph import Hypergraph3, rng
-from .palette import NO_SYMMETRY, Palette, Symmetry, solve_ternary, ternary_tables, too_deep
+from .palette import NO_SYMMETRY, Palette, Symmetry, solve_ternary, ternary_tables
 
 
 class ReducedError(ValueError):
@@ -548,19 +548,20 @@ def find_reduced_map(
     The outer run gives each vertex of F an index position.  Each edge of F
     is a constraint allowing every ordering of each distinct index triple
     whose constituent is nonempty; as every shadow pair lies in an edge, this
-    also keeps the ends of a pair on distinct indices.  Its accept hook takes
-    each total lambda: with injective it first asks for F.n distinct indices,
-    then the inner run colours the shadow pairs, pair (u, v) taking a vertex
-    of class (lambda(u), lambda(v)) and each edge a constituent edge.
+    also keeps the ends of a pair on distinct indices.  With injective, each
+    vertex pair {u, v} also lies in an all-different constraint over
+    {u, v, w}, w the least of 0, 1, 2 not in it, so a reused index is cut
+    while lambda is partial (the hook tests F.n distinct indices for an F of
+    fewer than 3 vertices).  The accept hook takes each total lambda and
+    colours the shadow pairs in the inner run, pair (u, v) taking a vertex of
+    class (lambda(u), lambda(v)) and each edge a constituent edge.
 
     When A is index-homogeneous (see :func:`_index_homogeneous`), every index
     permutation maps maps to maps, so indices are the outer run's
     interchangeable values and the result names the group Sym(|I|).
 
     Exhaustion certifies F-freeness; a budget stop is reported as
-    inconclusive.  Maps are re-validated before being returned.  An F whose
-    vertices and shadow pairs outrun the interpreter's recursion limit is
-    refused with a ValueError naming its size.
+    inconclusive.  Maps are re-validated before being returned.
     """
     m = len(A.indices)
     if m < 2:
@@ -601,16 +602,18 @@ def find_reduced_map(
             found.append(ReducedMap(dict(enumerate(lam)), dict(zip(shadow, zip(classes, local)))))
         return status
 
-    try:
-        status, _lam = solve_ternary(
-            [(1 << m) - 1] * F.n, [(e, lam_tables) for e in F.edges], counter, budget,
-            interchangeable=first_use, accept=colour,
-        )
-    except RecursionError:
-        raise too_deep(
-            f"{F.n} vertices to index and {len(shadow)} pairs to colour",
-            "vertex and once per pair",
-        ) from None
+    constraints = [(e, lam_tables) for e in F.edges]
+    if injective and F.n >= 3:
+        distinct = ternary_tables(itertools.permutations(range(m), 3))
+        triples = {
+            tuple(sorted({u, v, min({0, 1, 2} - {u, v})}))
+            for u, v in itertools.combinations(range(F.n), 2)
+        }
+        constraints += [(t, distinct) for t in sorted(triples)]
+    status, _lam = solve_ternary(
+        [(1 << m) - 1] * F.n, constraints, counter, budget,
+        interchangeable=first_use, accept=colour,
+    )
     if status == "sat":
         (rm,) = found
         if not validate_reduced_map(F, A, rm):  # pragma: no cover - safety net

@@ -253,6 +253,19 @@ class TestLift:
         assert l1.hypergraph == l2.hypergraph
 
 
+    def test_class_graph_rows(self):
+        # bit y of row x is set exactly when the pair (x, y) takes the local
+        # vertex; 11 columns make each row span two bytes
+        A = rd.from_palette(pal.builtin("ee6"), 3)
+        pc = cn.random_partitioned_coloring(A, 11, seed=5)
+        for pair, size in A.class_sizes.items():
+            codes = pc.codes[pair]
+            for local in range(size):
+                want = tuple(
+                    sum(1 << y for y in range(11) if codes[x, y] == local) for x in range(11)
+                )
+                assert pc.class_graph(*pair, local).rows == want
+
 class TestSoundnessVsRepresentability:
     def test_build_h_contains_f_only_if_representable(self):
         # sampled desk-scale check of the finite decision criterion

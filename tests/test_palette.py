@@ -2,6 +2,7 @@
 representability search against naive full enumeration."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -288,6 +289,69 @@ class TestRepresentable:
         F = hg.make(4, [])
         res = pal.representable(F, pal.builtin("tournament"))
         assert res.found
+
+
+class TestSolveTernary:
+    # the search keeps its levels on a list, so its depth is not bounded by
+    # the interpreter's recursion limit
+    DEPTH = 3 * sys.getrecursionlimit()
+
+    def path(self, n, triples):
+        """Constraints over (i, i+1, i+2) along n variables, all allowing triples."""
+        tables = pal.ternary_tables(triples)
+        return [((i, i + 1, i + 2), tables) for i in range(n - 2)]
+
+    def test_deep_chain_sat(self):
+        up = [t for t in itertools.product(range(2), repeat=3) if t[0] <= t[1] <= t[2]]
+        n = self.DEPTH
+        counter = [0]
+        status, assign = pal.solve_ternary([3] * n, self.path(n, up), counter, None)
+        assert status == "sat" and counter[0] == n
+        assert all(a <= b for a, b in zip(assign, assign[1:]))
+
+    def test_deep_chain_unsat_unwinds(self):
+        # every triple equal, the first variable 0 and the last 1: the wipe-out
+        # comes at the far end and the search backs out of every level
+        n = self.DEPTH
+        counter = [0]
+        status, assign = pal.solve_ternary(
+            [1] + [3] * (n - 2) + [2], self.path(n, [(0, 0, 0), (1, 1, 1)]), counter, None
+        )
+        assert (status, assign) == ("unsat", None) and n - 3 <= counter[0] <= n
+
+    def test_accept_runs_a_nested_search(self):
+        # the hook takes an outer assignment only when a deep inner search on
+        # the same counter and budget succeeds, which it does once x0 = 1
+        n = self.DEPTH
+        outer = self.path(3, itertools.product(range(2), repeat=3))
+        inner = self.path(n, [(0, 0, 0), (1, 1, 1)])
+
+        def search(counter, budget):
+            seen = []
+
+            def accept(assign):
+                seen.append(tuple(assign))
+                domains = [1 << assign[0]] + [3] * (n - 2) + [2]
+                status, got = pal.solve_ternary(domains, inner, counter, budget, chain=range(n))
+                assert status != "sat" or got == [1] * n
+                return status
+
+            return pal.solve_ternary([3, 3, 3], outer, counter, budget, accept=accept), seen
+
+        (status, assign), seen = search([0], None)
+        assert status == "sat" and assign[0] == 1
+        assert seen == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)]
+        counter = [0]
+        assert search(counter, n)[0] == ("budget", None) and counter[0] == n + 1
+
+    def test_no_variables(self):
+        counter = [0]
+        assert pal.solve_ternary([], [], counter, None) == ("sat", [])
+        for status in ("sat", "unsat", "budget"):
+            want = [] if status == "sat" else None
+            got = pal.solve_ternary([], [], counter, None, accept=lambda a, s=status: s)
+            assert got == (status, want)
+        assert counter == [0]
 
 
 class TestZeroDensityCertificate:

@@ -571,8 +571,8 @@ class TestFindReducedMap:
         assert res.found and A._constituents is None
 
     def test_edgeless_injective(self):
-        # no edge constrains lambda, so only the all-different test in the
-        # hook can refuse: five vertices need five indices
+        # no edge constrains lambda, so only the all-different constraints
+        # can refuse: five vertices need five indices
         F = hg.make(5, [])
         res = rd.find_reduced_map(F, rd.from_palette(pal.builtin("ee6"), 3), injective=True)
         assert res.status == "free"
@@ -581,6 +581,25 @@ class TestFindReducedMap:
             res = rd.find_reduced_map(F, A, injective=True)
             assert res.found and len(set(res.reduced_map.lam.values())) == 5
             assert rd.validate_reduced_map(F, A, res.reduced_map)
+        # two vertices lie in no triple, so the hook's own test keeps them apart
+        A = rd.from_palette(pal.builtin("ee6"), 3)
+        res = rd.find_reduced_map(hg.make(2, []), A, injective=True)
+        assert res.reduced_map.lam == {0: 0, 1: 1}
+
+    def test_injective_prunes_partial_lambda(self):
+        # a reused index is cut while lambda is partial; testing only total
+        # lambdas took 1364 nodes here (4^5 assignments and their prefixes)
+        A = rd.from_palette(pal.builtin("tournament"), 4)
+        res = rd.find_reduced_map(hg.make(5, []), A, injective=True)
+        assert res.status == "free" and res.nodes <= 100
+
+    def test_deep_f(self):
+        # 600 vertices and 600 shadow pairs: the outer and inner searches
+        # together are far deeper than the interpreter's recursion limit
+        F = hg.make(600, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(200)])
+        A = rd.from_palette(pal.builtin("ee6"), 7)
+        res = rd.find_reduced_map(F, A)
+        assert res.found and rd.validate_reduced_map(F, A, res.reduced_map)
 
     def test_single_edge_trivial(self):
         A = rd.from_palette(pal.builtin("ee6"), 3)
