@@ -16,6 +16,18 @@ the witness space was fully covered: the searched sets are enumerated, while
 the innermost set (C for vvv, P for ev, Q for ee) is minimized analytically,
 which covers all of its 2^k choices at once because the slack is additive
 over that set's elements.
+
+The exact ``scores`` kernels compute in float64, so that numpy's products
+run on BLAS, and hand int64 back to the sweep.  Every value they hold is an
+integer, and float64 adds and multiplies integers exactly, in any order and
+with fused multiply-adds, while every operand and partial sum has magnitude
+below 2^53.  The scaled slacks and their partial sums stay within
+scale n^3, with scale <= 10^9 by ``_scaled`` and n <= 62 by ``subset_sweep``
+(ee's n^2 bits give n <= 7), so within 10^9 * 62^3 < 2.4 * 10^14, far below
+2^53 ~ 9.0 * 10^15.  Each notion checks its bound before it builds its
+tables and refuses the sweep beyond it, which only n > 200 can reach.  The
+flips and score() that replay the winner stay in int64, so the replay checks
+the float64 table independently.
 """
 
 from __future__ import annotations
@@ -158,12 +170,17 @@ class DensityReport:
 
 def _ordered_edge_tensor(H: Hypergraph3) -> np.ndarray:
     """t[x, y, z] = 1 when {x, y, z} is an edge (so x, y, z distinct); n^3 bytes."""
-    n = H.n
-    t = np.zeros((n, n, n), dtype=np.int8)
-    for e in H.edges:
-        for p in _PERMS3:
-            t[e[p[0]], e[p[1]], e[p[2]]] = 1
+    t = np.zeros((H.n,) * 3, dtype=np.int8)
+    for p in _PERMS3:
+        t[tuple(H.array[:, p].T)] = 1
     return t
+
+
+def _float_exact(bound: int) -> None:
+    """Refuse an exact sweep whose float64 values could reach 2^53 in
+    magnitude (see the module docstring)."""
+    if bound >= 1 << 53:
+        raise ValueError(f"an exact sweep with values up to {bound} is out of reach")
 
 
 def _scaled(d, eta, n: int):
@@ -171,9 +188,10 @@ def _scaled(d, eta, n: int):
 
     A slack times scale is an integer: each counted witness contributes
     d_term = d * scale <= scale, and the eta n^3 allowance is eta_term.  The
-    guard scale <= 10^9 keeps the scaled slacks without their eta term in
-    int64 (each notion's docstring gives its bound); eta's numerator is
-    unbounded, so eta_term is a Python int added after the minimum.
+    guard scale <= 10^9 keeps the scaled slacks without their eta term below
+    2^53, exact in the float64 kernels (each notion's docstring gives its
+    bound); eta's numerator is unbounded, so eta_term is a Python int added
+    after the minimum.
     """
     d, eta = Fraction(d), Fraction(eta)
     if not 0 <= d <= 1:
@@ -232,8 +250,9 @@ def audit_uniform_dense(
     Exact (all 2^n subsets, rated from split-half tables by
     ``_uniform_scores``) when n <= exact_threshold; sampled subsets at several
     densities plus single-flip descent otherwise.  The scaled slack without
-    its eta term lies in [-scale C(n,3), scale C(n,3)] with scale <= 10^9, so
-    it fits int64 for n < 3800; eta_term is added as a Python int afterwards.
+    its eta term lies in [-scale C(n,3), scale C(n,3)] with scale <= 10^9:
+    below 2^53 for the exact sweep's n <= 62.  eta_term is added as a Python
+    int afterwards.
     """
     d, eta, scale, d_term, eta_term = _scaled(d, eta, H.n)
     n = H.n
@@ -263,6 +282,7 @@ def audit_uniform_dense(
         return {"U": bit_positions(mask)}
 
     if n <= exact_threshold:
+        _float_exact(scale * n**3)
         scores = _uniform_scores(H, scale, np.array(binom_term, dtype=np.int64))
         result = subset_sweep(n, scores, 4, flip, score, witness)
         return _exact("uniform", d, eta, scale, eta_term, result, 1 << n)
@@ -286,43 +306,46 @@ def _uniform_scores(H: Hypergraph3, scale: int, binom_term: np.ndarray):
     the high vertex h + j, Q_hi[m, i] counts the pairs of the high set m that
     complete one with the low vertex i, and 1[.] is a set's indicator row.
     Consecutive masks run through every low set for each high set in turn, so
-    a chunk is rated as a block of high sets by all low sets, its cross terms
-    two matrix products.  The tables hold 2^h (n + 2) cells for the low half
-    and 2^(n-h) (n + 2) for the high half, and a block has at least 2^h cells
-    whatever the chunk size; both are small at the default threshold n <= 22.
+    a chunk is rated as a block of high sets by all low sets: scale e(U) is
+    one float64 product of scale [1[U_hi], Q_hi, e(U_hi), 1] by
+    [P_lo^T; 1[U_lo]^T; 1; e(U_lo)], less the binomial term, read off a table
+    by |U_hi| and U_lo.  The tables hold 2^h (2n - h + 3) cells for the low
+    half and 2^(n-h) (n + 2) for the high half, and a block has at least 2^h
+    cells whatever the chunk size; both are small at the default threshold
+    n <= 22.
     """
     n = H.n
     h = n // 2
     # links[c, a, b] = 1 when {a, b, c} is an edge and a < b
-    links = np.triu(_ordered_edge_tensor(H).astype(np.int64), 1)
+    links = np.triu(_ordered_edge_tensor(H).astype(np.float64), 1)
     lo, hi = slice(0, h), slice(h, n)
-    lo_ind, hi_ind = _indicator_rows(h), _indicator_rows(n - h)
+    lo_ind = _indicator_rows(h).astype(np.float64)
+    hi_ind = _indicator_rows(n - h).astype(np.float64)
 
     def completing(ind, part_links):
         # [m, k]: pairs of the set m that complete an edge with the k-th vertex
-        table = np.zeros((len(ind), len(part_links)), dtype=np.int64)
-        for k, link in enumerate(part_links):
-            table[:, k] = ((ind @ link) * ind).sum(axis=1)
-        return table
+        k, a, b = part_links.shape
+        ends = ind @ part_links.transpose(1, 0, 2).reshape(a, k * b)
+        return np.einsum("mkb,mb->mk", ends.reshape(len(ind), k, b), ind)
 
-    p_lo = completing(lo_ind, links[hi, lo, lo])
-    q_hi = completing(hi_ind, links[lo, hi, hi])
     # an edge inside a half completes one of its pairs with each of its 3 vertices
     e_lo = (lo_ind * completing(lo_ind, links[lo, lo, lo])).sum(axis=1) // 3
     e_hi = (hi_ind * completing(hi_ind, links[hi, hi, hi])).sum(axis=1) // 3
-    lo_size, hi_size = lo_ind.sum(axis=1), hi_ind.sum(axis=1)
+    ones_hi, ones_lo = np.ones(len(hi_ind)), np.ones(len(lo_ind))
+    left = scale * np.column_stack([hi_ind, completing(hi_ind, links[lo, hi, hi]), e_hi, ones_hi])
+    right = np.vstack([completing(lo_ind, links[hi, lo, lo]).T, lo_ind.T, ones_lo, e_lo])
+    # binoms[s, m]: the binomial term of U with s high vertices and U_lo = m
+    lo_size = lo_ind.sum(axis=1).astype(np.int64)
+    binoms = binom_term[np.arange(n - h + 1)[:, None] + lo_size].astype(np.float64)
+    hi_size = hi_ind.sum(axis=1).astype(np.int64)
 
     def scores(masks):
         first = int(masks[0]) >> h
-        his = np.arange(first, (int(masks[-1]) >> h) + 1)
-        inside = hi_ind[his] @ p_lo.T
-        inside += q_hi[his] @ lo_ind.T
-        inside += e_hi[his, None]
-        inside += e_lo
-        inside *= scale
-        inside -= binom_term[hi_size[his, None] + lo_size]
+        his = slice(first, (int(masks[-1]) >> h) + 1)
+        inside = left[his] @ right
+        inside -= binoms[hi_size[his]]
         start = int(masks[0]) - (first << h)
-        return inside.ravel()[start : start + len(masks)]
+        return inside.ravel()[start : start + len(masks)].astype(np.int64)
 
     return scores
 
@@ -361,7 +384,7 @@ def _vvv_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densi
     A | B << n when sampled; the best C given A and B is {z : term[B, z] < 0}.
 
     Each term entry lies in [-scale n^2, scale n^2] and a slack in
-    [-scale n^3, 0], scale <= 10^9, so int64 holds them for n < 2000.
+    [-scale n^3, 0], scale <= 10^9: below 2^53 for the exact sweep's n <= 62.
     """
     d, eta, scale, d_term, eta_term = _scaled(d, eta, H.n)
     n = H.n
@@ -405,16 +428,24 @@ def _vvv_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densi
         }
 
     if exact:
-        # w and |A| of every A in a chunk, then every B's term by one product
-        sums = split_sums(np.column_stack([t.reshape(n, n * n), np.ones(n, dtype=np.int64)]))
+        _float_exact(scale * n**3)
+        # scale w and -d_term |A| of every A in a chunk, then the term of every
+        # (B, A, z) by one product of [1[B], |B|] with them
+        scaled_t = scale * t.reshape(n, n * n).astype(np.float64)
+        sums = split_sums(np.column_stack([scaled_t, np.full(n, -d_term)]))
+        left = np.column_stack([b_rows, b_sizes]).astype(np.float64)
+        ones = np.ones(n)
 
         def scores(masks):
             wa = sums(masks)
-            terms = b_rows @ wa[:, :-1].reshape(len(masks), n, n)
-            terms *= scale
-            terms -= (d_term * wa[:, -1, None, None]) * b_sizes[:, None]
+            c = len(masks)
+            right = np.empty((n + 1, c, n))
+            right[:n] = wa[:, :-1].reshape(c, n, n).transpose(1, 0, 2)
+            right[n] = wa[:, -1:]
+            terms = left @ right.reshape(n + 1, c * n)
             np.minimum(terms, 0, out=terms)
-            return terms.sum(axis=2).min(axis=1)
+            slacks = (terms.reshape((len(left) * c, n)) @ ones).reshape(len(left), c)
+            return slacks.min(axis=0).astype(np.int64)
 
         result = subset_sweep(n, scores, (n + 2 << n) + 2 * n * n + 2, flip, score, witness)
         return _exact("vvv", d, eta, scale, eta_term, result, (1 << n) ** 3)
@@ -431,7 +462,9 @@ class _RowSums:
     sum(min(term, 0)).  Element i's row is scale * t[i] - d_term placed at
     term[at(i)].  A flip adds the int8 t[i], with a trailing 1 that counts
     the elements placed there, to count[at(i)], and score() forms term from
-    count; the int64 table of every element's row is built only by ``sweep``.
+    count in int64; the float64 table of every element's row is built only
+    by ``sweep``.  At most n elements are placed at each cell of term, so its
+    entries lie in [-scale n, scale n] and the slack in [-scale n^3, 0].
     """
 
     def __init__(self, t: np.ndarray, at, scale: int, d_term: int):
@@ -455,15 +488,17 @@ class _RowSums:
 
     def sweep(self, witness):
         n = len(self.count)
-        rows = np.zeros((len(self.t), n, n), dtype=np.int64)
+        _float_exact(self.scale * n**3)
+        rows = np.zeros((len(self.t), n, n))
         for i, row in enumerate(rows):
-            row[self.at(i)] = self.scale * self.t[i, ..., :-1].astype(np.int64) - self.d_term
+            row[self.at(i)] = self.scale * self.t[i, ..., :-1].astype(np.float64) - self.d_term
         sums = split_sums(rows.reshape(len(rows), n * n))
+        ones = np.ones(n * n)
 
         def scores(masks):
             terms = sums(masks)
             np.minimum(terms, 0, out=terms)
-            return terms.sum(axis=1)
+            return (terms @ ones).astype(np.int64)
 
         width = 2 * n * n + 1
         return subset_sweep(len(rows), scores, width, self.flip, self.score, witness)
@@ -474,7 +509,7 @@ def _ev_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densit
     where term[b, c] = scale #{a in A : abc ordered edge} - d_term |A|.
 
     Each entry lies in [-scale n, scale n] and the slack in [-scale n^3, 0],
-    scale <= 10^9, so int64 holds them for n < 2000.
+    scale <= 10^9: below 2^53 for the exact sweep's n <= 62.
     """
     d, eta, scale, d_term, eta_term = _scaled(d, eta, H.n)
     n = H.n
@@ -497,7 +532,7 @@ def _ee_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densit
     term[b, c] = scale #{a : (a,b) in P, abc ordered edge} - d_term #{a : (a,b) in P}.
 
     Each entry lies in [-scale n, scale n] and the slack in [-scale n^3, 0],
-    scale <= 10^9, so int64 holds them for n < 2000.
+    scale <= 10^9: below 2^53 for the exact sweep's n^2 <= 62 bits, n <= 7.
     """
     d, eta, scale, d_term, eta_term = _scaled(d, eta, H.n)
     n = H.n

@@ -263,7 +263,7 @@ def bit_positions(mask: int) -> list[int]:
 # a run of consecutive bitmasks at once, read off split-half tables such as
 # those of ``split_sums`` (meet in the middle, Horowitz-Sahni 1974).
 
-_SWEEP_CELLS = 1 << 17  # int64 cells a chunk of the exact sweep may hold
+_SWEEP_CELLS = 1 << 17  # 8-byte (int64 or float64) cells a chunk of the exact sweep may hold
 
 
 def gray_rank(masks: np.ndarray) -> np.ndarray:
@@ -280,14 +280,17 @@ def subset_sweep(nbits: int, scores, width: int, flip, score, witness):
     """Exhaustive minimum of the score over all 2^nbits subsets.
 
     The masks are rated in chunks of consecutive masks, ascending, by
-    ``scores(masks)``, which the caller declares to hold at most ``width``
-    int64 cells per mask at once; with the chunk's masks and scores that is
-    at most _SWEEP_CELLS cells.  The cap bounds this per-chunk working set
+    ``scores(masks)``, which returns the chunk's integer scores and which the
+    caller declares to hold at most ``width`` 8-byte cells per mask at once;
+    with the chunk's masks and scores that is at most _SWEEP_CELLS cells.  A
+    chunk is an aligned run: its length is a power of two and its first mask
+    a multiple of that length.  The cap bounds this per-chunk working set
     only: the tables ``scores`` reads from are the caller's, such as the
-    2^(nbits/2) k cells per half of ``split_sums``.  The minimum is taken by the key (score, Gray rank), so on ties
-    the set a Gray-code walk from the empty set reaches first wins.  The
-    caller's set, empty at the start, is then flipped to the winner, and
-    score() must give the table's value there before witness() describes it.
+    2^(nbits/2) k cells per half of ``split_sums``.  The minimum is taken by
+    the key (score, Gray rank), so on ties the set a Gray-code walk from the
+    empty set reaches first wins.  The caller's set, empty at the start, is
+    then flipped to the winner, and score() must give the table's value there
+    before witness() describes it.
     Returns (best score, witness).
     """
     if nbits > 62:
@@ -319,10 +322,14 @@ def subset_sweep(nbits: int, scores, width: int, flip, score, witness):
 def split_sums(rows):
     """Vectorised subset sums of the rows of an (nbits, k) array.
 
-    Returns sums(masks): row i of the result is the sum of rows[j] over the
-    set bits j of masks[i], read as F_lo[low half] + F_hi[high half] from two
+    Returns sums(masks) for a run of consecutive masks, such as a chunk of
+    ``subset_sweep``: row i of the result is the sum of rows[j] over the set
+    bits j of masks[i], read as F_lo[low half] + F_hi[high half] from two
     tables of all subset sums of the low and the high half of the rows, which
-    hold about 2^(nbits/2) k cells each.
+    hold about 2^(nbits/2) k cells each.  A run within one block of 2^half
+    masks is a slice of F_lo plus one row of F_hi; a longer one is read from
+    the whole blocks it meets, F_hi[his, None] + F_lo[None], so no table row
+    is gathered by index.  The sums keep the rows' dtype.
     """
     rows = np.asarray(rows)
     half = len(rows) // 2
@@ -330,9 +337,12 @@ def split_sums(rows):
     low_bits = (1 << half) - 1
 
     def sums(masks):
-        out = lo[masks & low_bits]
-        out += hi[masks >> half]
-        return out
+        first, last = int(masks[0]), int(masks[-1])
+        start = first & low_bits
+        if first >> half == last >> half:
+            return lo[start : start + len(masks)] + hi[first >> half]
+        blocks = hi[first >> half : (last >> half) + 1, None] + lo[None]
+        return blocks.reshape(len(blocks) * len(lo), *lo.shape[1:])[start : start + len(masks)]
 
     return sums
 

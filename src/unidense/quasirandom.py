@@ -148,8 +148,9 @@ def audit_quasirandom(
     p, q = d.numerator, d.denominator
     # v[y] = q (c_y - d|A|), c_y the neighbours of y in A, is the sum over x in
     # A of steps[x]; each |v[y]| is at most q |X| and every sum of them at most
-    # q |X| |Y|, held in int64 unless that could overflow
-    dtype = np.int64 if q * W.nx * W.ny < 2**63 else object
+    # q |X| |Y|, held in int64 unless that could overflow (Python ints then)
+    bound = q * W.nx * W.ny
+    dtype = np.int64 if bound < 2**63 else object
     steps = np.array([[q * (r >> y & 1) - p for y in range(W.ny)] for r in W.rows], dtype=dtype)
     v = np.zeros(W.ny, dtype=dtype)
     mask = up = down = 0
@@ -177,14 +178,18 @@ def audit_quasirandom(
         return bit_positions(mask), np.flatnonzero(v > 0 if up >= down else v < 0).tolist()
 
     if exact:
-        sums = split_sums(steps)
+        # v of every A in a chunk comes from float64 tables when the bound is
+        # below 2^53 (exact there, and summed on BLAS), else from tables of the
+        # dtype of steps; the total of v is split-half in steps' own dtype
+        table = steps.astype(np.float64) if bound < 2**53 else steps
+        sums, totals = split_sums(table), split_sums(steps.sum(axis=1))
+        ones = np.ones(W.ny, dtype=table.dtype)
 
         def scores(masks):
             vs = sums(masks)
-            total = vs.sum(axis=1)
             np.maximum(vs, 0, out=vs)
-            ups = vs.sum(axis=1)
-            return (masks == 0) - np.maximum(ups, ups - total)
+            ups = (vs @ ones).astype(dtype, copy=False)
+            return (masks == 0) - np.maximum(ups, ups - totals(masks))
 
         mode, nsamples = "exact", None
         neg_dev, (wa, wb) = subset_sweep(W.nx, scores, 2 * W.ny + 4, flip, score, witness)

@@ -39,6 +39,21 @@ def brute_count_ee(H, P, Q):
     return kpq, epq
 
 
+@pytest.mark.parametrize(
+    "n, p, seed", [(0, 0.0, 0), (6, 0.0, 0), (3, 1.0, 0), (7, 0.5, 1), (12, 0.3, 2)]
+)
+def test_ordered_edge_tensor_matches_literal_loop(n, p, seed):
+    gen = np.random.default_rng(seed)
+    H = hg.Hypergraph3(n, [e for e in itertools.combinations(range(n), 3) if gen.random() < p])
+    want = np.zeros((n, n, n), dtype=np.int8)
+    for e in H.edges:
+        for x, y, z in itertools.permutations(e):
+            want[x, y, z] = 1
+    got = dn._ordered_edge_tensor(H)
+    assert got.dtype == np.int8 and got.shape == (n, n, n)
+    assert (got == want).all()
+
+
 class TestCounts:
     def test_single_edge_all_orderings(self):
         H = hg.clique(3)

@@ -249,7 +249,7 @@ def test_literal_spaces_agree_on_small_instances():
     assert oracle_ee(H2, F(1, 2), F(1, 9))[0] == literal_density_min(H2, "ee", F(1, 2), F(1, 9))
 
 
-# -- the int64 bound ----------------------------------------------------------------
+# -- the float64 bound --------------------------------------------------------------
 
 # scale = d.denominator * eta.denominator sits at the 10^9 guard of _scaled
 AT_GUARD = [(F(3, 7), F(1, 142857142)), (F(999999999, 10**9), F(0)), (F(1, 125), F(7, 8000000))]
@@ -277,20 +277,81 @@ def test_ev_at_the_guard_matches_fraction_brute_force():
         assert (big_rep.min_slack, big_rep.worst_witness) == oracle_ev(big, d, eta)
 
 
+def oracle_vvv_from_counts(H):
+    """oracle_vvv for several thresholds at once: counts[a][b][z] is
+    count_vvv(A, B, {z}) for the bitmasks a, b, and z joins C when its count
+    is below d |A| |B|, compared in integers."""
+    n = H.n
+    subsets = [members(m, n) for m in range(1 << n)]
+    counts = [[[dn.count_vvv(H, A, B, [z]) for z in range(n)] for B in subsets] for A in subsets]
+
+    def oracle(d, eta):
+        p, q = d.numerator, d.denominator
+
+        def best_b(a):
+            for b, B in enumerate(subsets):
+                row, ab = counts[a][b], len(subsets[a]) * len(B)
+                C = [z for z in range(n) if q * row[z] < p * ab]
+                slack = F(sum(q * row[z] - p * ab for z in C), q) + eta * n**3
+                yield slack, {"A": subsets[a], "B": B, "C": C}
+
+        return first_min(first_min(best_b(a)) for a in gray(n))
+
+    return oracle
+
+
+def test_vvv_at_the_guard_matches_fraction_brute_force():
+    # every term of the exact vvv sweep, slack and all, is one float64 product
+    for H in (cn.tournament_hypergraph(6, 1), cn.roedl_hypergraph(6, 2)):
+        oracle = oracle_vvv_from_counts(H)
+        for d, eta in AT_GUARD + [HUGE_ETA]:
+            rep = dn.audit_star_dense(H, "vvv", d, eta)
+            assert (rep.min_slack, rep.worst_witness) == oracle(d, eta)
+            assert dn.slack_vvv(H, d, eta, **rep.worst_witness) == rep.min_slack
+
+
+def test_ee_at_the_guard_matches_fraction_brute_force():
+    H = hg.Hypergraph3(2, [])
+    big = hg.Hypergraph3(3, [(0, 1, 2)])
+    for d, eta in AT_GUARD + [HUGE_ETA]:
+        rep = dn.audit_star_dense(H, "ee", d, eta)
+        assert rep.min_slack == literal_density_min(H, "ee", d, eta)
+        big_rep = dn.audit_star_dense(big, "ee", d, eta)
+        assert (big_rep.min_slack, big_rep.worst_witness) == oracle_ee(big, d, eta)
+
+
 def test_quasirandom_int64_limit_matches_fraction_brute_force():
-    G = qr.BipartiteGraph.random(4, 5, 0.5, 11)
     # q |X| |Y| just below 2^63 stays on int64, at 2^63 and beyond on Python ints
-    for q in ((2**63 - 1) // 20, 2**63 // 20 + 1, 10**9):
-        for d in (F(1, q), F(q - 1, q)):
-            rep = qr.audit_quasirandom(G, F(1, 10), d)
-            assert rep.max_deviation == literal_max_deviation(G, d)
-            A, B = rep.witness_A, rep.witness_B
-            assert abs(G.e(A, B) - d * len(A) * len(B)) / 20 == rep.max_deviation
+    cases = [((4, 5), q) for q in ((2**63 - 1) // 20, 2**63 // 20 + 1, 10**9)]
+    # below 2^53 the sweep's tables are float64: the sides hit 2^53 - 1 (whose
+    # least prime factor is 6361), 2^53 and 2^53 + 1 (which 3 divides) exactly
+    at_float_limit = [((1, 6361), (2**53 - 1) // 6361), ((4, 4), 2**49), ((1, 3), (2**53 + 1) // 3)]
+    assert [q * nx * ny for (nx, ny), q in at_float_limit] == [2**53 - 1, 2**53, 2**53 + 1]
+    for (nx, ny), q in cases + at_float_limit:
+        for G in (qr.BipartiteGraph.random(nx, ny, 0.5, 11), qr.BipartiteGraph.complete(nx, ny)):
+            for d in (F(1, q), F(q - 1, q)):
+                rep = qr.audit_quasirandom(G, F(1, 10), d)
+                max_dev, A, B = oracle_quasirandom(G, d)
+                assert rep.max_deviation == max_dev
+                assert (rep.witness_A, rep.witness_B) == (tuple(A), tuple(B))
+                if nx * ny <= 20:
+                    assert rep.max_deviation == literal_max_deviation(G, d)
 
 
 def test_sweep_refuses_more_than_62_bits():
     with pytest.raises(ValueError, match="out of reach"):
         hg.subset_sweep(63, None, 1, None, None, None)
+
+
+def test_sweep_refuses_values_beyond_float64():
+    # scale n^3 = 10^9 * 209^3 passes 2^53; 208^3 would not
+    H = hg.Hypergraph3(209, [])
+    d, eta = F(1, 10**9), F(0)
+    with pytest.raises(ValueError, match="out of reach"):
+        dn.audit_uniform_dense(H, d, eta, exact_threshold=209)
+    for star in ("ev", "ee"):
+        with pytest.raises(ValueError, match="out of reach"):
+            dn.audit_star_dense(H, star, d, eta, exact_threshold=209)
 
 
 # -- memory of the sampled star audits ------------------------------------------------

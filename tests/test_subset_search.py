@@ -87,6 +87,23 @@ class TestSubsetSweep:
                 for m in masks]
         assert (hg.split_sums(rows)(masks) == np.array(want)).all()
 
+    @pytest.mark.parametrize("nbits", [0, 1, 2, 5, 7, 8])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_split_sums_reads_runs_within_and_across_low_blocks(self, nbits, dtype):
+        # a low block holds 2^(nbits // 2) masks; runs are aligned as the sweep's chunks
+        rows = np.random.default_rng(nbits).integers(-50, 50, (nbits, 3)).astype(dtype)
+        sums = hg.split_sums(rows)
+        block = 1 << nbits // 2
+        lengths = {1, max(block // 2, 1), block, min(2 * block, 1 << nbits), 1 << nbits}
+        for length in sorted(lengths):
+            for start in range(0, 1 << nbits, length):
+                masks = np.arange(start, start + length, dtype=np.int64)
+                got = sums(masks)
+                want = [sum((rows[i] for i in range(nbits) if m >> i & 1), np.zeros(3, dtype))
+                        for m in masks]
+                assert got.dtype == dtype and got.shape == (length, 3)
+                assert (got == np.array(want)).all()
+
 
 class TestSubsetSearch:
     def test_result_is_a_single_flip_local_minimum(self):
