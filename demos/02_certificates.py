@@ -20,6 +20,12 @@ for F, name, p_name in (
     print(f"{name:4s} vs {p_name:10s}: {res.status:6s}  space={res.space}  nodes={res.nodes}")
 
 print()
+print("-- the Rodl family: roedl(r) has vvv and ev density (r-1)/r and no K_{r+2} --")
+for r in range(3, 9):
+    res = representable(clique(r + 2), builtin(f"roedl({r})"))
+    print(f"K{r + 2:<2d} vs roedl({r}): {res.status:6s}  nodes={res.nodes}  symmetry {res.symmetry}")
+
+print()
 print("-- positive certificates --")
 res = representable(clique(5), builtin("ee6"))
 print(f"K5 vs ee6: {res.status}; pentagon-style two-colouring found:")

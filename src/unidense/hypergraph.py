@@ -517,7 +517,8 @@ def find_embedding(F: Hypergraph3, H: Hypergraph3) -> Embedding | None:
     for a vertex are the unused vertices completing every edge it closes: the
     AND of ``H.thirds`` over the images of the edges' other two vertices.  A
     partial map is also pruned when some edge with two mapped vertices has no
-    unused third vertex left.
+    unused third vertex left.  The search runs on an explicit stack, so F may
+    have any number of vertices.
     """
     if F.n > H.n:
         return None
@@ -536,32 +537,36 @@ def find_embedding(F: Hypergraph3, H: Hypergraph3) -> Embedding | None:
         two_at[pos[middle]].append((first, middle))
 
     img = [-1] * F.n
-    all_vertices = (1 << H.n) - 1
-
-    def bt(step: int, used: int):
-        if step == F.n:
-            return Embedding(tuple(img))
-        v = order[step]
-        cand = all_vertices & ~used
-        for a, b in closed_at[step]:
-            cand &= H.thirds(img[a], img[b])
+    # explicit stack: free[step] is the set of H's vertices order[:step] leave
+    # unused, cands[step] the candidates of order[step] left to try (None
+    # until the step is entered)
+    free = [(1 << H.n) - 1] * F.n
+    cands: list[int | None] = [None] * F.n
+    thirds, last, step = H.thirds, F.n - 1, 0
+    while step >= 0:
+        v, twos, unused = order[step], two_at[step], free[step]
+        cand = cands[step]
+        if cand is None:
+            cand = unused
+            for a, b in closed_at[step]:
+                cand &= thirds(img[a], img[b])
         while cand:
             bit = cand & -cand
             cand ^= bit
             img[v] = bit.bit_length() - 1
-            avail = all_vertices & ~(used | bit)
-            if all(H.thirds(img[a], img[b]) & avail for a, b in two_at[step]):
-                res = bt(step + 1, used | bit)
-                if res is not None:
-                    return res
-        img[v] = -1
-        return None
-
-    return bt(0, 0)
-
-
-def embeds(F: Hypergraph3, H: Hypergraph3) -> bool:
-    return find_embedding(F, H) is not None
+            avail = unused ^ bit
+            if all(thirds(img[a], img[b]) & avail for a, b in twos):
+                break
+        else:
+            img[v], cands[step] = -1, None
+            step -= 1
+            continue
+        if step == last:
+            return Embedding(tuple(img))
+        cands[step] = cand
+        step += 1
+        free[step] = avail
+    return None
 
 
 _MEET_WORDS = 1 << 18  # uint64 words the pair rows gathered for one chunk may hold

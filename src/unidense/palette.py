@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, inf, lcm
+from math import factorial, inf, lcm, prod
 from typing import NamedTuple
 
 from .hypergraph import Hypergraph3
@@ -361,14 +362,14 @@ class Symmetry:
 
     @classmethod
     def product(cls, factors) -> "Symmetry":
-        """Direct product of (name, order) factors; trivial factors are dropped."""
+        """Direct product of (name, order) factors; trivial factors are dropped,
+        and k equal factors are named once, as name^k."""
         factors = [(name, order) for name, order in factors if order > 1]
         if not factors:
             return cls()
-        order = 1
-        for _name, k in factors:
-            order *= k
-        return cls(" x ".join(name for name, _k in factors), order)
+        powers = Counter(name for name, _k in factors).items()
+        label = " x ".join(f"{name}^{k}" if k > 1 else name for name, k in powers)
+        return cls(label, prod(k for _name, k in factors))
 
     def to_json(self) -> dict:
         return {"group": self.name, "order": self.order}
@@ -422,39 +423,6 @@ def _pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _automorphisms(F: Hypergraph3) -> list[tuple[int, ...]]:
-    """Brute-force automorphism group; intended for |V(F)| <= 8."""
-    edges = F.edge_set
-    degs = [F.degree(v) for v in range(F.n)]
-    autos = []
-    for perm in itertools.permutations(range(F.n)):
-        if any(degs[perm[v]] != degs[v] for v in range(F.n)):
-            continue
-        if all(tuple(sorted((perm[a], perm[b], perm[c]))) in edges for a, b, c in F.edges):
-            autos.append(perm)
-    return autos
-
-
-def _canonical_orderings(F: Hypergraph3):
-    """One ordering per orbit under vertex relabelling by Aut(F), and the order
-    of the group used.
-
-    Representability under sigma is equivalent under a o sigma for any
-    automorphism a, so exhausting one representative per orbit is exhaustive.
-    Falls back to all orderings (group order 1) when the group is too large for
-    the orbit filter to pay off.
-    """
-    autos = _automorphisms(F) if F.n <= 8 else [tuple(range(F.n))]
-    if len(autos) == 1 or len(autos) * factorial(F.n) > 2 * 10**7:
-        return itertools.permutations(range(F.n)), 1
-    orbits = (
-        sigma
-        for sigma in itertools.permutations(range(F.n))
-        if min(tuple(a[v] for v in sigma) for a in autos) == sigma
-    )
-    return orbits, len(autos)
-
-
 def _twin_classes(F: Hypergraph3) -> list[list[int]]:
     """Classes of the twin relation, each sorted, in order of smallest vertex.
 
@@ -479,6 +447,32 @@ def _twin_classes(F: Hypergraph3) -> list[list[int]]:
             placed.update(cls)
             classes.append(cls)
     return classes
+
+
+def _twin_orderings(classes, n: int):
+    """The orderings of range(n) that list each class in increasing order, in
+    lexicographic order from the identity: for twin classes, the least of
+    each orbit of the twin group, n!/prod |C|! in all, so the first that fits
+    is the least fitting ordering of all n!.  Each comes from the last by a
+    next-permutation step, without recursion: the rightmost rank that some
+    larger class head of its suffix can take gets the smallest such head, and
+    the rest of the suffix follows in increasing order.
+    """
+    label = {v: k for k, cls in enumerate(classes) for v in cls}
+    sigma = list(range(n))
+    while True:
+        yield tuple(sigma)
+        heads = {}  # class -> its smallest vertex in sigma[i:]
+        for i in range(n - 1, -1, -1):
+            heads[label[sigma[i]]] = sigma[i]
+            w = min((h for h in heads.values() if h > sigma[i]), default=None)
+            if w is not None:
+                rest = sorted(sigma[i:])
+                rest.remove(w)
+                sigma[i:] = [w, *rest]
+                break
+        else:
+            return
 
 
 def _values_interchangeable(codes, K: int) -> bool:
@@ -720,12 +714,12 @@ def representable(
 
     The search is cut by the symmetries the instance has, and the result names
     the group used.  When the pattern codes are invariant under S_K, colours
-    are interchangeable.  For a symmetric palette and no fixed ordering, every
-    permutation of a twin class C of F (see :func:`_twin_classes`) maps
-    solutions to solutions; with v0 the smallest vertex of the largest class,
-    the colours of the pairs (v0, t), t in C other than v0, may then be
-    taken non-decreasing in t.  Asymmetric palettes keep one ordering per
-    Aut(F) orbit instead.
+    are interchangeable.  Every permutation of a twin class C of F (see
+    :func:`_twin_classes`) is an automorphism of F.  For a symmetric palette
+    and no fixed ordering, with v0 the smallest vertex of the largest class,
+    the colours of the pairs (v0, t), t in C other than v0, may be taken
+    non-decreasing in t.  Asymmetric palettes try one ordering per orbit of
+    the twin group (:func:`_twin_orderings`), named by its Sym(|C|) factors.
 
     probe_seed and probe_steps are accepted and ignored.  They configured a
     randomized certificate probe that has been removed; they stay in the
@@ -760,8 +754,9 @@ def representable(
             chain = tuple(pidx[v0, t] for t in row)
             groups.append((f"Sym({len(row)})", factorial(len(row))))
     else:
-        orderings, autos = _canonical_orderings(F)
-        groups.append(("Aut(F)", autos))
+        classes = _twin_classes(F)
+        orderings = _twin_orderings(classes, F.n)
+        groups += [(f"Sym({len(cls)})", factorial(len(cls))) for cls in classes]
         space = factorial(F.n) * K**s
     symmetry = Symmetry.product(groups)
 

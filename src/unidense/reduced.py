@@ -182,9 +182,6 @@ class ReducedHypergraph:
     def role_sizes(self, ijk) -> tuple[int, int, int]:
         return tuple(self.class_sizes[p] for p in _roles(ijk))
 
-    def vertex_count(self) -> int:
-        return sum(self.class_sizes.values())
-
     def class_rows(self, triples) -> np.ndarray:
         """(T, 3) int array: the position in ``class_sizes``, whose keys are
         the sorted classes, of the class of each role of each triple."""

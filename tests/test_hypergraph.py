@@ -300,7 +300,9 @@ class TestFindEmbedding:
         assert hg.find_embedding(hg.clique(4), hg.clique_minus4()) is None
 
     def test_identity_always_embeds(self):
-        for F in (hg.clique(5), hg.cycle5(), hg.fano(), hg.star(4)):
+        # 500 disjoint edges take 1500 search levels, one per vertex
+        matching = hg.make(1500, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(500)])
+        for F in (hg.clique(5), hg.cycle5(), hg.fano(), hg.star(4), matching):
             emb = hg.find_embedding(F, F)
             assert emb is not None and hg.check_embedding(F, F, emb)
 

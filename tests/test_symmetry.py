@@ -1,9 +1,11 @@
 """Soundness of the symmetry rules of the constraint engine: first-use values,
-the non-decreasing chain over a twin class and the Aut(F) ordering orbits, each
-against a search that uses none of them."""
+the non-decreasing chain over a twin class and the orderings that list each
+twin class in increasing order, each against a search that uses none of them."""
 
 import itertools
+from math import factorial
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -49,13 +51,16 @@ def hypergraphs(draw, max_n):
     edges = draw(st.lists(st.sampled_from(triples), min_size=1, max_size=8, unique=True))
     if kind == "twins":
         # close under every permutation of the class {0, ..., c-1}: its
-        # vertices are pairwise twins
+        # vertices are pairwise twins; then relabel, so that twin classes
+        # interleave
         c = draw(st.integers(2, n))
         edges = {
             tuple(sorted(perm[x] if x < c else x for x in e))
             for perm in itertools.permutations(range(c))
             for e in edges
         }
+        label = draw(st.permutations(range(n)))
+        edges = {tuple(sorted(label[x] for x in e)) for e in edges}
     return hg.make(n, edges)
 
 
@@ -167,8 +172,35 @@ def test_symmetry_names():
     assert res.symmetry == pal.Symmetry("S2 x Sym(5)", 240)
     # ee5 is closed under the colour 3-cycle but not under (1 2)
     assert pal.representable(hg.clique(5), pal.builtin("ee5")).symmetry.name == "Sym(4)"
+    # asymmetric palettes: one Sym(|C|) factor per twin class of F
     rainbow = pal.representable(hg.clique_minus4(), pal.builtin("rainbow"))
-    assert rainbow.symmetry == pal.Symmetry("Aut(F)", 6)
+    assert rainbow.symmetry == pal.Symmetry("Sym(3)", 6)
+    cycle5 = pal.representable(hg.cycle5(), pal.builtin("cycle5"))
+    assert cycle5.symmetry == pal.NO_SYMMETRY
+    two_edges = pal.representable(hg.make(6, [(0, 1, 2), (3, 4, 5)]), pal.builtin("tournament"))
+    assert two_edges.symmetry == pal.Symmetry("S2 x Sym(3)^2", 72)
     fixed = pal.representable(hg.clique(4), pal.builtin("ee6"), fixed_ordering=(3, 2, 1, 0))
     assert fixed.symmetry == pal.Symmetry("S2", 2)
     assert pal.representable(hg.make(4, []), pal.builtin("ee6")).symmetry == pal.NO_SYMMETRY
+
+
+def test_twin_orderings():
+    # {0, 3} and {1, 2} interleave: 4!/(2! 2!) orderings, in lexicographic order
+    assert list(pal._twin_orderings([[0, 3], [1, 2]], 4)) == [
+        (0, 1, 2, 3), (0, 1, 3, 2), (0, 3, 1, 2), (1, 0, 2, 3), (1, 0, 3, 2), (1, 2, 0, 3),
+    ]
+    for n in range(5):
+        # twin-free: every ordering, in the order itertools gives them
+        singletons = [[v] for v in range(n)]
+        assert list(pal._twin_orderings(singletons, n)) == list(itertools.permutations(range(n)))
+        assert list(pal._twin_orderings([list(range(n))], n)) == [tuple(range(n))]
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_roedl_family_is_free_against_the_clique(r):
+    """No pattern hypergraph over roedl(r) contains K_{r+2}, the paper's
+    Rödl-type bound (r-1)/r: K_{r+2} is one twin class, so the search takes
+    one ordering and r nodes."""
+    res = pal.representable(hg.clique(r + 2), pal.builtin(f"roedl({r})"), budget=10_000)
+    assert (res.status, res.nodes) == ("free", r)
+    assert res.symmetry == pal.Symmetry(f"S{r} x Sym({r + 2})", factorial(r) * factorial(r + 2))
