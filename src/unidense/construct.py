@@ -19,12 +19,7 @@ import numpy as np
 from .hypergraph import Hypergraph3, pack_rows, rng
 from .palette import Palette, PaletteError, WeightedColorSet, roedl_palette, tournament_palette
 from .quasirandom import BipartiteGraph
-from .reduced import ReducedHypergraph
-
-
-def pair_rank(n: int, x: int, y: int) -> int:
-    """Rank of the pair (x, y), x < y, in lexicographic order over all pairs."""
-    return x * (2 * n - x - 1) // 2 + (y - x - 1)
+from .reduced import ReducedHypergraph, pair_rank
 
 
 @dataclass

@@ -22,12 +22,13 @@ run on BLAS, and hand int64 back to the sweep.  Every value they hold is an
 integer, and float64 adds and multiplies integers exactly, in any order and
 with fused multiply-adds, while every operand and partial sum has magnitude
 below 2^53.  The scaled slacks and their partial sums stay within
-scale n^3, with scale <= 10^9 by ``_scaled`` and n <= 62 by ``subset_sweep``
-(ee's n^2 bits give n <= 7), so within 10^9 * 62^3 < 2.4 * 10^14, far below
-2^53 ~ 9.0 * 10^15.  Each notion checks its bound before it builds its
-tables and refuses the sweep beyond it, which only n > 200 can reach.  The
-flips and score() that replay the winner stay in int64, so the replay checks
-the float64 table independently.
+scale n^3, with scale <= 10^9 by ``_scaled`` and n <= 62 by the sweep's
+bits (ee's n^2 bits give n <= 7), so within 10^9 * 62^3 < 2.4 * 10^14, far
+below 2^53 ~ 9.0 * 10^15.  Before it builds anything, each exact branch
+declares its bits, the cells of its tables as a function of n and this
+bound to ``hypergraph.check_sweep``, the one refusal of a sweep out of
+reach.  The flips and score() that replay the winner stay in int64, so the
+replay checks the float64 table independently.
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ from .hypergraph import (
     RNG_ALGORITHM,
     Hypergraph3,
     bit_positions,
+    check_sweep,
     random_masks,
     rng,
+    split_cells,
     split_sums,
     subset_search,
     subset_sweep,
@@ -176,13 +179,6 @@ def _ordered_edge_tensor(H: Hypergraph3) -> np.ndarray:
     return t
 
 
-def _float_exact(bound: int) -> None:
-    """Refuse an exact sweep whose float64 values could reach 2^53 in
-    magnitude (see the module docstring)."""
-    if bound >= 1 << 53:
-        raise ValueError(f"an exact sweep with values up to {bound} is out of reach")
-
-
 def _scaled(d, eta, n: int):
     """Validated (d, eta, scale, d_term, eta_term) for integer slacks.
 
@@ -282,7 +278,8 @@ def audit_uniform_dense(
         return {"U": bit_positions(mask)}
 
     if n <= exact_threshold:
-        _float_exact(scale * n**3)
+        hi = n - n // 2  # see _uniform_scores for the tables over the two halves
+        check_sweep(n, (hi * hi + 4 * n + 8 << hi) + 3 * n**3, scale * n**3)
         scores = _uniform_scores(H, scale, np.array(binom_term, dtype=np.int64))
         result = subset_sweep(n, scores, 4, flip, score, witness)
         return _exact("uniform", d, eta, scale, eta_term, result, 1 << n)
@@ -311,8 +308,9 @@ def _uniform_scores(H: Hypergraph3, scale: int, binom_term: np.ndarray):
     [P_lo^T; 1[U_lo]^T; 1; e(U_lo)], less the binomial term, read off a table
     by |U_hi| and U_lo.  The tables hold 2^h (2n - h + 3) cells for the low
     half and 2^(n-h) (n + 2) for the high half, and a block has at least 2^h
-    cells whatever the chunk size; both are small at the default threshold
-    n <= 22.
+    cells whatever the chunk size.  The peak comes earlier: the pair counts
+    behind e(U_hi) take 2^(n-h) (n-h)^2 cells, so with the three n^3 edge
+    tensors the caller declares 2^(n-h) ((n-h)^2 + 4n + 8) + 3n^3 cells.
     """
     n = H.n
     h = n // 2
@@ -390,11 +388,9 @@ def _vvv_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densi
     n = H.n
     t = _ordered_edge_tensor(H)
     w = np.zeros((n, n), dtype=np.int64)  # w[y, z] = #{x in A : xyz ordered edge}
-    if exact:  # row b is the indicator vector of the subset B = b
-        b_rows = _indicator_rows(n)
-    else:  # the one B of the state, held in its bits n..2n-1
-        b_rows = np.zeros((1, n), dtype=np.int64)
-    b_sizes = b_rows.sum(axis=1)
+    # sampled: the one B of the state, held in its bits n..2n-1
+    b_rows = np.zeros((1, n), dtype=np.int64)
+    b_sizes = np.zeros(1, dtype=np.int64)
     mask = a_size = 0
     term = best_row = None
 
@@ -428,7 +424,12 @@ def _vvv_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densi
         }
 
     if exact:
-        _float_exact(scale * n**3)
+        # the rows of every B and their product [1[B], |B|] in int64 and
+        # float64, the split tables of scale w and -d_term |A|, a chunk's terms
+        # of one A and every (B, z), and score()'s replay over every B
+        check_sweep(n, (5 * n + 4 << n) + split_cells(n, n * n + 1) + 3 * n**3, scale * n**3)
+        b_rows = _indicator_rows(n)  # row b is the indicator vector of the subset B = b
+        b_sizes = b_rows.sum(axis=1)
         # scale w and -d_term |A| of every A in a chunk, then the term of every
         # (B, A, z) by one product of [1[B], |B|] with them
         scaled_t = scale * t.reshape(n, n * n).astype(np.float64)
@@ -487,9 +488,10 @@ class _RowSums:
         return int(np.minimum(self.term, 0).sum())
 
     def sweep(self, witness):
-        n = len(self.count)
-        _float_exact(self.scale * n**3)
-        rows = np.zeros((len(self.t), n, n))
+        n, nbits = len(self.count), len(self.t)
+        # the float64 rows of every element and their split tables
+        check_sweep(nbits, (nbits + n + 3) * n * n + split_cells(nbits, n * n), self.scale * n**3)
+        rows = np.zeros((nbits, n, n))
         for i, row in enumerate(rows):
             row[self.at(i)] = self.scale * self.t[i, ..., :-1].astype(np.float64) - self.d_term
         sums = split_sums(rows.reshape(len(rows), n * n))
@@ -501,7 +503,7 @@ class _RowSums:
             return (terms @ ones).astype(np.int64)
 
         width = 2 * n * n + 1
-        return subset_sweep(len(rows), scores, width, self.flip, self.score, witness)
+        return subset_sweep(nbits, scores, width, self.flip, self.score, witness)
 
 
 def _ev_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> DensityReport:

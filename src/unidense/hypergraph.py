@@ -261,9 +261,30 @@ def bit_positions(mask: int) -> list[int]:
 # flip(i) toggles element i, score() rates the current set, and witness()
 # describes it.  The exact sweep also takes scores(masks), the same score for
 # a run of consecutive bitmasks at once, read off split-half tables such as
-# those of ``split_sums`` (meet in the middle, Horowitz-Sahni 1974).
+# those of ``split_sums`` (meet in the middle, Horowitz-Sahni 1974).  Each
+# exact branch declares its tables to ``check_sweep`` before it builds them.
 
 _SWEEP_CELLS = 1 << 17  # 8-byte (int64 or float64) cells a chunk of the exact sweep may hold
+_TABLE_CELLS = 1 << 26  # 8-byte cells (512 MiB) the tables of one exact sweep may hold
+
+
+def check_sweep(nbits: int, cells: int, bound: int) -> None:
+    """Refuse an exact sweep that is out of reach, before anything is built.
+
+    ``cells`` is the peak count of 8-byte cells the sweep's tables and their
+    temporaries hold, and ``bound`` the largest magnitude its float64 values
+    can reach (0 when it holds none).  The sweep is out of reach past 62 bits
+    (its masks are int64), past _TABLE_CELLS cells, or at a bound of 2^53 or
+    more, where float64 stops holding every integer exactly.  This is the one
+    place an exact audit is refused for its size.
+    """
+    if nbits > 62 or cells > _TABLE_CELLS or bound >= 1 << 53:
+        size = f"{cells:,}" if cells < 1 << 40 else f"about 2^{cells.bit_length() - 1}"
+        raise ValueError(
+            f"an exact sweep over 2^{nbits} subsets with {size} table cells and values"
+            f" up to {bound} is out of reach (the limits are 2^62 subsets,"
+            f" {_TABLE_CELLS:,} cells of 8 bytes and values below 2^53)"
+        )
 
 
 def gray_rank(masks: np.ndarray) -> np.ndarray:
@@ -286,17 +307,18 @@ def subset_sweep(nbits: int, scores, width: int, flip, score, witness):
     chunk is an aligned run: its length is a power of two and its first mask
     a multiple of that length.  The cap bounds this per-chunk working set
     only: the tables ``scores`` reads from are the caller's, such as the
-    2^(nbits/2) k cells per half of ``split_sums``.  The minimum is taken by
+    2^(nbits/2) k cells per half of ``split_sums``, which the caller has
+    declared to ``check_sweep``; the chunk is checked there too, and a width
+    past _SWEEP_CELLS gives one mask per chunk.  The minimum is taken by
     the key (score, Gray rank), so on ties the set a Gray-code walk from the
     empty set reaches first wins.  The caller's set, empty at the start, is
     then flipped to the winner, and score() must give the table's value there
     before witness() describes it.
     Returns (best score, witness).
     """
-    if nbits > 62:
-        raise ValueError(f"an exact sweep over 2^{nbits} subsets is out of reach")
-    total = 1 << nbits
     step = 1 << max(0, (_SWEEP_CELLS // (width + 2)).bit_length() - 1)  # a power of two
+    check_sweep(nbits, step * (width + 2), 0)
+    total = 1 << nbits
     best = best_rank = best_mask = None
     for start in range(0, total, step):
         masks = np.arange(start, min(start + step, total), dtype=np.int64)
@@ -329,7 +351,8 @@ def split_sums(rows):
     hold about 2^(nbits/2) k cells each.  A run within one block of 2^half
     masks is a slice of F_lo plus one row of F_hi; a longer one is read from
     the whole blocks it meets, F_hi[his, None] + F_lo[None], so no table row
-    is gathered by index.  The sums keep the rows' dtype.
+    is gathered by index.  The sums keep the rows' dtype, and the two tables
+    hold ``split_cells(nbits, k)`` cells.
     """
     rows = np.asarray(rows)
     half = len(rows) // 2
@@ -347,11 +370,17 @@ def split_sums(rows):
     return sums
 
 
+def split_cells(nbits: int, k: int) -> int:
+    """The cells of the two tables ``split_sums`` builds from nbits rows of k."""
+    return ((1 << nbits // 2) + (1 << nbits - nbits // 2)) * k
+
+
 def _all_sums(rows: np.ndarray) -> np.ndarray:
-    """table[m] = sum of rows[j] over the set bits j of m, for every m < 2^len(rows)."""
-    table = np.zeros((1,) + rows.shape[1:], dtype=rows.dtype)
-    for row in rows:
-        table = np.concatenate([table, table + row])
+    """table[m] = sum of rows[j] over the set bits j of m, for every m < 2^len(rows),
+    filled in place: the sets holding bit j are those below it plus row j."""
+    table = np.zeros((1 << len(rows),) + rows.shape[1:], dtype=rows.dtype)
+    for j, row in enumerate(rows):
+        np.add(table[: 1 << j], row, out=table[1 << j : 2 << j])
     return table
 
 

@@ -430,8 +430,10 @@ def _twin_classes(F: Hypergraph3) -> list[list[int]]:
     that is, when their links agree once the pairs holding the other vertex
     are dropped.  The relation is an equivalence ((u x) = (u w)(w x)(u w)),
     and the transpositions inside a class generate its full symmetric group,
-    so every permutation of a class is an automorphism.  O(n^2 m); K_n is one
-    class.
+    so every permutation of a class is an automorphism.  K_n is one class.
+    Twins have equal open neighbourhoods N(u) = N(w) when no edge holds both
+    and equal closed ones N[u] = N[w] otherwise, so the vertices are bucketed
+    by both and the links compared only within a bucket.
     """
 
     def twins(u, w):
@@ -439,11 +441,22 @@ def _twin_classes(F: Hypergraph3) -> list[list[int]]:
             {p for p in F.link(u) if w not in p} == {p for p in F.link(w) if u not in p}
         )
 
+    closed = [{u} for u in range(F.n)]
+    for e in F.edges:
+        for v in e:
+            closed[v].update(e)
+    # N(u) = N[w] is impossible: w in N(u) puts u in N(w)
+    keys = [(frozenset(c - {u}), frozenset(c)) for u, c in enumerate(closed)]
+    buckets: dict = {}
+    for u, both in enumerate(keys):
+        for key in both:
+            buckets.setdefault(key, []).append(u)
     classes: list[list[int]] = []
     placed: set[int] = set()
     for u in range(F.n):
         if u not in placed:
-            cls = [u] + [w for w in range(u + 1, F.n) if w not in placed and twins(u, w)]
+            near = sorted({w for key in keys[u] for w in buckets[key] if w > u})
+            cls = [u] + [w for w in near if w not in placed and twins(u, w)]
             placed.update(cls)
             classes.append(cls)
     return classes

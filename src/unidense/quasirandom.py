@@ -13,6 +13,7 @@ all verdicts use exact rational arithmetic.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,9 +22,11 @@ import numpy as np
 from .hypergraph import (
     Hypergraph3,
     bit_positions,
+    check_sweep,
     pack_rows,
     random_masks,
     rng,
+    split_cells,
     split_sums,
     subset_search,
     subset_sweep,
@@ -180,8 +183,13 @@ def audit_quasirandom(
     if exact:
         # v of every A in a chunk comes from float64 tables when the bound is
         # below 2^53 (exact there, and summed on BLAS), else from tables of the
-        # dtype of steps; the total of v is split-half in steps' own dtype
-        table = steps.astype(np.float64) if bound < 2**53 else steps
+        # dtype of steps; the total of v is split-half in steps' own dtype.  A
+        # Python-int cell also holds its int object, in 16-byte blocks.
+        floats = bound < 2**53
+        per = 1 if dtype is np.int64 else 1 + 2 * -(-sys.getsizeof(bound) // 16)
+        cells = per * (split_cells(W.nx, W.ny + 1) + W.nx * W.ny)
+        check_sweep(W.nx, cells, bound if floats else 0)
+        table = steps.astype(np.float64) if floats else steps
         sums, totals = split_sums(table), split_sums(steps.sum(axis=1))
         ones = np.ones(W.ny, dtype=table.dtype)
 

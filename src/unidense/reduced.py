@@ -26,6 +26,12 @@ class ReducedError(ValueError):
     """Malformed reduced hypergraph or infeasible operation preconditions."""
 
 
+def pair_rank(n: int, x, y):
+    """Rank of the pair (x, y), x < y, in lexicographic order over all pairs
+    of 0..n-1; x and y may be int arrays."""
+    return x * (2 * n - x - 1) // 2 + (y - x - 1)
+
+
 def _ceil_frac(f: Fraction) -> int:
     return -((-f.numerator) // f.denominator)
 
@@ -187,11 +193,7 @@ class ReducedHypergraph:
         the sorted classes, of the class of each role of each triple."""
         m = len(self.indices)
         i, j, k = np.searchsorted(self.indices, np.array(triples).reshape(-1, 3)).T  # positions
-
-        def rank(a, b):  # the rank of the class at positions a < b among all C(m, 2)
-            return a * (2 * m - a - 1) // 2 + (b - a - 1)
-
-        return np.stack([rank(i, j), rank(i, k), rank(j, k)], axis=1)
+        return np.stack([pair_rank(m, i, j), pair_rank(m, i, k), pair_rank(m, j, k)], axis=1)
 
     def cube(self, ijk) -> np.ndarray:
         """Read-only boolean array of the role sizes: cube[a, b, c] is True

@@ -354,6 +354,97 @@ def test_sweep_refuses_values_beyond_float64():
             dn.audit_star_dense(H, star, d, eta, exact_threshold=209)
 
 
+# -- the sweep plan ----------------------------------------------------------------
+
+MIB = 1 << 20
+
+
+def audit_of(notion, n, bits):
+    """The audit of one notion on an instance of size n, exact up to bits."""
+    if notion == "quasirandom":
+        G = qr.BipartiteGraph.random(n, n, 0.5, 0)
+        return lambda: qr.audit_quasirandom(G, F(1, 5), F(1, 2), exact_bits=bits)
+    H = cn.tournament_hypergraph(n, 0)
+    H.thirds(0, 1)  # the pair rows are built before the audit is traced
+    if notion == "uniform":
+        return lambda: dn.audit_uniform_dense(H, F(1, 4), F(1, 10), exact_threshold=bits)
+    return lambda: dn.audit_star_dense(H, notion, F(1, 4), F(1, 10), exact_threshold=bits)
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+NOTIONS = ["uniform", "vvv", "ev", "ee", "quasirandom"]
+
+
+# every notion past 62 bits, and exact ev at n = 40, within 62 bits but past
+# the cap: its two split tables want 2^20 rows of 1600 cells
+@pytest.mark.parametrize("notion, n", [(notion, 70) for notion in NOTIONS] + [("ev", 40)])
+def test_plan_refuses_before_allocating(notion, n):
+    audit = audit_of(notion, n, n)
+
+    def run():
+        with pytest.raises(ValueError, match="out of reach"):
+            audit()
+
+    assert traced_peak(run) < 16 * MIB
+
+
+def test_check_sweep_limits():
+    hg.check_sweep(62, hg._TABLE_CELLS, 2**53 - 1)
+    for nbits, cells, bound in [(63, 0, 0), (0, hg._TABLE_CELLS + 1, 0), (0, 0, 2**53)]:
+        with pytest.raises(ValueError, match="out of reach"):
+            hg.check_sweep(nbits, cells, bound)
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_sampled_audits_make_no_plan(notion, monkeypatch):
+    def check(*args):
+        raise AssertionError("a sampled audit planned an exact sweep")
+
+    monkeypatch.setattr(qr if notion == "quasirandom" else dn, "check_sweep", check)
+    assert audit_of(notion, 8, 7)().mode == "sampled"
+
+
+class _Built(Exception):
+    pass
+
+
+# sizes whose tables take at least 16 MiB; each builds in well under a second
+@pytest.mark.parametrize("notion, n", [
+    ("uniform", 28), ("vvv", 16), ("ev", 24), ("ee", 6), ("quasirandom", 32),
+])
+def test_plan_bounds_the_tables_it_builds(notion, n, monkeypatch):
+    module = qr if notion == "quasirandom" else dn
+    declared = []
+
+    def check(nbits, cells, bound):
+        declared.append(cells)
+        hg.check_sweep(nbits, cells, bound)
+
+    def built(*args):
+        raise _Built
+
+    monkeypatch.setattr(module, "check_sweep", check)
+    monkeypatch.setattr(module, "subset_sweep", built)
+    audit = audit_of(notion, n, n)
+
+    def run():
+        with pytest.raises(_Built):
+            audit()
+
+    peak = traced_peak(run)
+    assert len(declared) == 1
+    assert 16 * MIB <= peak <= 8 * declared[0] + MIB
+
+
 # -- memory of the sampled star audits ------------------------------------------------
 
 

@@ -64,6 +64,21 @@ def hypergraphs(draw, max_n):
     return hg.make(n, edges)
 
 
+def oracle_twin_classes(F):
+    """Classes of the relation u ~ w iff the transposition (u w) maps E(F)
+    onto itself, in order of smallest vertex."""
+    E = set(F.edges)
+
+    def swap_fixes(u, w):
+        return E == {tuple(sorted(w if x == u else u if x == w else x for x in e)) for e in E}
+
+    classes = []
+    for u in range(F.n):
+        if not any(u in c for c in classes):
+            classes.append([u] + [w for w in range(u + 1, F.n) if swap_fixes(u, w)])
+    return classes
+
+
 def oracle_representable(F, P):
     """Depth-first colouring of the shadow pairs in lexicographic order, each
     edge checked once its last pair is coloured, under every ordering for an
@@ -101,6 +116,7 @@ def oracle_representable(F, P):
 def test_representable_agrees_with_oracle(data):
     P = data.draw(palettes())
     F = data.draw(hypergraphs(6 if P.symmetric else 5))
+    assert pal._twin_classes(F) == oracle_twin_classes(F)
     res = pal.representable(F, P)
     event(f"{res.status} under {res.symmetry.name}")
     assert res.status != "inconclusive"
