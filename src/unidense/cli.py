@@ -65,6 +65,17 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _count(text: str) -> int:
+    """A nonnegative integer flag; argparse names the flag in its error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def _budget(text: str) -> int:
     try:
         value = int(text)
@@ -182,20 +193,18 @@ def _cmd_certify(args, report):
 
 # -- table --------------------------------------------------------------------
 
-# (palette spec, F spec, notion, expected bound); every row is expected free
-_TABLE_ROWS = (
-    ("tournament", "k4minus", "vvv", Fraction(1, 4)),
-    ("tournament", "k4minus", "ev", Fraction(1, 4)),
-    ("roedl", "k4", "vvv", Fraction(1, 2)),
-    ("roedl", "k4", "ev", Fraction(1, 2)),
-    ("star4", "star4", "vvv", Fraction(1, 3)),
-    ("star4", "star4", "ev", Fraction(1, 3)),
-    ("ramsey6", "k6", "vvv", Fraction(3, 4)),
-    ("cycle5", "cycle5", "vvv", Fraction(4, 27)),
-    ("ee5", "k5", "ee", Fraction(1, 3)),
-    ("ee6", "k6", "ee", Fraction(1, 2)),
-    ("ee11", "k11", "ee", Fraction(2, 3)),
-)
+# the builtin palettes whose claims the table certifies, each claim a row
+# (palette, F = the claim's target, notion, bound = the claim's density)
+_TABLE_PALETTES = ("tournament", "roedl", "star4", "ramsey6", "cycle5", "ee5", "ee6", "ee11")
+
+
+def _table_rows():
+    """(palette spec, F spec, notion, bound) of every row of the table, in order."""
+    return [
+        (pal_spec, f_spec, notion, bound)
+        for pal_spec in _TABLE_PALETTES
+        for notion, bound, f_spec in _palette.builtin(pal_spec).claims
+    ]
 
 
 def _cmd_table(args, report):
@@ -203,7 +212,7 @@ def _cmd_table(args, report):
     rows = report["rows"] = []
     cache: dict = {}
     mismatch = False
-    for pal_spec, f_spec, notion, bound in _TABLE_ROWS:
+    for pal_spec, f_spec, notion, bound in _table_rows():
         P = _palette.builtin(pal_spec)
         F = _hg.named(f_spec)
         dens = P.density(notion)
@@ -429,7 +438,7 @@ def build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="seeded generators")
     gen.add_argument("kind", choices=("tournament", "roedl", "palette", "lift"))
     gen.add_argument("--n", type=int, default=50)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_count, default=0)
     gen.add_argument("--palette", help="palette for kind=palette")
     gen.add_argument("--reduced", help="reduced hypergraph JSON for kind=lift")
     gen.add_argument("--h", type=int, default=16, help="block size for kind=lift")
@@ -445,8 +454,8 @@ def build_parser() -> _Parser:
     au.add_argument("--d", type=_fraction, required=True)
     au.add_argument("--eta", type=_fraction, required=True)
     au.add_argument("--exact-threshold", type=int, default=22)
-    au.add_argument("--samples", type=int, default=10**5)
-    au.add_argument("--seed", type=int, default=0)
+    au.add_argument("--samples", type=_count, default=10**5)
+    au.add_argument("--seed", type=_count, default=0)
     command(au, "audit uniform", _cmd_audit_density)
 
     ast = aud_sub.add_parser("star", help="three-set / pair-set density notions")
@@ -455,8 +464,8 @@ def build_parser() -> _Parser:
     ast.add_argument("--d", type=_fraction, required=True)
     ast.add_argument("--eta", type=_fraction, required=True)
     ast.add_argument("--exact-threshold", type=int, default=None)
-    ast.add_argument("--samples", type=int, default=10**5)
-    ast.add_argument("--seed", type=int, default=0)
+    ast.add_argument("--samples", type=_count, default=10**5)
+    ast.add_argument("--seed", type=_count, default=0)
     command(ast, "audit star", _cmd_audit_density)
 
     aq = aud_sub.add_parser("quasirandom", help="bipartite subset-deviation audit")
@@ -464,8 +473,8 @@ def build_parser() -> _Parser:
     aq.add_argument("--delta", type=_fraction, required=True)
     aq.add_argument("--d", type=_fraction, required=True)
     aq.add_argument("--exact-bits", type=int, default=20)
-    aq.add_argument("--samples", type=int, default=2000)
-    aq.add_argument("--seed", type=int, default=0)
+    aq.add_argument("--samples", type=_count, default=2000)
+    aq.add_argument("--seed", type=_count, default=0)
     command(aq, "audit quasirandom", _cmd_audit_quasirandom)
 
     ac = aud_sub.add_parser("counting-lemma", help="triangle count vs product density")
@@ -496,7 +505,7 @@ def build_parser() -> _Parser:
     rj = red_sub.add_parser("project", help="random projection to uniform class size")
     rj.add_argument("input")
     rj.add_argument("--ell", type=int, required=True)
-    rj.add_argument("--seed", type=int, default=0)
+    rj.add_argument("--seed", type=_count, default=0)
     rj.add_argument("--out", required=True)
     command(rj, "reduced project", _cmd_reduced_project)
 

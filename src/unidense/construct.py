@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hypergraph import Hypergraph3, pack_rows, rng
+from .hypergraph import Hypergraph3, chunk_len, pack_rows, rng
 from .palette import Palette, PaletteError, WeightedColorSet, roedl_palette, tournament_palette
 from .quasirandom import BipartiteGraph
 from .reduced import ReducedHypergraph, pair_rank
@@ -81,9 +81,6 @@ def random_pair_coloring(n: int, base: WeightedColorSet, seed) -> PairColoring:
     return PairColoring(n, base, np.minimum(codes, len(base.colors) - 1))
 
 
-_SLAB_CELLS = 1 << 20  # pattern-cube lookups one slab of build_H may hold
-
-
 def build_H(phi: PairColoring, P: Palette) -> Hypergraph3:
     """Edges are the triples x < y < z whose pair colours, read as
     (smallest pair, outer pair, largest pair), form a palette pattern.
@@ -92,8 +89,8 @@ def build_H(phi: PairColoring, P: Palette) -> Hypergraph3:
     other cells hold a code K that no pattern uses.  A triple (x, y, z) is then
     an edge iff cube[M[x,y], M[x,z], M[y,z]] holds, which already fails unless
     x < y < z.  The lookup runs over slabs of rows x, each with y and z past
-    the slab's first row and at most _SLAB_CELLS cells, and np.argwhere lists
-    every slab's edges in lexicographic order.
+    the slab's first row and one byte per cell within ``chunk_len``, and
+    np.argwhere lists every slab's edges in lexicographic order.
     """
     for c in phi.base.colors:
         if c not in P.base.colors:
@@ -110,7 +107,7 @@ def build_H(phi: PairColoring, P: Palette) -> Hypergraph3:
     x0 = 0
     while x0 < n - 2:
         w = n - x0 - 1  # y and z run over x0+1 .. n-1
-        x1 = min(n - 2, x0 + max(1, _SLAB_CELLS // (w * w)))
+        x1 = min(n - 2, x0 + chunk_len(w * w))
         rest = M[x0 + 1 :, x0 + 1 :]
         hit = cube[M[x0:x1, x0 + 1 :, None], M[x0:x1, None, x0 + 1 :], rest[None]]
         slabs.append(np.argwhere(hit) + (x0, x0 + 1, x0 + 1))

@@ -45,6 +45,7 @@ from .hypergraph import (
     Hypergraph3,
     bit_positions,
     check_sweep,
+    chunk_len,
     random_masks,
     rng,
     split_cells,
@@ -279,7 +280,7 @@ def audit_uniform_dense(
 
     if n <= exact_threshold:
         hi = n - n // 2  # see _uniform_scores for the tables over the two halves
-        check_sweep(n, (hi * hi + 4 * n + 8 << hi) + 3 * n**3, scale * n**3)
+        check_sweep(n, (4 * n + 8 << hi) + 3 * n**3, scale * n**3)
         scores = _uniform_scores(H, scale, np.array(binom_term, dtype=np.int64))
         result = subset_sweep(n, scores, 4, flip, score, witness)
         return _exact("uniform", d, eta, scale, eta_term, result, 1 << n)
@@ -303,14 +304,14 @@ def _uniform_scores(H: Hypergraph3, scale: int, binom_term: np.ndarray):
     the high vertex h + j, Q_hi[m, i] counts the pairs of the high set m that
     complete one with the low vertex i, and 1[.] is a set's indicator row.
     Consecutive masks run through every low set for each high set in turn, so
-    a chunk is rated as a block of high sets by all low sets: scale e(U) is
-    one float64 product of scale [1[U_hi], Q_hi, e(U_hi), 1] by
-    [P_lo^T; 1[U_lo]^T; 1; e(U_lo)], less the binomial term, read off a table
-    by |U_hi| and U_lo.  The tables hold 2^h (2n - h + 3) cells for the low
-    half and 2^(n-h) (n + 2) for the high half, and a block has at least 2^h
-    cells whatever the chunk size.  The peak comes earlier: the pair counts
-    behind e(U_hi) take 2^(n-h) (n-h)^2 cells, so with the three n^3 edge
-    tensors the caller declares 2^(n-h) ((n-h)^2 + 4n + 8) + 3n^3 cells.
+    a chunk is rated as a block of high sets by all low sets, or as a run of
+    low sets of one high set: scale e(U) is one float64 product of
+    scale [1[U_hi], Q_hi, e(U_hi), 1] by [P_lo^T; 1[U_lo]^T; 1; e(U_lo)],
+    less the binomial term, read off a table by |U_hi| and U_lo.  With the
+    indicator rows of both halves and the three n^3 edge tensors, the tables
+    hold at most 2^(n-h) (4n + 8) + 3n^3 cells, which the caller declares;
+    the pair-completion counts are built in vertex blocks within
+    ``chunk_len``.
     """
     n = H.n
     h = n // 2
@@ -321,28 +322,41 @@ def _uniform_scores(H: Hypergraph3, scale: int, binom_term: np.ndarray):
     hi_ind = _indicator_rows(n - h).astype(np.float64)
 
     def completing(ind, part_links):
-        # [m, k]: pairs of the set m that complete an edge with the k-th vertex
+        # [m, k]: pairs of the set m that complete an edge with the k-th vertex,
+        # one product of ind by the links of each block of vertices
         k, a, b = part_links.shape
-        ends = ind @ part_links.transpose(1, 0, 2).reshape(a, k * b)
-        return np.einsum("mkb,mb->mk", ends.reshape(len(ind), k, b), ind)
+        out = np.empty((len(ind), k))
+        step = chunk_len(8 * len(ind) * b)
+        for v in range(0, k, step):
+            block = part_links[v : v + step]
+            ends = ind @ block.transpose(1, 0, 2).reshape(a, len(block) * b)
+            ends = ends.reshape(len(ind), len(block), b)
+            np.einsum("mkb,mb->mk", ends, ind, out=out[:, v : v + step])
+        return out
 
     # an edge inside a half completes one of its pairs with each of its 3 vertices
     e_lo = (lo_ind * completing(lo_ind, links[lo, lo, lo])).sum(axis=1) // 3
     e_hi = (hi_ind * completing(hi_ind, links[hi, hi, hi])).sum(axis=1) // 3
     ones_hi, ones_lo = np.ones(len(hi_ind)), np.ones(len(lo_ind))
-    left = scale * np.column_stack([hi_ind, completing(hi_ind, links[lo, hi, hi]), e_hi, ones_hi])
+    left = np.column_stack([hi_ind, completing(hi_ind, links[lo, hi, hi]), e_hi, ones_hi])
+    left *= scale
     right = np.vstack([completing(lo_ind, links[hi, lo, lo]).T, lo_ind.T, ones_lo, e_lo])
     # binoms[s, m]: the binomial term of U with s high vertices and U_lo = m
     lo_size = lo_ind.sum(axis=1).astype(np.int64)
-    binoms = binom_term[np.arange(n - h + 1)[:, None] + lo_size].astype(np.float64)
+    binoms = np.empty((n - h + 1, len(lo_size)))
+    for size, row in enumerate(binoms):
+        row[:] = binom_term[size + lo_size]
     hi_size = hi_ind.sum(axis=1).astype(np.int64)
 
     def scores(masks):
-        first = int(masks[0]) >> h
-        his = slice(first, (int(masks[-1]) >> h) + 1)
-        inside = left[his] @ right
-        inside -= binoms[hi_size[his]]
+        first, last = int(masks[0]) >> h, int(masks[-1]) >> h
         start = int(masks[0]) - (first << h)
+        if first == last:
+            low = slice(start, start + len(masks))
+            inside = left[first] @ right[:, low] - binoms[hi_size[first], low]
+            return inside.astype(np.int64)
+        inside = left[first : last + 1] @ right
+        inside -= binoms[hi_size[first : last + 1]]
         return inside.ravel()[start : start + len(masks)].astype(np.int64)
 
     return scores
@@ -392,7 +406,7 @@ def _vvv_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densi
     b_rows = np.zeros((1, n), dtype=np.int64)
     b_sizes = np.zeros(1, dtype=np.int64)
     mask = a_size = 0
-    term = best_row = None
+    best_b = best_term = None
 
     def flip(i):
         nonlocal mask, a_size, w
@@ -409,32 +423,39 @@ def _vvv_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densi
             a_size -= 1
 
     def score():
-        nonlocal term, best_row
-        # term[row, z]: the slack z adds when put in C, given A and that row's B
-        term = scale * (b_rows @ w) - d_term * a_size * b_sizes[:, None]
-        slack = np.minimum(term, 0).sum(axis=1)
-        best_row = int(slack.argmin())
-        return int(slack[best_row])
+        # the least slack over the B of b_rows, the first on ties, taken over
+        # slices of b_rows whose int64 temporaries fit chunk_len
+        nonlocal best_b, best_term
+        best = None
+        step = chunk_len(8 * (4 * n + 1))
+        for start in range(0, len(b_rows), step):
+            rows = b_rows[start : start + step]
+            # term[row, z]: the slack z adds when put in C, given A and that row's B
+            term = scale * (rows @ w) - d_term * a_size * b_sizes[start : start + step, None]
+            slack = np.minimum(term, 0).sum(axis=1)
+            k = int(slack.argmin())
+            if best is None or slack[k] < best:
+                best, best_b, best_term = int(slack[k]), rows[k].copy(), term[k].copy()
+        return best
 
     def witness():
         return {
             "A": bit_positions(mask & ((1 << n) - 1)),
-            "B": np.flatnonzero(b_rows[best_row]).tolist(),
-            "C": np.flatnonzero(term[best_row] < 0).tolist(),
+            "B": np.flatnonzero(best_b).tolist(),
+            "C": np.flatnonzero(best_term < 0).tolist(),
         }
 
     if exact:
-        # the rows of every B and their product [1[B], |B|] in int64 and
-        # float64, the split tables of scale w and -d_term |A|, a chunk's terms
-        # of one A and every (B, z), and score()'s replay over every B
-        check_sweep(n, (5 * n + 4 << n) + split_cells(n, n * n + 1) + 3 * n**3, scale * n**3)
+        # the rows of every B in int64, their sizes, [1[B], |B|] in float64
+        # and the split tables of scale w and -d_term |A|
+        check_sweep(n, (2 * n + 2 << n) + split_cells(n, n * n + 1) + 3 * n**3, scale * n**3)
         b_rows = _indicator_rows(n)  # row b is the indicator vector of the subset B = b
         b_sizes = b_rows.sum(axis=1)
         # scale w and -d_term |A| of every A in a chunk, then the term of every
         # (B, A, z) by one product of [1[B], |B|] with them
         scaled_t = scale * t.reshape(n, n * n).astype(np.float64)
         sums = split_sums(np.column_stack([scaled_t, np.full(n, -d_term)]))
-        left = np.column_stack([b_rows, b_sizes]).astype(np.float64)
+        left = np.concatenate([b_rows, b_sizes[:, None]], axis=1, dtype=np.float64)
         ones = np.ones(n)
 
         def scores(masks):

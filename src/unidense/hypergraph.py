@@ -262,18 +262,31 @@ def bit_positions(mask: int) -> list[int]:
 # describes it.  The exact sweep also takes scores(masks), the same score for
 # a run of consecutive bitmasks at once, read off split-half tables such as
 # those of ``split_sums`` (meet in the middle, Horowitz-Sahni 1974).  Each
-# exact branch declares its tables to ``check_sweep`` before it builds them.
+# exact branch declares the tables it keeps to ``check_sweep`` before it
+# builds them.
+#
+# Two constants bound memory.  _TABLE_CELLS caps the tables one exact sweep
+# keeps.  _CHUNK_BYTES bounds what a vectorised pass holds beyond the tables
+# it keeps: the pass works in chunks of ``chunk_len`` items, so that a
+# working block of more than _CHUNK_BYTES is built piece by piece.
 
-_SWEEP_CELLS = 1 << 17  # 8-byte (int64 or float64) cells a chunk of the exact sweep may hold
+_CHUNK_BYTES = 1 << 20  # bytes one chunk of a vectorised pass may hold
 _TABLE_CELLS = 1 << 26  # 8-byte cells (512 MiB) the tables of one exact sweep may hold
+
+
+def chunk_len(item_bytes: int) -> int:
+    """How many items of item_bytes bytes one chunk holds within _CHUNK_BYTES,
+    and at least one."""
+    return max(1, _CHUNK_BYTES // max(1, item_bytes))
 
 
 def check_sweep(nbits: int, cells: int, bound: int) -> None:
     """Refuse an exact sweep that is out of reach, before anything is built.
 
-    ``cells`` is the peak count of 8-byte cells the sweep's tables and their
-    temporaries hold, and ``bound`` the largest magnitude its float64 values
-    can reach (0 when it holds none).  The sweep is out of reach past 62 bits
+    ``cells`` is the count of 8-byte cells the sweep's tables hold, and
+    ``bound`` the largest magnitude its float64 values can reach (0 when it
+    holds none); the passes that build and read the tables hold at most
+    _CHUNK_BYTES more at once.  The sweep is out of reach past 62 bits
     (its masks are int64), past _TABLE_CELLS cells, or at a bound of 2^53 or
     more, where float64 stops holding every integer exactly.  This is the one
     place an exact audit is refused for its size.
@@ -303,20 +316,17 @@ def subset_sweep(nbits: int, scores, width: int, flip, score, witness):
     The masks are rated in chunks of consecutive masks, ascending, by
     ``scores(masks)``, which returns the chunk's integer scores and which the
     caller declares to hold at most ``width`` 8-byte cells per mask at once;
-    with the chunk's masks and scores that is at most _SWEEP_CELLS cells.  A
-    chunk is an aligned run: its length is a power of two and its first mask
-    a multiple of that length.  The cap bounds this per-chunk working set
-    only: the tables ``scores`` reads from are the caller's, such as the
-    2^(nbits/2) k cells per half of ``split_sums``, which the caller has
-    declared to ``check_sweep``; the chunk is checked there too, and a width
-    past _SWEEP_CELLS gives one mask per chunk.  The minimum is taken by
+    with the chunk's masks and scores that is at most _CHUNK_BYTES, or one
+    mask.  A chunk is an aligned run: its length is a power of two and its
+    first mask a multiple of that length.  The tables ``scores`` reads from
+    are the caller's, declared to ``check_sweep``.  The minimum is taken by
     the key (score, Gray rank), so on ties the set a Gray-code walk from the
     empty set reaches first wins.  The caller's set, empty at the start, is
     then flipped to the winner, and score() must give the table's value there
     before witness() describes it.
     Returns (best score, witness).
     """
-    step = 1 << max(0, (_SWEEP_CELLS // (width + 2)).bit_length() - 1)  # a power of two
+    step = 1 << chunk_len(8 * (width + 2)).bit_length() - 1  # a power of two
     check_sweep(nbits, step * (width + 2), 0)
     total = 1 << nbits
     best = best_rank = best_mask = None
@@ -437,11 +447,25 @@ def pack_rows(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def random_rows(gen, count: int, nbits: int, p: float) -> list[int]:
+    """count random nbits-bit ints, bit j of int i set when the uniform draw
+    (i, j) of gen.random((count, nbits)) is below p.
+
+    The draws are made in blocks of rows within _CHUNK_BYTES; Generator.random
+    fills row by row, so the ints equal those of the one draw.
+    """
+    step = chunk_len(8 * nbits)
+    rows = []
+    for start in range(0, count, step):
+        rows += pack_rows(gen.random((min(step, count - start), nbits)) < p)
+    return rows
+
+
 def random_masks(nbits: int, gen, samples: int) -> list[int]:
     """max(1, samples // 3) random subsets at each element density 1/4, 1/2, 3/4."""
     masks = []
     for density in (0.25, 0.5, 0.75):
-        masks += pack_rows(gen.random((max(1, samples // 3), nbits)) < density)  # row i is sample i
+        masks += random_rows(gen, max(1, samples // 3), nbits, density)
     return masks
 
 
@@ -598,18 +622,15 @@ def find_embedding(F: Hypergraph3, H: Hypergraph3) -> Embedding | None:
     return None
 
 
-_MEET_WORDS = 1 << 18  # uint64 words the pair rows gathered for one chunk may hold
-
-
 def _rows_meet(H: Hypergraph3, groups) -> bool:
     """Whether some edge has, for some group of its pair columns (see
     :func:`_pair_rows`), thirds rows with a common bit.
 
-    The edges are taken in chunks whose gathered rows hold at most
-    _MEET_WORDS words, and the first chunk with a meeting ends the scan.
+    The edges are taken in chunks whose three gathered rows fit _CHUNK_BYTES,
+    and the first chunk with a meeting ends the scan.
     """
     _, pair_id, rows = H._pair_rows()
-    step = max(1, _MEET_WORDS // (3 * max(1, rows.shape[1])))
+    step = chunk_len(3 * rows.itemsize * rows.shape[1])
     for lo in range(0, len(pair_id), step):
         chunk = pair_id[lo : lo + step]
         gathered = [rows.take(chunk[:, k], axis=0) for k in range(3)]

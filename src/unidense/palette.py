@@ -570,8 +570,10 @@ def solve_ternary(
     v in a constraint holds the other two variables and the tables of v's
     position (see :class:`TernaryTables`).  Assigning x to v narrows each
     free neighbour by one list lookup, its proj row when both neighbours are
-    free and its comp row when the other one is assigned; a constraint whose
-    neighbours are both assigned is checked by one comp bit.  A value at or
+    free and its comp row when the other one is assigned.  A constraint whose
+    neighbours are both assigned needs no check: when the later of them was
+    assigned, that narrowed v's domain by the constraint's comp row, and
+    values are drawn only from v's domain.  A value at or
     above the width of one of v's tables has no support there and fails at
     once.  The fail-first scan walks the non-chain variables sorted by (more
     constraints, lower index) and keeps the first one with the strictly
@@ -636,8 +638,6 @@ def solve_ternary(
                 if not dw:
                     return False
                 domains[w] = dw
-            elif yu >= 0 and not cw[c][yu] >> yw & 1:
-                return False
         return True
 
     # the levels above the current one, each suspended as (its variable, that

@@ -23,8 +23,8 @@ from .hypergraph import (
     Hypergraph3,
     bit_positions,
     check_sweep,
-    pack_rows,
     random_masks,
+    random_rows,
     rng,
     split_cells,
     split_sums,
@@ -63,7 +63,7 @@ class BipartiteGraph:
 
     @classmethod
     def random(cls, nx_: int, ny_: int, p: float, seed) -> "BipartiteGraph":
-        return cls(nx_, ny_, tuple(pack_rows(rng(seed).random((nx_, ny_)) < p)))
+        return cls(nx_, ny_, tuple(random_rows(rng(seed), nx_, ny_, p)))
 
     @classmethod
     def complete(cls, nx_: int, ny_: int) -> "BipartiteGraph":

@@ -134,8 +134,8 @@ class TestBuildHEnumeration:
         P = pal.builtin("roedl")
         phi = cn.random_pair_coloring(23, P.base, 6)
         want = build_H_by_enumeration(phi, P)
-        for cells in (1, 50, 400, 10**6):
-            monkeypatch.setattr(cn, "_SLAB_CELLS", cells)
+        for cells in (1, 50, 400, 10**6):  # one byte per lookup
+            monkeypatch.setattr(hg, "_CHUNK_BYTES", cells)
             assert cn.build_H(phi, P).edges == want.edges
 
 

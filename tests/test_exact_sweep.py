@@ -300,6 +300,20 @@ def oracle_vvv_from_counts(H):
     return oracle
 
 
+# budgets that cut the sweep into single masks, uniform's pair-completion
+# products into single vertices and vvv's replay into single B; into runs of
+# one high set, two vertices and five B; and into the default pieces
+@pytest.mark.parametrize("budget", [1, 1 << 10, 1 << 20])
+def test_reports_do_not_depend_on_the_chunk_budget(budget, monkeypatch):
+    monkeypatch.setattr(hg, "_CHUNK_BYTES", budget)
+    d, eta = F(1, 4), F(1, 10)
+    for H in (cn.tournament_hypergraph(8, 1), cn.roedl_hypergraph(8, 2)):
+        assert_report(dn.audit_uniform_dense(H, d, eta), oracle_uniform(H, d, eta))
+    H = cn.roedl_hypergraph(6, 2)
+    rep = dn.audit_star_dense(H, "vvv", d, eta, exact_threshold=6)
+    assert_report(rep, oracle_vvv_from_counts(H)(d, eta))
+
+
 def test_vvv_at_the_guard_matches_fraction_brute_force():
     # every term of the exact vvv sweep, slack and all, is one float64 product
     for H in (cn.tournament_hypergraph(6, 1), cn.roedl_hypergraph(6, 2)):
@@ -419,7 +433,7 @@ class _Built(Exception):
 
 # sizes whose tables take at least 16 MiB; each builds in well under a second
 @pytest.mark.parametrize("notion, n", [
-    ("uniform", 28), ("vvv", 16), ("ev", 24), ("ee", 6), ("quasirandom", 32),
+    ("uniform", 30), ("vvv", 16), ("ev", 24), ("ee", 6), ("quasirandom", 32),
 ])
 def test_plan_bounds_the_tables_it_builds(notion, n, monkeypatch):
     module = qr if notion == "quasirandom" else dn
@@ -443,6 +457,68 @@ def test_plan_bounds_the_tables_it_builds(notion, n, monkeypatch):
     peak = traced_peak(run)
     assert len(declared) == 1
     assert 16 * MIB <= peak <= 8 * declared[0] + MIB
+
+
+# the whole exact audit, sweep chunks and the replay at the winner included,
+# holds at most one chunk budget beyond the tables its plan declares
+@pytest.mark.parametrize("notion, n", [("uniform", 20), ("vvv", 12)])
+def test_full_audit_stays_within_its_plan(notion, n, monkeypatch):
+    declared = []
+
+    def check(nbits, cells, bound):
+        declared.append(cells)
+        hg.check_sweep(nbits, cells, bound)
+
+    monkeypatch.setattr(dn, "check_sweep", check)
+    peak = traced_peak(audit_of(notion, n, n))
+    assert len(declared) == 1
+    assert peak <= 8 * declared[0] + hg._CHUNK_BYTES
+
+
+def test_vvv_replay_holds_one_chunk(monkeypatch):
+    # the int64 replay at the winner takes every B in slices of the budget;
+    # over all 2^10 sets B at once it would hold about 240 KiB
+    budget = 1 << 16
+    monkeypatch.setattr(hg, "_CHUNK_BYTES", budget)
+    peaks = []
+
+    def sweep(nbits, scores, width, flip, score, witness):
+        def traced_score():
+            tracemalloc.start()
+            try:
+                return score()
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        return hg.subset_sweep(nbits, scores, width, flip, traced_score, witness)
+
+    monkeypatch.setattr(dn, "subset_sweep", sweep)
+    rep = audit_of("vvv", 10, 10)()
+    assert rep.mode == "exact" and len(peaks) == 1
+    assert peaks[0] <= budget + (1 << 14)
+
+
+class _Planned(Exception):
+    pass
+
+
+# sizes within the cap only because the plans count just the tables kept,
+# not the passes' transients
+@pytest.mark.parametrize("notion, n", [("uniform", 35), ("vvv", 20)])
+def test_plan_admits_what_the_tables_allow(notion, n, monkeypatch):
+    def check(nbits, cells, bound):
+        hg.check_sweep(nbits, cells, bound)
+        raise _Planned
+
+    monkeypatch.setattr(dn, "check_sweep", check)
+    audit = audit_of(notion, n, n)
+
+    def run():
+        with pytest.raises(_Planned):
+            audit()
+
+    assert traced_peak(run) < MIB
 
 
 # -- memory of the sampled star audits ------------------------------------------------

@@ -381,9 +381,10 @@ class TestFastContainment:
             assert hg.contains_clique4(H) == has_k4
             assert hg.contains_clique4_minus(H) == has_k4m
 
-    @pytest.mark.parametrize("words", [1, 4, 7])
-    def test_chunk_boundaries(self, monkeypatch, words):
-        monkeypatch.setattr(hg, "_MEET_WORDS", words)
+    # chunks of 1, 4 and 7 edges: each edge gathers three one-word rows (n <= 64)
+    @pytest.mark.parametrize("edges", [1, 4, 7])
+    def test_chunk_boundaries(self, monkeypatch, edges):
+        monkeypatch.setattr(hg, "_CHUNK_BYTES", 24 * edges)
         rng = np.random.default_rng(12)
         for n, p in ((9, 0.2), (9, 0.35), (12, 0.1), (30, 0.05)):
             triples = [t for t in itertools.combinations(range(n), 3) if rng.random() < p]

@@ -184,18 +184,35 @@ class TestCli:
         ])
         assert code == 2
 
+    # the negative count is the last flag; the parser refuses it before any
+    # input file is read
     @pytest.mark.parametrize("argv", [
         ["certify", "--F", "k4minus", "--palette", "tournament", "--budget", "-5"],
         ["table", "--budget", "-1"],
         ["reduced", "map", "IN", "--F", "k4", "--budget", "-3"],
+        ["audit", "uniform", "IN", "--d", "1/4", "--eta", "1/10", "--samples", "-5"],
+        ["audit", "star", "IN", "--notion", "ee", "--d", "1/4", "--eta", "1/10", "--samples", "-5"],
+        ["audit", "quasirandom", "IN", "--delta", "1/5", "--d", "1/2", "--samples", "-1"],
+        ["audit", "uniform", "IN", "--d", "1/4", "--eta", "1/10", "--seed", "-1"],
+        ["audit", "star", "IN", "--notion", "vvv", "--d", "1/4", "--eta", "1/10", "--seed", "-2"],
+        ["audit", "quasirandom", "IN", "--delta", "1/5", "--d", "1/2", "--seed", "-1"],
+        ["gen", "tournament", "--n", "5", "--out", "OUT", "--seed", "-1"],
+        ["reduced", "project", "IN", "--ell", "2", "--out", "OUT", "--seed", "-1"],
     ])
     def test_negative_budget_exit_64(self, tmp_path, capsys, argv):
         a = tmp_path / "a.json"
         uio.write_reduced(rd.from_palette(pal.builtin("ee6"), 4), a)
+        out = tmp_path / "out.txt"
         with pytest.raises(SystemExit) as exc:
-            cli.main([str(a) if x == "IN" else x for x in argv])
+            cli.main([{"IN": str(a), "OUT": str(out)}.get(x, x) for x in argv])
         assert exc.value.code == 64
-        assert "budget must be a nonnegative node count" in capsys.readouterr().err
+        flag = argv[-2]
+        if flag == "--budget":
+            assert "budget must be a nonnegative node count" in capsys.readouterr().err
+        else:
+            err = capsys.readouterr().err
+            assert f"argument {flag}: must be a nonnegative integer, got {argv[-1]}" in err
+            assert not out.exists()
 
     def test_symmetry_in_json_reports(self, tmp_path):
         rpt = tmp_path / "r.json"
@@ -565,6 +582,28 @@ class TestCli:
         sidecar = json.loads((tmp_path / "k11.cnf.vars.json").read_text())
         assert sidecar["meta"]["covers_all_orderings"] is True
         assert len(sidecar["variables"]) == 165
+
+    def test_table_rows_are_the_listed_palettes_claims(self):
+        rows = cli._table_rows()
+        assert rows == [
+            (name, target, notion, bound)
+            for name in cli._TABLE_PALETTES
+            for notion, bound, target in pal.builtin(name).claims
+        ]
+        # the eleven rows the table has always printed, in order
+        assert rows == [
+            ("tournament", "k4minus", "vvv", Fraction(1, 4)),
+            ("tournament", "k4minus", "ev", Fraction(1, 4)),
+            ("roedl", "k4", "vvv", Fraction(1, 2)),
+            ("roedl", "k4", "ev", Fraction(1, 2)),
+            ("star4", "star4", "vvv", Fraction(1, 3)),
+            ("star4", "star4", "ev", Fraction(1, 3)),
+            ("ramsey6", "k6", "vvv", Fraction(3, 4)),
+            ("cycle5", "cycle5", "vvv", Fraction(4, 27)),
+            ("ee5", "k5", "ee", Fraction(1, 3)),
+            ("ee6", "k6", "ee", Fraction(1, 2)),
+            ("ee11", "k11", "ee", Fraction(2, 3)),
+        ]
 
     def test_table_runs_green(self):
         assert cli.main(["table", "--budget", "200000"]) == 0

@@ -1,6 +1,7 @@
 """The subset-search engine behind every density and quasirandom audit, and
 reports pinned to the values the audits gave before they shared it."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -43,26 +44,29 @@ def gray_order(n):
 
 
 class TestSubsetSweep:
-    # widths that give one chunk, several chunks and one mask per chunk
-    WIDTHS = (1, 1 << 15, hg._SWEEP_CELLS)
+    # chunk budgets that give one chunk, chunks of four masks and one mask
+    # per chunk at width 1 (three 8-byte cells a mask)
+    BUDGETS = (1 << 20, 8 * 13, 1)
 
     @pytest.mark.parametrize("n", range(7))
-    def test_visits_every_subset_once(self, n):
-        for width in self.WIDTHS:
+    def test_visits_every_subset_once(self, n, monkeypatch):
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(hg, "_CHUNK_BYTES", budget)
             t = Table(list(range(1 << n)))
-            best, wit = hg.subset_sweep(n, t.scores, width, t.flip, t.score, t.witness)
+            best, wit = hg.subset_sweep(n, t.scores, 1, t.flip, t.score, t.witness)
             assert t.rated == list(range(1 << n))
             assert (best, wit) == (0, 0)
             # score() runs once, at the replayed winner, and witness() once
             assert t.visited == [0] and t.witness_calls == 1
 
-    def test_minimum_and_earliest_tie(self):
+    def test_minimum_and_earliest_tie(self, monkeypatch):
         rng = np.random.default_rng(0)
-        for width in self.WIDTHS:
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(hg, "_CHUNK_BYTES", budget)
             for n in range(1, 9):
                 table = [int(x) for x in rng.integers(0, 4, 1 << n)]
                 t = Table(table)
-                best, wit = hg.subset_sweep(n, t.scores, width, t.flip, t.score, t.witness)
+                best, wit = hg.subset_sweep(n, t.scores, 1, t.flip, t.score, t.witness)
                 assert best == min(table) and table[wit] == best
                 # on ties the set a Gray-code walk from the empty set reaches first
                 assert wit == next(m for m in gray_order(n) if table[m] == best)
@@ -122,6 +126,37 @@ class TestSubsetSearch:
         t = Table([0] * 16)
         assert hg.subset_search(4, t.flip, t.score, t.witness, [5, 0, 3]) == (0, 5)
         assert t.visited[:3] == [5, 0, 3]
+
+
+class TestRandomRows:
+    """Rows drawn in blocks of the chunk budget equal those of one draw."""
+
+    @staticmethod
+    def one_draw(gen, count, nbits, p):
+        return hg.pack_rows(gen.random((count, nbits)) < p)
+
+    @pytest.mark.parametrize("budget", [1, 8 * 7, 8 * 100, 1 << 20])
+    def test_blocked_draws_equal_one_draw(self, budget, monkeypatch):
+        monkeypatch.setattr(hg, "_CHUNK_BYTES", budget)
+        for count, nbits in [(0, 5), (3, 0), (13, 7), (50, 130)]:
+            want = self.one_draw(hg.rng(3), count, nbits, 0.3)
+            assert hg.random_rows(hg.rng(3), count, nbits, 0.3) == want
+        gen = hg.rng(4)
+        want = [m for p in (0.25, 0.5, 0.75) for m in self.one_draw(gen, 33, 70, p)]
+        assert hg.random_masks(70, hg.rng(4), 100) == want
+        G = qr.BipartiteGraph.random(9, 70, 0.5, 5)
+        assert list(G.rows) == self.one_draw(hg.rng(5), 9, 70, 0.5)
+
+    def test_draws_hold_one_block(self):
+        # a single draw of 3333 x 4900 uniforms would take 125 MiB
+        tracemalloc.start()
+        try:
+            masks = hg.random_masks(4900, hg.rng(0), 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(masks) == 9999
+        assert peak <= 10 << 20
 
 
 class TestSampledNeverBeatsExact:
