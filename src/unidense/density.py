@@ -349,15 +349,13 @@ def _uniform_scores(H: Hypergraph3, scale: int, binom_term: np.ndarray):
     hi_size = hi_ind.sum(axis=1).astype(np.int64)
 
     def scores(masks):
+        # an aligned chunk is a run of low sets of one high set, or whole high sets
         first, last = int(masks[0]) >> h, int(masks[-1]) >> h
-        start = int(masks[0]) - (first << h)
-        if first == last:
-            low = slice(start, start + len(masks))
-            inside = left[first] @ right[:, low] - binoms[hi_size[first], low]
-            return inside.astype(np.int64)
-        inside = left[first : last + 1] @ right
-        inside -= binoms[hi_size[first : last + 1]]
-        return inside.ravel()[start : start + len(masks)].astype(np.int64)
+        start = int(masks[0]) & (1 << h) - 1
+        low = slice(start, start + len(masks))
+        inside = left[first : last + 1] @ right[:, low]
+        inside -= binoms[hi_size[first : last + 1], low]
+        return inside.ravel().astype(np.int64)
 
     return scores
 
@@ -452,11 +450,14 @@ def _vvv_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densi
         b_rows = _indicator_rows(n)  # row b is the indicator vector of the subset B = b
         b_sizes = b_rows.sum(axis=1)
         # scale w and -d_term |A| of every A in a chunk, then the term of every
-        # (B, A, z) by one product of [1[B], |B|] with them
+        # (B, A, z) by one product of [1[B], |B|] with them for each slice of B
         scaled_t = scale * t.reshape(n, n * n).astype(np.float64)
         sums = split_sums(np.column_stack([scaled_t, np.full(n, -d_term)]))
         left = np.concatenate([b_rows, b_sizes[:, None]], axis=1, dtype=np.float64)
         ones = np.ones(n)
+        # the sets B a chunk's terms cover at once, a power of two: every B
+        # while their n + 1 cells per mask take at most half the budget
+        b_slice = min(1 << n, 1 << chunk_len(16 * (n + 1)).bit_length() - 1)
 
         def scores(masks):
             wa = sums(masks)
@@ -464,12 +465,20 @@ def _vvv_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densi
             right = np.empty((n + 1, c, n))
             right[:n] = wa[:, :-1].reshape(c, n, n).transpose(1, 0, 2)
             right[n] = wa[:, -1:]
-            terms = left @ right.reshape(n + 1, c * n)
-            np.minimum(terms, 0, out=terms)
-            slacks = (terms.reshape((len(left) * c, n)) @ ones).reshape(len(left), c)
-            return slacks.min(axis=0).astype(np.int64)
+            right = right.reshape(n + 1, c * n)
+            best = np.full(c, np.inf)
+            terms, slacks = np.empty((b_slice, c * n)), np.empty((b_slice, c))
+            for start in range(0, len(left), b_slice):
+                np.matmul(left[start : start + b_slice], right, out=terms)
+                np.minimum(terms, 0, out=terms)
+                np.matmul(terms.reshape((b_slice * c, n)), ones, out=slacks.reshape(b_slice * c))
+                np.minimum(best, slacks.min(axis=0), out=best)
+            return best.astype(np.int64)
 
-        result = subset_sweep(n, scores, (n + 2 << n) + 2 * n * n + 2, flip, score, witness)
+        # per mask: its sums, right, the running minimum and the terms and
+        # slacks of one slice of B
+        width = 2 * n * n + n + 4 + b_slice * (n + 1)
+        result = subset_sweep(n, scores, width, flip, score, witness)
         return _exact("vvv", d, eta, scale, eta_term, result, (1 << n) ** 3)
     gen = rng(seed)
     cands = _subset_candidates(n, gen, samples)

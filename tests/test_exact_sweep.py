@@ -301,8 +301,9 @@ def oracle_vvv_from_counts(H):
 
 
 # budgets that cut the sweep into single masks, uniform's pair-completion
-# products into single vertices and vvv's replay into single B; into runs of
-# one high set, two vertices and five B; and into the default pieces
+# products into single vertices and vvv's chunk terms and replay into single
+# B; into runs of one high set, two vertices, eight B and five B; and into
+# the default pieces
 @pytest.mark.parametrize("budget", [1, 1 << 10, 1 << 20])
 def test_reports_do_not_depend_on_the_chunk_budget(budget, monkeypatch):
     monkeypatch.setattr(hg, "_CHUNK_BYTES", budget)
@@ -460,8 +461,9 @@ def test_plan_bounds_the_tables_it_builds(notion, n, monkeypatch):
 
 
 # the whole exact audit, sweep chunks and the replay at the winner included,
-# holds at most one chunk budget beyond the tables its plan declares
-@pytest.mark.parametrize("notion, n", [("uniform", 20), ("vvv", 12)])
+# holds at most one chunk budget beyond the tables its plan declares; from
+# vvv n = 14 a chunk's terms over every B would pass the budget by themselves
+@pytest.mark.parametrize("notion, n", [("uniform", 20), ("vvv", 12), ("vvv", 14)])
 def test_full_audit_stays_within_its_plan(notion, n, monkeypatch):
     declared = []
 
