@@ -554,13 +554,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"unidense: I/O error: {exc}", file=sys.stderr)
         return EX_IOERR
-    except (
-        _hg.HypergraphError,
-        _palette.PaletteError,
-        _reduced.ReducedError,
-        _qr.GraphError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # every input error of the library subclasses it
         print(f"unidense: error: {exc}", file=sys.stderr)
         return EX_USAGE
     except (MemoryError, OverflowError) as exc:

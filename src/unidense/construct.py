@@ -196,10 +196,14 @@ class PartitionedColoring:
         return (i, j), int(self.codes[(i, j)][x % h, y % h])
 
     def items(self):
+        """The crossing pairs (x, y), x < y, in lexicographic order, each with
+        its colour (class pair, local vertex), as ``color`` gives it."""
+        h, indices = self.block_size, self.indices
+        codes = {pair: np.asarray(c).tolist() for pair, c in self.codes.items()}
         for x, y in itertools.combinations(range(self.n), 2):
-            col = self.color(x, y)
-            if col is not None:
-                yield (x, y), col
+            i, j = indices[x // h], indices[y // h]
+            if i != j:
+                yield (x, y), ((i, j), codes[(i, j)][x % h][y % h])
 
     def class_graph(self, i: int, j: int, local: int) -> BipartiteGraph:
         """Bipartite graph between blocks i and j formed by one colour class."""

@@ -4,12 +4,14 @@ the one seeded random stream every module draws from.
 
 Vertices are dense integers ``0..n-1``.  A hypergraph stores its edges as one
 canonical int64 ``(m, 3)`` array: each triple sorted, the rows distinct and in
-lexicographic order.  The views that queries read (the edge tuple, the edge
-set, the pair -> bitmask-of-third-vertices map and the vertex links) are built
-from that array on first use and cached, so a hypergraph that is only
-generated, written or compared never pays for them.  Instances are immutable
-after construction and safe to share across threads: two threads that build
-the same view at once build equal values, and either may be kept.
+lexicographic order.  The views that queries read (the edge tuple, the thirds
+rows of the shadow pairs and the pair -> bitmask-of-third-vertices map) are
+built from that array on first use and cached, so a hypergraph that is only
+generated, written or compared never pays for them.  The thirds map is the one
+cached adjacency: ``has_edge`` reads it, and ``link`` and ``degree`` read the
+array.  Instances are immutable after construction and safe to share across
+threads: two threads that build the same view at once build equal values,
+and either may be kept.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class Hypergraph3:
     string) raises :class:`HypergraphError`; it is never truncated.
     """
 
-    __slots__ = ("n", "_array", "_edges", "_edge_set", "_pairs", "_adj")
+    __slots__ = ("n", "_array", "_edges", "_pairs", "_adj")
 
     def __init__(self, n: int, triples=()):
         if not 0 <= n <= MAX_VERTICES:
@@ -49,7 +51,7 @@ class Hypergraph3:
         E.flags.writeable = False
         self.n = n
         self._array = E
-        self._edges = self._edge_set = self._pairs = self._adj = None
+        self._edges = self._pairs = self._adj = None
 
     # -- stored form and views ----------------------------------------------
 
@@ -73,9 +75,10 @@ class Hypergraph3:
         return self._pairs
 
     def _adjacency(self):
-        """(thirds map, link tuples) of :func:`_adjacency`, built on first use."""
+        """The thirds map of :func:`_adjacency`, built on first use."""
         if self._adj is None:
-            self._adj = _adjacency(self.n, self._array, *self._pair_rows())
+            keys, _, rows = self._pair_rows()
+            self._adj = _adjacency(self.n, keys, rows)
         return self._adj
 
     # -- basic queries ----------------------------------------------------
@@ -84,28 +87,24 @@ class Hypergraph3:
     def edge_count(self) -> int:
         return len(self._array)
 
-    @property
-    def edge_set(self) -> frozenset:
-        """The edges as a frozenset of plain-int triples, each sorted."""
-        if self._edge_set is None:
-            self._edge_set = frozenset(self.edges)
-        return self._edge_set
-
     def has_edge(self, a: int, b: int, c: int) -> bool:
-        return tuple(sorted((a, b, c))) in self.edge_set
+        """Whether {a, b, c} is an edge; False for repeated or out-of-range vertices."""
+        a, b, c = sorted((int(a), int(b), int(c)))  # plain ints: numpy ones cannot shift past 63
+        return 0 <= a < b < c and self.thirds(a, b) >> c & 1 == 1
 
     def thirds(self, u: int, v: int) -> int:
         """Bitmask of vertices w with {u, v, w} an edge."""
         if u > v:
             u, v = v, u
-        return (self._adj or self._adjacency())[0].get((u, v), 0)
+        return (self._adj or self._adjacency()).get((u, v), 0)
 
     def degree(self, v: int) -> int:
-        return len(self.link(v))
+        return int(np.count_nonzero(self._array == v))
 
     def link(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Pairs (x, y) with x < y such that {v, x, y} is an edge."""
-        return (self._adj or self._adjacency())[1][v]
+        """Pairs (x, y) with x < y such that {v, x, y} is an edge, in edge order."""
+        rows = self._array[(self._array == v).any(axis=1)]
+        return tuple(map(tuple, rows[rows != v].reshape(-1, 2).tolist()))
 
     def shadow(self) -> set[tuple[int, int]]:
         """All pairs {u, v} covered by at least one edge."""
@@ -217,23 +216,15 @@ def _pair_rows(n: int, E: np.ndarray):
     return keys, pair_id.reshape(-1, 3), rows.reshape(len(keys), words)
 
 
-def _adjacency(n: int, E: np.ndarray, keys, pair_id, rows):
-    """The thirds map and the link lists of the canonical edge array E, from
-    its :func:`_pair_rows`.
-
-    Edge {a, b, c} sets bit a of thirds[(b, c)] and appends (b, c) to link[a],
-    and so on.  Each shadow pair is one tuple shared by the map and every link
-    it appears in.  Links list their pairs in edge order.
-    """
-    pairs = [divmod(k, n) for k in keys.tolist()]
+def _adjacency(n: int, keys, rows):
+    """The thirds map {(u, v): bitmask of the w with {u, v, w} an edge} of the
+    shadow pairs ``keys`` and their thirds ``rows`` (see :func:`_pair_rows`)."""
     width = 8 * rows.shape[1]
     raw = rows.astype("<u8", copy=False).tobytes()
-    thirds = {p: int.from_bytes(raw[i * width : (i + 1) * width], "little") for i, p in enumerate(pairs)}
-    vertex = E.ravel()
-    flat = list(map(pairs.__getitem__, pair_id.ravel()[np.argsort(vertex, kind="stable")].tolist()))
-    ends = np.cumsum(np.bincount(vertex, minlength=n)).tolist()
-    link = tuple(tuple(flat[lo:hi]) for lo, hi in zip([0] + ends, ends))
-    return thirds, link
+    return {
+        divmod(k, n): int.from_bytes(raw[i * width : (i + 1) * width], "little")
+        for i, k in enumerate(keys.tolist())
+    }
 
 
 def make(n: int, triples) -> Hypergraph3:
@@ -354,15 +345,15 @@ def subset_sweep(nbits: int, scores, width: int, flip, score, witness):
 def split_sums(rows):
     """Vectorised subset sums of the rows of an (nbits, k) array.
 
-    Returns sums(masks) for a run of consecutive masks, such as a chunk of
+    Returns sums(masks) for an aligned run of masks, such as a chunk of
     ``subset_sweep``: row i of the result is the sum of rows[j] over the set
     bits j of masks[i], read as F_lo[low half] + F_hi[high half] from two
     tables of all subset sums of the low and the high half of the rows, which
-    hold about 2^(nbits/2) k cells each.  A run within one block of 2^half
-    masks is a slice of F_lo plus one row of F_hi; a longer one is read from
-    the whole blocks it meets, F_hi[his, None] + F_lo[None], so no table row
-    is gathered by index.  The sums keep the rows' dtype, and the two tables
-    hold ``split_cells(nbits, k)`` cells.
+    hold about 2^(nbits/2) k cells each.  An aligned run lies within one block
+    of 2^half masks or covers whole blocks, so it is F_hi[his, None] +
+    F_lo[None, lows] for its high halves his and low halves lows, and no
+    table row is gathered by index.  The sums keep the rows' dtype, and the
+    two tables hold ``split_cells(nbits, k)`` cells.
     """
     rows = np.asarray(rows)
     half = len(rows) // 2
@@ -371,11 +362,8 @@ def split_sums(rows):
 
     def sums(masks):
         first, last = int(masks[0]), int(masks[-1])
-        start = first & low_bits
-        if first >> half == last >> half:
-            return lo[start : start + len(masks)] + hi[first >> half]
-        blocks = hi[first >> half : (last >> half) + 1, None] + lo[None]
-        return blocks.reshape(len(blocks) * len(lo), *lo.shape[1:])[start : start + len(masks)]
+        block = hi[first >> half : (last >> half) + 1, None] + lo[None, first & low_bits : (last & low_bits) + 1]
+        return block.reshape(len(masks), *lo.shape[1:])
 
     return sums
 
@@ -578,7 +566,8 @@ def find_embedding(F: Hypergraph3, H: Hypergraph3) -> Embedding | None:
     if not F.edges:
         return Embedding(tuple(range(F.n)))  # any injection works; identity is one
 
-    order = sorted(range(F.n), key=lambda v: (-F.degree(v), v))
+    degree = np.bincount(F.array.ravel(), minlength=F.n).tolist()
+    order = sorted(range(F.n), key=lambda v: (-degree[v], v))
     pos = {v: i for i, v in enumerate(order)}
     # edges are closed at the step of their last-placed vertex (kept: the
     # other two vertices), and 2/3-mapped at the step of their middle one

@@ -433,12 +433,17 @@ def _twin_classes(F: Hypergraph3) -> list[list[int]]:
     so every permutation of a class is an automorphism.  K_n is one class.
     Twins have equal open neighbourhoods N(u) = N(w) when no edge holds both
     and equal closed ones N[u] = N[w] otherwise, so the vertices are bucketed
-    by both and the links compared only within a bucket.
+    by both and the thirds rows compared only within a bucket: u and w are
+    twins when thirds(u, x) and thirds(w, x) agree off w and u for every
+    other x in N[u] | N[w] (outside it both rows are empty).
     """
 
     def twins(u, w):
-        return F.degree(u) == F.degree(w) and (
-            {p for p in F.link(u) if w not in p} == {p for p in F.link(w) if u not in p}
+        off_u, off_w = ~(1 << u), ~(1 << w)
+        return all(
+            F.thirds(u, x) & off_w == F.thirds(w, x) & off_u
+            for x in closed[u] | closed[w]
+            if x != u and x != w
         )
 
     closed = [{u} for u in range(F.n)]

@@ -253,13 +253,9 @@ class TripartiteGraph:
             raise GraphError("yz layer does not match part sizes")
 
     @classmethod
-    def random(cls, sizes, p: float, seed, first_label: int = 0) -> "TripartiteGraph":
+    def random(cls, sizes, p: float, seed) -> "TripartiteGraph":
         a, b, c = sizes
-        parts = (
-            tuple(range(first_label, first_label + a)),
-            tuple(range(first_label + a, first_label + a + b)),
-            tuple(range(first_label + a + b, first_label + a + b + c)),
-        )
+        parts = (tuple(range(a)), tuple(range(a, a + b)), tuple(range(a + b, a + b + c)))
         return cls(
             parts,
             BipartiteGraph.random(a, b, p, (seed, 0)),
@@ -344,16 +340,21 @@ class TriadRegularityReport:
     mode: str = "sampled-heuristic"
 
 
+_TRIAD_RATES = (0.25, 0.5, 0.75, 1.0)  # the edge-keep rates of the subsampled Q
+
+
 def audit_triad_regular(
     H: Hypergraph3,
     P: TripartiteGraph,
     delta3,
     d3=None,
     samples: int = 40,
-    rates=(0.25, 0.5, 0.75, 1.0),
     seed: int = 0,
 ) -> TriadRegularityReport:
-    """Edge-subsample subgraphs Q of P and compare |E_H cap K3(Q)| to d3 |K3(Q)|."""
+    """Edge-subsample subgraphs Q of P and compare |E_H cap K3(Q)| to d3 |K3(Q)|.
+
+    The samples are shared among the keep rates of _TRIAD_RATES; rate 1 is P
+    itself, drawn once."""
     delta3 = Fraction(delta3)
     d3 = relative_density(H, P) if d3 is None else Fraction(d3)
     k3_p = triangle_count(P)
@@ -375,8 +376,8 @@ def audit_triad_regular(
 
     worst = Fraction(0)
     drawn = 0
-    for rate in rates:
-        for _ in range(max(1, samples // len(rates))):
+    for rate in _TRIAD_RATES:
+        for _ in range(max(1, samples // len(_TRIAD_RATES))):
             Q = TripartiteGraph(
                 P.parts, subsample(P.xy, rate), subsample(P.xz, rate), subsample(P.yz, rate)
             )

@@ -240,6 +240,23 @@ class TestLift:
                     trip = (pc.color(x, y)[1], pc.color(x, z)[1], pc.color(y, z)[1])
                     assert (trip in A.constituents[(0, 1, 2)]) == H.has_edge(x, y, z)
 
+    @pytest.mark.parametrize("indices", [(0, 1, 2, 3), (0, 2, 5)])
+    def test_items_are_the_crossing_pairs_of_codes(self, indices):
+        # a literal loop over all pairs, against indices that are dense and
+        # indices that are not
+        h, gen = 3, np.random.default_rng(len(indices))
+        sizes = {pair: 2 + k for k, pair in enumerate(itertools.combinations(indices, 2))}
+        codes = {pair: gen.integers(0, size, (h, h)) for pair, size in sizes.items()}
+        pc = cn.PartitionedColoring(h, sizes, codes)
+        want = []
+        for x, y in itertools.combinations(range(h * len(indices)), 2):
+            i, j = indices[x // h], indices[y // h]
+            if i != j:
+                want.append(((x, y), ((i, j), int(codes[(i, j)][x % h, y % h]))))
+        got = list(pc.items())
+        assert got == want and all(type(local) is int for _, (_, local) in got)
+        assert got == [(pair, pc.color(*pair)) for pair, _ in got]
+
     def test_tournament_lift_k4_minus_free(self):
         A = rd.from_palette(pal.builtin("tournament"), 6)
         lift = cn.lift_reduced(A, 20, seed=1)

@@ -108,7 +108,12 @@ def reference_structure(n, triples):
 
 def assert_matches_reference(H, n, triples):
     edges, thirds, link = reference_structure(n, triples)
-    assert H.n == n and H.edges == edges and H.edge_set == frozenset(edges)
+    assert H.n == n and H.edges == edges
+    edge_set, span = set(edges), range(-1, n + 1)  # repeated and out-of-range vertices too
+    assert all(
+        H.has_edge(a, b, c) == (tuple(sorted((a, b, c))) in edge_set)
+        for a, b, c in itertools.product(span, repeat=3)
+    )
     assert all(type(x) is int for e in H.edges for x in e)
     assert H.shadow() == set(thirds)
     for u in range(n):
@@ -138,6 +143,12 @@ class TestConstructorReference:
         for given in (arr, arr.astype(np.int32), numpy_ints, (row for row in arr)):
             assert_matches_reference(hg.make(n, given), n, plain)
         assert hg.make(n, arr) == hg.make(n, plain)
+
+    def test_has_edge_takes_numpy_ints_past_63_vertices(self):
+        # the thirds mask of (3, 64) holds bit 99, past what an int64 shifts
+        H = hg.make(100, [(3, 64, 99)])
+        assert H.has_edge(np.int64(99), np.int32(3), np.int64(64))
+        assert not H.has_edge(np.int64(99), np.int64(3), np.int64(65))
 
     def test_generated_hypergraph(self):
         H = cn.roedl_hypergraph(30, 4)
