@@ -6,7 +6,11 @@ in exact arithmetic; no float ever decides a comparison.  Each audit is one
 subset search over slacks scaled to integers: the notion defines how flipping
 one element of the searched set updates its counts (``flip``), the slack of
 the current set (``score``) and its witness.  The sampled mode runs those
-through ``hypergraph.subset_search``.  The exact mode runs
+through ``hypergraph.subset_search``, with the notion's vectorised ``rate``
+of a chunk of candidate sets (uniform: popcounts of the pair rows; vvv, ev,
+ee: products of the candidates' indicator rows by slices of the int8 edge
+tensor, whose counts are formed in float64 and the slacks from them in the
+dtype of ``score``), and descends from the best by flips.  The exact mode runs
 ``hypergraph.subset_sweep``, which rates every searched set in chunks of
 consecutive bitmasks with the notion's vectorised ``scores``, read off
 split-half tables (uniform: edge and pair-completion counts of each half;
@@ -285,8 +289,42 @@ def audit_uniform_dense(
         result = subset_sweep(n, scores, 4, flip, score, witness)
         return _exact("uniform", d, eta, scale, eta_term, result, 1 << n)
     cands = _subset_candidates(n, rng(seed), samples)
-    result = subset_search(n, flip, score, witness, cands)
+    rate, width = _uniform_rate(H, scale, binom_term)
+    result = subset_search(n, rate, width, flip, score, witness, cands)
     return _sampled("uniform", d, eta, scale, eta_term, result, len(cands), seed)
+
+
+def _uniform_rate(H: Hypergraph3, scale: int, binom_term: list[int]):
+    """(rate, width) of the sampled uniform search, from the pair rows.
+
+    Each edge inside U completes each of its three pairs with a vertex of U,
+    so e(U) is a third of the sum, over the shadow pairs {u, v} in U, of
+    bitwise_count(thirds row & U).  rate(rows) returns scale e(U) less the
+    binomial term of each 0/1 row, in int64 while scale C(n, 3) fits it,
+    else in Python ints, as score() computes it.  A row holds at most 20
+    bytes per shadow pair at once (its pair indicators, one word's AND and
+    count, and the int64 counts), which width declares in 8-byte cells.
+    """
+    n = H.n
+    keys, _, pair_rows = H._pair_rows()
+    u, v = np.divmod(keys, n)
+    words = pair_rows.shape[1]
+    dtype = np.int64 if scale * comb(n, 3) < 2**63 else object
+    binoms = np.array(binom_term, dtype=dtype)
+
+    def rate(rows):
+        packed = np.zeros((len(rows), 8 * words), dtype=np.uint8)
+        packed[:, : (n + 7) // 8] = np.packbits(rows, axis=1, bitorder="little")
+        U = packed.view("<u8")
+        both = rows[:, u] & rows[:, v]
+        thirds = np.zeros(both.shape, dtype=np.int64)
+        for w in range(words):
+            thirds += np.bitwise_count(pair_rows[:, w] & U[:, w, None])
+        thirds *= both
+        inside = thirds.sum(axis=1) // 3
+        return inside.astype(dtype) * scale - binoms[rows.sum(axis=1)]
+
+    return rate, 3 * len(keys) + words
 
 
 def _indicator_rows(k: int) -> np.ndarray:
@@ -480,28 +518,48 @@ def _vvv_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densi
         width = 2 * n * n + n + 4 + b_slice * (n + 1)
         result = subset_sweep(n, scores, width, flip, score, witness)
         return _exact("vvv", d, eta, scale, eta_term, result, (1 << n) ** 3)
+
+    def rate(rows):
+        # (b @ w)[z] = sum over y in B of the row y of w, t[A, y, z] summed over
+        # A; the counts are at most n^2, exact in float64, whose products run
+        # on BLAS, and the slack is formed from them in int64, as by score()
+        A, B = rows[:, :n].astype(np.float64), rows[:, n:].astype(np.float64)
+        bw = np.zeros((len(rows), n))
+        for y in range(n):
+            bw += B[:, y, None] * (A @ t[:, y].astype(np.float64))
+        sizes = rows[:, :n].sum(axis=1, dtype=np.int64) * rows[:, n:].sum(axis=1, dtype=np.int64)
+        term = scale * bw.astype(np.int64) - d_term * sizes[:, None]
+        return np.minimum(term, 0).sum(axis=1)
+
     gen = rng(seed)
     cands = _subset_candidates(n, gen, samples)
     starts = [a | cands[int(gen.integers(0, len(cands)))] << n for a in cands]
-    result = subset_search(2 * n, flip, score, witness, starts)
+    # per row: A and B, bw, one product, and term with its minimum
+    result = subset_search(2 * n, rate, 7 * n + 2, flip, score, witness, starts)
     return _sampled("vvv", d, eta, scale, eta_term, result, len(starts), seed)
 
 
 class _RowSums:
     """The searched set as a bitmask and its (n, n) ``term``, the sum of its
     elements' rows; the scaled slack, without its eta term, is
-    sum(min(term, 0)).  Element i's row is scale * t[i] - d_term placed at
-    term[at(i)].  A flip adds the int8 t[i], with a trailing 1 that counts
-    the elements placed there, to count[at(i)], and score() forms term from
-    count in int64; the float64 table of every element's row is built only
+    sum(min(term, 0)).  With t the (n, n, n) ordered edge tensor, an element
+    is a vertex a, whose row scale * t[a] - d_term covers all of term (ev),
+    or, when ``pairs``, the pair (a, b) = divmod(i, n) of element i, whose
+    row scale * t[a, b] - d_term is placed at row b of term (ee); at(i) is
+    where element i's row goes.  A flip adds the int8 rows of t, with a
+    trailing 1 that counts the elements placed there, to count[at(i)], and
+    score() forms term from count in int64.  ``search`` rates candidate sets
+    with ``rate``, and the float64 table of every element's row is built only
     by ``sweep``.  At most n elements are placed at each cell of term, so its
     entries lie in [-scale n, scale n] and the slack in [-scale n^3, 0].
     """
 
-    def __init__(self, t: np.ndarray, at, scale: int, d_term: int):
-        n = t.shape[-1]
-        self.t = np.concatenate([t, np.ones(t.shape[:-1] + (1,), dtype=np.int8)], axis=-1)
-        self.at, self.scale, self.d_term = at, scale, d_term
+    def __init__(self, t: np.ndarray, pairs: bool, scale: int, d_term: int):
+        n = len(t)
+        t = np.concatenate([t, np.ones((n, n, 1), dtype=np.int8)], axis=-1)
+        self.t = t.reshape(n * n, n + 1) if pairs else t
+        self.at = (lambda i: i % n) if pairs else (lambda i: ...)
+        self.pairs, self.scale, self.d_term = pairs, scale, d_term
         self.mask = 0
         self.count = np.zeros((n, n + 1), dtype=np.int64)
         self.term = None
@@ -516,6 +574,28 @@ class _RowSums:
     def score(self):
         self.term = self.scale * self.count[:, :-1] - self.d_term * self.count[:, -1:]
         return int(np.minimum(self.term, 0).sum())
+
+    def rate(self, rows):
+        """score() of each 0/1 row of elements: row b of count is one product
+        of the row's elements placed there by t[:, b], in float64 so that it
+        runs on BLAS (the counts are at most n, exact), and term and the
+        slack are formed from it in int64, as score() forms them."""
+        n = len(self.count)
+        t = self.t.reshape(n, n, n + 1)
+        rows = rows.astype(np.float64)
+        slack = np.zeros(len(rows), dtype=np.int64)
+        for b in range(n):
+            count = (rows[:, b::n] if self.pairs else rows) @ t[:, b].astype(np.float64)
+            count = count.astype(np.int64)
+            term = self.scale * count[:, :-1] - self.d_term * count[:, -1:]
+            slack += np.minimum(term, 0).sum(axis=1)
+        return slack
+
+    def search(self, witness, candidates):
+        # per row: its float64 copy, and the count, term and minimum of one row b
+        n, nbits = len(self.count), len(self.t)
+        width = nbits + 3 * n + 2
+        return subset_search(nbits, self.rate, width, self.flip, self.score, witness, candidates)
 
     def sweep(self, witness):
         n, nbits = len(self.count), len(self.t)
@@ -546,7 +626,7 @@ def _ev_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densit
     d, eta, scale, d_term, eta_term = _scaled(d, eta, H.n)
     n = H.n
     # vertex a adds scale t[a] - d_term to all of term when it joins A
-    A = _RowSums(_ordered_edge_tensor(H), lambda a: ..., scale, d_term)
+    A = _RowSums(_ordered_edge_tensor(H), False, scale, d_term)
 
     def witness():
         return {"A": bit_positions(A.mask), "P": np.argwhere(A.term < 0).tolist()}
@@ -554,7 +634,7 @@ def _ev_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densit
     if exact:
         return _exact("ev", d, eta, scale, eta_term, A.sweep(witness), (1 << n) * (1 << n * n))
     cands = _subset_candidates(n, rng(seed), samples)
-    result = subset_search(n, A.flip, A.score, witness, cands)
+    result = A.search(witness, cands)
     return _sampled("ev", d, eta, scale, eta_term, result, len(cands), seed)
 
 
@@ -569,7 +649,7 @@ def _ee_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densit
     d, eta, scale, d_term, eta_term = _scaled(d, eta, H.n)
     n = H.n
     # the pair (a, b) adds scale t[a, b] - d_term to row b of term when it joins P
-    P = _RowSums(_ordered_edge_tensor(H).reshape(n * n, n), lambda i: i % n, scale, d_term)
+    P = _RowSums(_ordered_edge_tensor(H), True, scale, d_term)
 
     def witness():
         return {
@@ -580,5 +660,5 @@ def _ee_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densit
     if exact:
         return _exact("ee", d, eta, scale, eta_term, P.sweep(witness), (1 << n * n) ** 2)
     cands = [0, (1 << n * n) - 1] + random_masks(n * n, rng(seed), samples)
-    result = subset_search(n * n, P.flip, P.score, witness, cands)
+    result = P.search(witness, cands)
     return _sampled("ee", d, eta, scale, eta_term, result, len(cands), seed)

@@ -250,11 +250,13 @@ def bit_positions(mask: int) -> list[int]:
 # Every density and quasirandom audit minimizes a score over the subsets of a
 # fixed ground set.  The caller keeps the current set and its running counts;
 # flip(i) toggles element i, score() rates the current set, and witness()
-# describes it.  The exact sweep also takes scores(masks), the same score for
-# a run of consecutive bitmasks at once, read off split-half tables such as
-# those of ``split_sums`` (meet in the middle, Horowitz-Sahni 1974).  Each
-# exact branch declares the tables it keeps to ``check_sweep`` before it
-# builds them.
+# describes it.  Both engines rate many sets at once and flip only to the
+# winner.  The exact sweep takes scores(masks), the same score for a run of
+# consecutive bitmasks, read off split-half tables such as those of
+# ``split_sums`` (meet in the middle, Horowitz-Sahni 1974).  Each exact
+# branch declares the tables it keeps to ``check_sweep`` before it builds
+# them.  The sampled search takes rate(rows), the same score for a chunk of
+# candidate sets unpacked into 0/1 rows, and then descends by single flips.
 #
 # Two constants bound memory.  _TABLE_CELLS caps the tables one exact sweep
 # keeps.  _CHUNK_BYTES bounds what a vectorised pass holds beyond the tables
@@ -382,27 +384,37 @@ def _all_sums(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def subset_search(nbits: int, flip, score, witness, candidates):
-    """Heuristic minimum of score(): candidate sets, then single-flip descent.
+def subset_search(nbits: int, rate, width: int, flip, score, witness, candidates):
+    """Heuristic minimum of the score: the best candidate set, then single-flip
+    descent.
 
-    The candidate bitmasks are scored in order, the caller's set (empty at
-    the start) moving between them by flipping the bits that differ; the
-    first is always taken, later ones on a strict decrease.  From the best
-    candidate, elements 0..nbits-1 are flipped in turn, a flip kept when it
-    strictly lowers the score and undone otherwise, until a whole pass keeps
-    none.  Returns (best score, witness).
+    The candidate bitmasks are unpacked into 0/1 rows (``unpack_rows``) in
+    chunks and rated by ``rate(rows)``, which returns each row's integer
+    score and which the caller declares to hold at most ``width`` 8-byte
+    cells per row at once; with the chunk's rows and scores that is at most
+    _CHUNK_BYTES, or one row.  The first candidate of least score wins, as a
+    walk taking the first and then each strict decrease would choose.  The
+    caller's set, empty at the start, is flipped to it, and score() must give
+    the rated value there.  Then elements 0..nbits-1 are flipped in turn, a
+    flip kept when it strictly lowers score() and undone otherwise, until a
+    whole pass keeps none.  score() then witness() describe the final set.
+    Returns (best score, witness).
     """
-    state = 0
-    best = wit = best_mask = None
-    for cand in candidates:
-        for i in bit_positions(state ^ cand):
-            flip(i)
-        state = cand
-        s = score()
-        if best is None or s < best:
-            best, wit, best_mask = s, witness(), cand
-    for i in bit_positions(state ^ best_mask):
+    step = chunk_len(nbits + 8 * (width + 1))
+    best = best_mask = None
+    for start in range(0, len(candidates), step):
+        chunk = candidates[start : start + step]
+        s = rate(unpack_rows(chunk, nbits))
+        k = int(s.argmin())
+        if best is None or s[k] < best:
+            best, best_mask = s[k], chunk[k]
+    for i in bit_positions(best_mask):
         flip(i)
+    replayed = score()
+    if replayed != best:
+        raise RuntimeError(
+            f"subset search: the set {best_mask:#x} scores {replayed} by flips, {best} by rate"
+        )
     improved = True
     while improved:
         improved = False
@@ -410,11 +422,11 @@ def subset_search(nbits: int, flip, score, witness, candidates):
             flip(i)
             s = score()
             if s < best:
-                best, wit = s, witness()
+                best = s
                 improved = True
             else:
                 flip(i)
-    return best, wit
+    return score(), witness()
 
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -433,6 +445,15 @@ def pack_rows(bits: np.ndarray) -> list[int]:
     """The rows of a 2-D boolean array as ints: bit j of int i is bits[i, j]."""
     packed = np.packbits(bits, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def unpack_rows(ints, nbits: int) -> np.ndarray:
+    """The inverse of ``pack_rows``: a uint8 (len(ints), nbits) array of 0/1
+    whose entry [i, j] is bit j of ints[i], each int below 2^nbits."""
+    width = (nbits + 7) // 8
+    raw = b"".join(x.to_bytes(width, "little") for x in ints)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(ints), width)
+    return np.unpackbits(packed, axis=1, count=nbits, bitorder="little")
 
 
 def random_rows(gen, count: int, nbits: int, p: float) -> list[int]:

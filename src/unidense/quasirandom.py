@@ -6,9 +6,10 @@ engine of the density audits (``hypergraph.subset_sweep`` when exact,
 ``hypergraph.subset_search`` when sampled); the worst subset of the other
 side is computed analytically per A, so the exact audit covers every (A, B)
 pair.  The exact sweep reads each A's column counts as the sum of two
-split-half subset-sum tables (``hypergraph.split_sums``).  Deviations are
-integers scaled by the denominator of d until the one Fraction of the report;
-all verdicts use exact rational arithmetic.
+split-half subset-sum tables (``hypergraph.split_sums``); the sampled search
+rates its candidates as one product of their indicator rows by the steps.
+Deviations are integers scaled by the denominator of d until the one Fraction
+of the report; all verdicts use exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -180,16 +181,16 @@ def audit_quasirandom(
     def witness():
         return bit_positions(mask), np.flatnonzero(v > 0 if up >= down else v < 0).tolist()
 
+    # v of many sets A at once comes from float64 steps when the bound is
+    # below 2^53 (exact there, and summed on BLAS), else from steps' own
+    # dtype.  A Python-int cell also holds its int object, in 16-byte blocks.
+    floats = bound < 2**53
+    table = steps.astype(np.float64) if floats else steps
+    per = 1 if dtype is np.int64 else 1 + 2 * -(-sys.getsizeof(bound) // 16)
     if exact:
-        # v of every A in a chunk comes from float64 tables when the bound is
-        # below 2^53 (exact there, and summed on BLAS), else from tables of the
-        # dtype of steps; the total of v is split-half in steps' own dtype.  A
-        # Python-int cell also holds its int object, in 16-byte blocks.
-        floats = bound < 2**53
-        per = 1 if dtype is np.int64 else 1 + 2 * -(-sys.getsizeof(bound) // 16)
+        # the total of v is split-half in steps' own dtype
         cells = per * (split_cells(W.nx, W.ny + 1) + W.nx * W.ny)
         check_sweep(W.nx, cells, bound if floats else 0)
-        table = steps.astype(np.float64) if floats else steps
         sums, totals = split_sums(table), split_sums(steps.sum(axis=1))
         ones = np.ones(W.ny, dtype=table.dtype)
 
@@ -206,8 +207,16 @@ def audit_quasirandom(
         candidates = random_masks(W.nx, rng(seed), samples) + [full]
         candidates.extend(1 << x for x in range(min(W.nx, 32)))
         candidates.extend(full ^ (1 << x) for x in range(min(W.nx, 32)))
+
+        def rate(rows):
+            vs = rows.astype(table.dtype) @ table
+            ups = np.maximum(vs, 0).sum(axis=1).astype(dtype, copy=False)
+            return -np.maximum(ups, ups - vs.sum(axis=1).astype(dtype, copy=False))
+
         mode, nsamples = "sampled", len(candidates)
-        neg_dev, (wa, wb) = subset_search(W.nx, flip, score, witness, candidates)
+        # per row: its indicators in the table's dtype, v, its positive part
+        width = per * (W.nx + 2 * W.ny + 4)
+        neg_dev, (wa, wb) = subset_search(W.nx, rate, width, flip, score, witness, candidates)
     if transposed:
         wa, wb = wb, wa
     max_dev = Fraction(-neg_dev, q * G.nx * G.ny)

@@ -14,13 +14,14 @@ from unidense import quasirandom as qr
 
 
 class Table:
-    """flip/score/witness, and the vectorised scores, over a score table indexed by the bitmask."""
+    """flip/score/witness, and the vectorised scores and rate, over a score
+    table indexed by the bitmask."""
 
     def __init__(self, table):
         self.table = table
         self.mask = 0
         self.visited = []  # masks scored one at a time, by score()
-        self.rated = []  # masks rated in chunks, by scores()
+        self.rated = []  # masks rated in chunks, by scores() or rate()
         self.witness_calls = 0
 
     def flip(self, i):
@@ -34,9 +35,44 @@ class Table:
         self.rated.extend(masks.tolist())
         return np.array(self.table, dtype=np.int64)[masks]
 
+    def rate(self, rows):
+        masks = hg.pack_rows(rows.astype(bool))
+        self.rated.extend(masks)
+        return np.array([self.table[m] for m in masks], dtype=np.int64)
+
     def witness(self):
         self.witness_calls += 1
         return self.mask
+
+
+def reference_search(nbits, rate, width, flip, score, witness, candidates):
+    """A flip walk on subset_search's signature (rate and width unused): the
+    candidates are scored in order by flipping from one to the next, the
+    first taken and later ones on a strict decrease, then the same
+    single-flip descent, with witness() called at every improvement."""
+    state = 0
+    best = wit = best_mask = None
+    for cand in candidates:
+        for i in hg.bit_positions(state ^ cand):
+            flip(i)
+        state = cand
+        s = score()
+        if best is None or s < best:
+            best, wit, best_mask = s, witness(), cand
+    for i in hg.bit_positions(state ^ best_mask):
+        flip(i)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(nbits):
+            flip(i)
+            s = score()
+            if s < best:
+                best, wit = s, witness()
+                improved = True
+            else:
+                flip(i)
+    return best, wit
 
 
 def gray_order(n):
@@ -110,22 +146,71 @@ class TestSubsetSweep:
 
 
 class TestSubsetSearch:
+    # chunk budgets that give one chunk, a few rows per chunk and one row per chunk
+    BUDGETS = (1 << 20, 64, 1)
+
+    def search(self, n, table, cands):
+        t = Table(table)
+        return hg.subset_search(n, t.rate, 1, t.flip, t.score, t.witness, cands), t
+
     def test_result_is_a_single_flip_local_minimum(self):
         rng = np.random.default_rng(1)
         for trial in range(60):
             n = int(rng.integers(1, 9))
             table = [int(x) for x in rng.integers(-50, 50, 1 << n)]
             cands = [int(x) for x in rng.integers(0, 1 << n, int(rng.integers(1, 6)))]
-            t = Table(table)
-            best, wit = hg.subset_search(n, t.flip, t.score, t.witness, cands)
+            (best, wit), _ = self.search(n, table, cands)
             assert table[wit] == best <= min(table[c] for c in cands)
             assert all(table[wit ^ (1 << i)] >= best for i in range(n))
 
+    def test_equals_the_reference_walk(self, monkeypatch):
+        # few distinct scores, so candidates and flips tie often
+        rng = np.random.default_rng(2)
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(hg, "_CHUNK_BYTES", budget)
+            for n in range(9):
+                for trial in range(12):
+                    table = [int(x) for x in rng.integers(0, 3, 1 << n)]
+                    cands = [int(x) for x in rng.integers(0, 1 << n, int(rng.integers(1, 40)))]
+                    got, t = self.search(n, table, cands)
+                    ref = Table(table)
+                    want = reference_search(n, None, 1, ref.flip, ref.score, ref.witness, cands)
+                    assert got == want
+                    assert t.rated == cands  # each candidate rated once, in order
+
+    def test_witness_called_once(self):
+        # the descent improves several times, and only the final set is described
+        n = 6
+        table = [-m.bit_count() for m in range(1 << n)]
+        (best, wit), t = self.search(n, table, [0, 1])
+        assert (best, wit) == (-n, (1 << n) - 1)
+        assert t.witness_calls == 1
+
+    def test_rate_must_match_score(self):
+        t = Table([3, 1, 2, 5])
+        lying = lambda rows: t.rate(rows) - 1  # noqa: E731
+        with pytest.raises(RuntimeError, match="scores 1 by flips, 0 by rate"):
+            hg.subset_search(2, lying, 1, t.flip, t.score, t.witness, [0, 1, 2])
+        assert t.witness_calls == 0
+
     def test_first_candidate_taken_then_strict_improvement(self):
         # every set scores 0: the first candidate wins and no flip is kept
-        t = Table([0] * 16)
-        assert hg.subset_search(4, t.flip, t.score, t.witness, [5, 0, 3]) == (0, 5)
-        assert t.visited[:3] == [5, 0, 3]
+        (best, wit), t = self.search(4, [0] * 16, [5, 0, 3])
+        assert (best, wit) == (0, 5)
+        assert t.rated == [5, 0, 3] and t.visited[0] == 5
+        # a later candidate wins only on a strict decrease: 3 ties 6 and comes first
+        table = [9] * 8
+        table[5], table[3], table[6] = 2, 1, 1
+        (best, wit), t = self.search(3, table, [5, 3, 6])
+        assert (best, wit) == (1, 3) and t.visited[0] == 3
+
+    def test_unpack_rows_inverts_pack_rows(self):
+        rng = np.random.default_rng(3)
+        for nbits in (0, 1, 7, 8, 9, 64, 130):
+            bits = rng.random((5, nbits)) < 0.5
+            rows = hg.unpack_rows(hg.pack_rows(bits), nbits)
+            assert rows.dtype == np.uint8 and rows.shape == (5, nbits)
+            assert (rows == bits).all()
 
 
 class TestRandomRows:
@@ -173,6 +258,73 @@ class TestSampledNeverBeatsExact:
             sampled = dn.audit_star_dense(H, star, d, eta, exact_threshold=0, samples=9, seed=seed)
             assert sampled.mode == "sampled"
             assert sampled.min_slack >= exact.min_slack
+
+
+# Sampled audits whose candidates all tie (empty instances at d = 0, and
+# complete ones at d = 1, where uniform and quasirandom tie), n = 0,
+# and quasirandom steps in float64 (q |X| |Y| = 315 < 2^53), int64
+# (2^53 <= 3 * 2^56 < 2^63) and Python ints (5 * 2^64 >= 2^63).
+ORACLE_CASES = [
+    ("uniform roedl", lambda s: dn.audit_uniform_dense(
+        cn.roedl_hypergraph(11, s), F(1, 2), F(1, 50), exact_threshold=0, samples=40, seed=s)),
+    ("uniform tournament", lambda s: dn.audit_uniform_dense(
+        cn.tournament_hypergraph(13, s), F(1, 4), 0, exact_threshold=0, samples=40, seed=s)),
+    ("uniform empty", lambda s: dn.audit_uniform_dense(
+        hg.make(7, []), 0, 0, exact_threshold=0, samples=12, seed=s)),
+    ("uniform complete", lambda s: dn.audit_uniform_dense(
+        hg.clique(7), 1, 0, exact_threshold=0, samples=12, seed=s)),
+    ("uniform n=0", lambda s: dn.audit_uniform_dense(
+        hg.make(0, []), F(1, 2), F(1, 10), exact_threshold=-1, samples=6, seed=s)),
+    ("vvv roedl", lambda s: dn.audit_star_dense(
+        cn.roedl_hypergraph(8, s), "vvv", F(1, 2), F(1, 20),
+        exact_threshold=0, samples=15, seed=s)),
+    ("vvv empty", lambda s: dn.audit_star_dense(
+        hg.make(6, []), "vvv", 0, 0, exact_threshold=0, samples=9, seed=s)),
+    ("vvv complete", lambda s: dn.audit_star_dense(
+        hg.clique(6), "vvv", 1, 0, exact_threshold=0, samples=9, seed=s)),
+    ("vvv n=0", lambda s: dn.audit_star_dense(
+        hg.make(0, []), "vvv", F(1, 2), 0, exact_threshold=-1, samples=6, seed=s)),
+    ("ev tournament", lambda s: dn.audit_star_dense(
+        cn.tournament_hypergraph(9, s), "ev", F(1, 4), F(1, 20),
+        exact_threshold=0, samples=15, seed=s)),
+    ("ev empty", lambda s: dn.audit_star_dense(
+        hg.make(6, []), "ev", 0, 0, exact_threshold=0, samples=9, seed=s)),
+    ("ev complete", lambda s: dn.audit_star_dense(
+        hg.clique(6), "ev", 1, 0, exact_threshold=0, samples=9, seed=s)),
+    ("ev n=0", lambda s: dn.audit_star_dense(
+        hg.make(0, []), "ev", F(1, 2), 0, exact_threshold=-1, samples=6, seed=s)),
+    ("ee roedl", lambda s: dn.audit_star_dense(
+        cn.roedl_hypergraph(5, s), "ee", F(1, 2), F(1, 20), exact_threshold=0, samples=9, seed=s)),
+    ("ee empty", lambda s: dn.audit_star_dense(
+        hg.make(4, []), "ee", 0, 0, exact_threshold=0, samples=6, seed=s)),
+    ("ee complete", lambda s: dn.audit_star_dense(
+        hg.clique(4), "ee", 1, 0, exact_threshold=0, samples=6, seed=s)),
+    ("ee n=0", lambda s: dn.audit_star_dense(
+        hg.make(0, []), "ee", F(1, 2), 0, exact_threshold=-1, samples=6, seed=s)),
+    ("quasirandom float64", lambda s: qr.audit_quasirandom(
+        qr.BipartiteGraph.random(9, 7, 0.4, s), F(1, 5), F(2, 5),
+        exact_bits=0, samples=30, seed=s)),
+    ("quasirandom int64", lambda s: qr.audit_quasirandom(
+        qr.BipartiteGraph.random(12, 16, 0.5, s), F(1, 5), F(3, 2**50),
+        exact_bits=0, samples=30, seed=s)),
+    ("quasirandom object", lambda s: qr.audit_quasirandom(
+        qr.BipartiteGraph.random(5, 4, 0.5, s), F(1, 5), F(1, 2**62),
+        exact_bits=0, samples=30, seed=s)),
+    ("quasirandom empty", lambda s: qr.audit_quasirandom(
+        qr.BipartiteGraph.from_edges(5, 6, []), 0, 0, exact_bits=0, samples=9, seed=s)),
+    ("quasirandom complete", lambda s: qr.audit_quasirandom(
+        qr.BipartiteGraph.complete(6, 5), 0, 1, exact_bits=0, samples=9, seed=s)),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name, audit", ORACLE_CASES, ids=[name for name, _ in ORACLE_CASES])
+def test_sampled_report_equals_the_reference_walk(name, audit, seed, monkeypatch):
+    got = audit(seed).to_dict()
+    assert got["mode"] == "sampled"
+    monkeypatch.setattr(dn, "subset_search", reference_search)
+    monkeypatch.setattr(qr, "subset_search", reference_search)
+    assert got == audit(seed).to_dict()
 
 
 def test_quasirandom_huge_denominator_matches_brute_force():
