@@ -184,7 +184,9 @@ def _cmd_certify(args, report):
             raise _Failed("certificate failed revalidation")
         lines.append("  certificate validated")
     if args.emit_cnf:
-        num_vars, clauses, varmap, meta = _palette.cnf_encoding(F, P)
+        # a certificate's ordering makes the exported CNF satisfiable by it
+        ordering = res.certificate.ordering if res.found else None
+        num_vars, clauses, varmap, meta = _palette.cnf_encoding(F, P, ordering)
         _io.write_dimacs(args.emit_cnf, num_vars, clauses, varmap, meta)
         report["cnf"] = {"path": str(args.emit_cnf), "vars": num_vars, "clauses": len(clauses)}
         lines.append(f"  CNF written to {args.emit_cnf} ({num_vars} vars, {len(clauses)} clauses)")

@@ -10,11 +10,14 @@ three pairs.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from graphlib import TopologicalSorter
 from math import factorial, inf, lcm, prod
 from typing import NamedTuple
 
@@ -467,32 +470,6 @@ def _twin_classes(F: Hypergraph3) -> list[list[int]]:
     return classes
 
 
-def _twin_orderings(classes, n: int):
-    """The orderings of range(n) that list each class in increasing order, in
-    lexicographic order from the identity: for twin classes, the least of
-    each orbit of the twin group, n!/prod |C|! in all, so the first that fits
-    is the least fitting ordering of all n!.  Each comes from the last by a
-    next-permutation step, without recursion: the rightmost rank that some
-    larger class head of its suffix can take gets the smallest such head, and
-    the rest of the suffix follows in increasing order.
-    """
-    label = {v: k for k, cls in enumerate(classes) for v in cls}
-    sigma = list(range(n))
-    while True:
-        yield tuple(sigma)
-        heads = {}  # class -> its smallest vertex in sigma[i:]
-        for i in range(n - 1, -1, -1):
-            heads[label[sigma[i]]] = sigma[i]
-            w = min((h for h in heads.values() if h > sigma[i]), default=None)
-            if w is not None:
-                rest = sorted(sigma[i:])
-                rest.remove(w)
-                sigma[i:] = [w, *rest]
-                break
-        else:
-            return
-
-
 def _values_interchangeable(codes, K: int) -> bool:
     """Whether the pattern codes are invariant under every colour permutation.
 
@@ -550,7 +527,7 @@ def ternary_tables(triples) -> TernaryTables:
 
 
 def solve_ternary(
-    domains, constraints, counter, budget, interchangeable=False, chain=(), accept=None
+    domains, constraints, counter, budget, interchangeable=0, chain=(), accept=None
 ):
     """Forward-checked backtracking over bitmask domains.
 
@@ -589,10 +566,12 @@ def solve_ternary(
     Two symmetry rules cut the search to canonical solutions.  The caller
     asserts that they hold for its instance.
 
-    * interchangeable: every permutation of the values maps solutions to
-      solutions, and all domains are full.  A variable then takes a value
-      already used or the smallest unused one, so the used values are always
-      {0..k-1}; the live values of a variable are its domain below k + 1.
+    * interchangeable = k > 0: value x has colour x // k, and each
+      permutation s of the colours, sending x to k s(x // k) + x % k except
+      on the variables whose values all lie below k, maps solutions to
+      solutions.  A variable then takes a used colour or the smallest unused
+      one: its live values are its domain below k (u + 1), u being one more
+      than the largest colour assigned so far.  k = 0 turns the rule off.
     * chain = (v1, v2, ...): some permutation group of the variables maps
       solutions to solutions and can sort the values along the chain, so some
       solution, if any exists, is non-decreasing along it.  Assigning v_i
@@ -600,16 +579,19 @@ def solve_ternary(
 
     Soundness: take a node whose partial assignment P extends to a solution S
     that is non-decreasing along the chain, and let S give the next variable x
-    a value u > k, where k is the smallest unused value.  Swapping u and k in
-    S gives a solution S' that still extends P, because P uses only values
-    below k, and S'(x) = k is a value the search tries.  S' is still
-    non-decreasing along the chain: if x is a chain variable, the earlier
-    chain values are below k and every later one is at least u, so values u
-    become k and the rest stay put; otherwise the whole chain lies in P.  So
-    the search meets a solution whenever one exists, and "unsat" means full
-    exhaustion up to the symmetry.  With accept, "solution" means a total
-    assignment the hook takes, and the rules need the hook's answers to be
-    invariant under the same permutations.
+    a value of colour w > u, so that x's values are not all below k.  Swapping
+    the colours w and u in S gives a solution S' that still extends P, because
+    P uses only colours below u, and S'(x), of colour u, is a value the search
+    tries.  It lies in x's domain because S' is a solution, so a domain need
+    not be full, only closed under the colour permutations (the even values
+    alone, say, with k = 2).  S' is still non-decreasing along the chain: if x
+    is a chain variable, the earlier chain values have colours below u and
+    every later one is at least S(x), so colour w becomes u in the same order
+    and the rest stay put; otherwise the whole chain lies in P.  So the search
+    meets a solution whenever one exists, and "unsat" means full exhaustion up
+    to the symmetry.  With accept, "solution" means a total assignment the
+    hook takes, and the rules need the hook's answers to be invariant under
+    the same permutations.
     """
     n = len(domains)
     domains = list(domains)
@@ -653,7 +635,7 @@ def solve_ternary(
     while True:
         depth = len(stack)
         if depth < n:
-            live = (1 << (used + 1)) - 1 if interchangeable else -1
+            live = (1 << (interchangeable * (used + 1))) - 1 if interchangeable else -1
             if depth < len(chain):
                 var = chain[depth]
             else:
@@ -694,19 +676,52 @@ def solve_ternary(
                 domains[nxt] = nd
             if ok:
                 stack.append((var, nxt, saved, rest, used))
-                used = max(used, c + 1)
+                used = max(used, c // interchangeable + 1) if interchangeable else 0
                 break
             domains[:] = saved
             assign[var] = -1
 
 
-def _edge_slots_for_ordering(F: Hypergraph3, ordering) -> list[tuple]:
-    rank = {v: r for r, v in enumerate(ordering)}
-    slots = []
-    for e in F.edges:
-        x, y, z = sorted(e, key=rank.__getitem__)
-        slots.append((_pair(x, y), _pair(x, z), _pair(y, z)))
-    return slots
+_SLOTS = ((0, 1), (0, 2), (1, 2))  # the pairs xy, xz, yz of x < y < z, by local index
+
+
+def _placed(codes, orders) -> set:
+    """Value triples over the pairs (xy, xz, yz) of a triple x < y < z: under
+    each order (the local indices of x, y, z, first vertex first), each code
+    triple read on the pairs first-second, first-third and second-third, a
+    pair of colour c taking the value 2c + b, b = 1 when its larger vertex
+    comes first."""
+    reads = [
+        [(_SLOTS.index(_pair(o.index(p), o.index(q))), o.index(p) > o.index(q)) for p, q in _SLOTS]
+        for o in orders
+    ]
+    return {tuple(2 * t[k] + b for k, b in read) for t in codes for read in reads}
+
+
+def _chordal_completion(n: int, pairs) -> tuple[list, list]:
+    """(pairs, triangles) of a chordal graph on range(n) holding the given
+    pairs, as sorted lists of sorted tuples.  Vertices are eliminated least
+    degree first, ties going to the lower vertex, and eliminating v joins its
+    remaining neighbours pairwise; so each triangle is listed once, from its
+    first-eliminated vertex."""
+    nbrs: list = [set() for _ in range(n)]
+    for u, v in pairs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    heap = sorted((len(s), v) for v, s in enumerate(nbrs))
+    edges, triangles = [], []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if nbrs[v] is None or d != len(nbrs[v]):  # eliminated, or a stale degree
+            continue
+        rest, nbrs[v] = sorted(nbrs[v]), None
+        edges += [_pair(v, a) for a in rest]
+        triangles += [tuple(sorted((v, a, b))) for a, b in itertools.combinations(rest, 2)]
+        for a in rest:
+            nbrs[a].update(rest)
+            nbrs[a] -= {a, v}
+            heapq.heappush(heap, (len(nbrs[a]), a))
+    return sorted(edges), sorted(triangles)
 
 
 def representable(
@@ -720,24 +735,35 @@ def representable(
     """Decide whether some pattern hypergraph over this palette contains F.
 
     Searches for an ordering of V(F) plus a shadow colouring sending every
-    edge's pattern into the palette.  For symmetric palettes pattern membership
-    is ordering-invariant, so the ordering loop collapses to the identity.
-    There is one search path: each ordering's colouring search runs on
-    :func:`solve_ternary`, the engine shared with
-    :func:`unidense.reduced.find_reduced_map`, with colours tried most frequent
-    in the patterns first.  Every verdict and certificate comes from it, so the
-    result does not depend on any seed.  A "free" verdict is only ever reported
-    after full exhaustion; certificates are re-validated by
-    :func:`check_certificate` before being returned.
+    edge's pattern into the palette, as one run of :func:`solve_ternary`,
+    the engine shared with :func:`unidense.reduced.find_reduced_map`; no
+    seed is involved.  A variable is a pair {u < v} with the value 2c + b:
+    c is its colour (0 off the shadow), colours ranked most frequent in the
+    patterns first, and b = 1 when v precedes u.  "free" is only reported
+    after full exhaustion, and certificates are re-validated by
+    :func:`check_certificate`.
 
-    The search is cut by the symmetries the instance has, and the result names
-    the group used.  When the pattern codes are invariant under S_K, colours
-    are interchangeable.  Every permutation of a twin class C of F (see
-    :func:`_twin_classes`) is an automorphism of F.  For a symmetric palette
-    and no fixed ordering, with v0 the smallest vertex of the largest class,
-    the colours of the pairs (v0, t), t in C other than v0, may be taken
-    non-decreasing in t.  Asymmetric palettes try one ordering per orbit of
-    the twin group (:func:`_twin_orderings`), named by its Sym(|C|) factors.
+    With a symmetric palette (membership does not depend on the ordering,
+    so the identity is taken) or fixed_ordering, every b is known: the
+    variables are the sorted shadow pairs, and each edge, in ``F.edges``
+    order, allows the patterns read in its order.  Otherwise the variables
+    are the pairs of a chordal completion (:func:`_chordal_completion`) of
+    the shadow and of the consecutive vertices of each twin class.  Each edge
+    of F allows every pattern under every order of its vertices, and every
+    other triangle every acyclic orientation.  An orientation of a chordal
+    graph with no cyclic triangle has no cycle (a chord of a shortest cycle
+    would close a shorter one), so the solutions are exactly the (ordering,
+    colouring) pairs, the ordering a topological order of the orientation.
+
+    The search is cut by the symmetries the instance has, and the result
+    names the group used.  Colours are interchangeable, on value // 2, when
+    the pattern codes are invariant under S_K.  Every permutation of a twin
+    class C of F (:func:`_twin_classes`) is an automorphism of F.  For a
+    symmetric palette and no fixed ordering, with v0 the smallest vertex of
+    the largest class, the colours of the pairs (v0, t), t in C other than
+    v0, may be taken non-decreasing in t.  Otherwise each class is taken in
+    increasing order (b = 0 on its pairs), one ordering per orbit of the
+    twin group, named by its Sym(|C|) factors.
 
     probe_seed and probe_steps are accepted and ignored.  They configured a
     randomized certificate probe that has been removed; they stay in the
@@ -746,9 +772,7 @@ def representable(
     """
     colors = palette.base.colors
     K = len(colors)
-    pairs = sorted(F.shadow())
-    s = len(pairs)
-    pidx = {p: i for i, p in enumerate(pairs)}
+    shadow = sorted(F.shadow())
 
     if not F.edges:
         cert = RepresentabilityCertificate(tuple(range(F.n)), {})
@@ -757,55 +781,75 @@ def representable(
     codes = palette.pattern_codes()
     interchangeable = _values_interchangeable(codes, K)
     groups = [(f"S{K}", factorial(K))] if interchangeable else []
-    chain: tuple[int, ...] = ()
-    if fixed_ordering is not None:
-        ordering = tuple(fixed_ordering)
+    # the engine tries values lowest first, so search over colour codes relabelled
+    # by frequency rank: code value_order[r] is searched as r
+    value_order = sorted(range(K), key=lambda c: (-sum(p.count(c) for p in codes), c))
+    rank = {c: r for r, c in enumerate(value_order)}
+    ranked = frozenset((rank[a], rank[b], rank[c]) for a, b, c in codes)
+    even = sum(1 << 2 * c for c in range(K))  # every colour, b = 0
+
+    @cache
+    def table(orders, edge):
+        """Tables of a triangle under the orders: an edge reads the patterns,
+        any other triangle any colours."""
+        return ternary_tables(
+            _placed(ranked if edge else itertools.product(range(K), repeat=3), orders)
+        )
+
+    ordering = pos = None
+    if fixed_ordering is not None or palette.symmetric:
+        ordering = tuple(range(F.n) if fixed_ordering is None else fixed_ordering)
         if sorted(ordering) != list(range(F.n)):
             raise PaletteError("fixed_ordering must be a permutation of V(F)")
-        orderings = iter([ordering])
-        space = K**s
-    elif palette.symmetric:
-        orderings = iter([tuple(range(F.n))])
-        space = K**s
+        space = K ** len(shadow)
+        pos = {v: r for r, v in enumerate(ordering)}
+        pairs, triangles = shadow, F.edges
+        domains = [even << (pos[v] < pos[u]) for u, v in pairs]
+    else:
+        classes = _twin_classes(F)
+        groups += [(f"Sym({len(cls)})", factorial(len(cls))) for cls in classes]
+        space = factorial(F.n) * K ** len(shadow)
+        coloured = set(shadow)
+        steps = {(u, w) for cls in classes for u, w in zip(cls, cls[1:])}
+        pairs, triangles = _chordal_completion(F.n, coloured | steps)
+        label = {v: k for k, cls in enumerate(classes) for v in cls}
+        domains = [
+            ((1 << 2 * K) - 1 if (u, v) in coloured else 3) & (even if label[u] == label[v] else -1)
+            for u, v in pairs
+        ]
+    pidx = {p: i for i, p in enumerate(pairs)}
+    edges = set(F.edges)
+    constraints = []
+    for t in triangles:
+        x, y, z = t
+        orders = _PERMS3 if pos is None else (tuple(sorted(range(3), key=lambda i: pos[t[i]])),)
+        constraints.append(((pidx[x, y], pidx[x, z], pidx[y, z]), table(orders, t in edges)))
+    chain: tuple[int, ...] = ()
+    if palette.symmetric and fixed_ordering is None:
         v0, *row = max(_twin_classes(F), key=len)
         if len(row) >= 2 and all((v0, t) in pidx for t in row):
             chain = tuple(pidx[v0, t] for t in row)
             groups.append((f"Sym({len(row)})", factorial(len(row))))
-    else:
-        classes = _twin_classes(F)
-        orderings = _twin_orderings(classes, F.n)
-        groups += [(f"Sym({len(cls)})", factorial(len(cls))) for cls in classes]
-        space = factorial(F.n) * K**s
     symmetry = Symmetry.product(groups)
 
-    freq = [0] * K
-    for p in codes:
-        for c in p:
-            freq[c] += 1
-    # the engine tries values lowest first, so search over colour codes relabelled
-    # by frequency rank: code value_order[r] is searched as r
-    value_order = sorted(range(K), key=lambda c: (-freq[c], c))
-    rank = {c: r for r, c in enumerate(value_order)}
-    tables = ternary_tables((rank[a], rank[b], rank[c]) for a, b, c in codes)
-
     counter = [0]
-    for ordering in orderings:
-        constraints = [
-            (tuple(pidx[p] for p in slots), tables)
-            for slots in _edge_slots_for_ordering(F, ordering)
-        ]
-        status, assign = solve_ternary(
-            [(1 << K) - 1] * s, constraints, counter, budget, interchangeable, chain
-        )
-        if status == "sat":
-            coloring = {p: colors[value_order[assign[i]]] for i, p in enumerate(pairs)}
-            cert = RepresentabilityCertificate(tuple(ordering), coloring)
-            if not check_certificate(F, palette, cert):  # pragma: no cover - safety net
-                raise AssertionError("internal error: produced certificate failed validation")
-            return RepresentabilityResult("certificate", cert, space, counter[0], symmetry)
-        if status == "budget":
-            return RepresentabilityResult("inconclusive", None, space, counter[0], symmetry)
-    return RepresentabilityResult("free", None, space, counter[0], symmetry)
+    status, assign = solve_ternary(
+        domains, constraints, counter, budget, 2 if interchangeable else 0, chain
+    )
+    if status == "sat":
+        if ordering is None:
+            before = {v: set() for v in range(F.n)}
+            for (u, v), x in zip(pairs, assign):
+                first, then = (v, u) if x & 1 else (u, v)
+                before[then].add(first)
+            ordering = tuple(TopologicalSorter(before).static_order())
+        coloring = {p: colors[value_order[assign[pidx[p]] // 2]] for p in shadow}
+        cert = RepresentabilityCertificate(ordering, coloring)
+        if not check_certificate(F, palette, cert):  # pragma: no cover - safety net
+            raise AssertionError("internal error: produced certificate failed validation")
+        return RepresentabilityResult("certificate", cert, space, counter[0], symmetry)
+    status = "inconclusive" if status == "budget" else "free"
+    return RepresentabilityResult(status, None, space, counter[0], symmetry)
 
 
 def zero_density_certificate(F: Hypergraph3, budget: int | None = None) -> RepresentabilityResult:
@@ -847,8 +891,10 @@ def cnf_encoding(F: Hypergraph3, palette: Palette, ordering=None):
             clauses.append((-var(p, c1), -var(p, c2)))
     codes = palette.pattern_codes()
     forbidden = [t for t in itertools.product(range(K), repeat=3) if t not in codes]
-    for p1, p2, p3 in _edge_slots_for_ordering(F, ordering):
-        i1, i2, i3 = pidx[p1], pidx[p2], pidx[p3]
+    rank = {v: r for r, v in enumerate(ordering)}
+    for e in F.edges:
+        x, y, z = sorted(e, key=rank.__getitem__)
+        i1, i2, i3 = pidx[_pair(x, y)], pidx[_pair(x, z)], pidx[_pair(y, z)]
         for a, b, c in forbidden:
             clauses.append((-var(i1, a), -var(i2, b), -var(i3, c)))
     varmap = {

@@ -456,12 +456,6 @@ def project_random(A: ReducedHypergraph, ell: int, seed=0, psi=None) -> Projecti
     return ProjectionResult(_restricted(A, psi), psi)
 
 
-def projection_failure_bound(m: int, ell: int, eta, eps) -> float:
-    """Union bound on the projection losing (d + eps/2, ee)-density:
-    m^3 ell^2 (eta + exp(-eps^2 ell / 2))."""
-    return (m**3) * (ell**2) * (float(eta) + math.exp(-float(eps) ** 2 * ell / 2))
-
-
 # -- reduced maps -----------------------------------------------------------------
 
 
@@ -611,7 +605,7 @@ def find_reduced_map(
         constraints += [(t, distinct) for t in sorted(triples)]
     status, _lam = solve_ternary(
         [(1 << m) - 1] * F.n, constraints, counter, budget,
-        interchangeable=first_use, accept=colour,
+        interchangeable=1 if first_use else 0, accept=colour,
     )
     if status == "sat":
         (rm,) = found
@@ -755,25 +749,3 @@ def random_dense_reduced(m: int, size: int, d, seed=0) -> ReducedHypergraph:
                 pool = np.flatnonzero(~lines[u, v])
                 lines[u, v, gen.permutation(pool)[: missing[u, v]]] = True
     return ReducedHypergraph._from_cubes(tuple(range(m)), classes, [(triples, cubes)])
-
-
-# -- useless-triple classification ------------------------------------------------------
-
-
-def count_useless_triples(A: ReducedHypergraph, B: ReducedHypergraph, xi):
-    """Triples whose constituent loses more than a xi-fraction of A's edges in B.
-
-    A and B must share indices and class sizes; returns (count, sorted triples).
-    """
-    xi = Fraction(xi)
-    if A.indices != B.indices or A.class_sizes != B.class_sizes:
-        raise ReducedError("useless-triple count needs matching indices and classes")
-    useless = []
-    for (triples, a), (_triples, b) in zip(A.stacks, B.stacks):
-        lost = np.count_nonzero(a & ~b, axis=(1, 2, 3)).tolist()
-        bound = math.prod(a.shape[1:])
-        useless += [
-            ijk for ijk, n in zip(triples, lost) if n * xi.denominator > xi.numerator * bound
-        ]
-    useless.sort()
-    return len(useless), useless

@@ -583,6 +583,24 @@ class TestCli:
         assert sidecar["meta"]["covers_all_orderings"] is True
         assert len(sidecar["variables"]) == 165
 
+    def test_emit_cnf_holds_the_certificate(self, tmp_path):
+        # the identity ordering of this F is free under cycle5, so a CNF for
+        # it could not hold the certificate, which needs another ordering
+        f, cnf, rpt = tmp_path / "f.txt", tmp_path / "f.cnf", tmp_path / "f.json"
+        uio.write_hypergraph(hg.make(5, [(0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 2, 3), (1, 3, 4)]), f)
+        argv = ["certify", "--F", str(f), "--palette", "cycle5", "--emit-cnf", str(cnf)]
+        assert cli.main(argv + ["--json", str(rpt)]) == 0
+        cert = json.loads(rpt.read_text())["certificate"]
+        sidecar = json.loads((tmp_path / "f.cnf.vars.json").read_text())
+        assert sidecar["meta"]["ordering"] == cert["ordering"]
+        truth = {
+            int(v): cert["coloring"][f"{info['pair'][0]},{info['pair'][1]}"] == info["color"]
+            for v, info in sidecar["variables"].items()
+        }
+        clauses = [[int(x) for x in line.split()[:-1]] for line in cnf.read_text().splitlines()[1:]]
+        assert len(truth) == 20 and clauses
+        assert all(any(truth[abs(x)] == (x > 0) for x in c) for c in clauses)
+
     def test_table_rows_are_the_listed_palettes_claims(self):
         rows = cli._table_rows()
         assert rows == [

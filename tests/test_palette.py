@@ -271,7 +271,7 @@ class TestRepresentable:
         assert pal.representable(hg.clique(5), pal.builtin("ee5")).nodes == 70
 
     def test_k10_ee11_certificate_nodes_pinned(self):
-        # served by the ordering loop over solve_ternary alone, far inside the
+        # served by one solve_ternary run alone, far inside the
         # 3M-node budget the certify benchmark gives it
         F, P = hg.clique(10), pal.builtin("ee11")
         res = pal.representable(F, P, budget=3_000_000)
@@ -284,6 +284,45 @@ class TestRepresentable:
         res = pal.representable(hg.clique(11), pal.builtin("ee11"), budget=200_000)
         assert res.status == "free" and res.nodes == 17_686
         assert res.symmetry == pal.Symmetry("S3 x Sym(10)", 21_772_800)
+
+    @pytest.mark.parametrize("name", ["tournament", "rainbow"])
+    def test_twins_sharing_no_edge(self, name):
+        # 2 and 3 are twins whose pair lies in no edge, so it enters the
+        # search only through the twin classes
+        F, P = hg.make(4, [(0, 1, 2), (0, 1, 3)]), pal.builtin(name)
+        res = pal.representable(F, P)
+        assert res.found == naive_representable(F, P)
+        assert pal.check_certificate(F, P, res.certificate)
+        for cls in pal._twin_classes(F):
+            assert [v for v in res.certificate.ordering if v in cls] == cls
+
+    def test_certificate_off_the_identity_ordering(self):
+        # free under cycle5 in its identity ordering but represented in
+        # another, which also orders triangles of the completion that are
+        # no edges of F out of label order
+        F, P = hg.make(5, [(0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 2, 3), (1, 3, 4)]), pal.builtin("cycle5")
+        assert pal.representable(F, P, fixed_ordering=range(5)).status == "free"
+        res = pal.representable(F, P)
+        assert res.found and pal.check_certificate(F, P, res.certificate)
+
+    def test_twin_free_f8_free_within_budget(self):
+        # one search over every ordering: the 8! orderings of this twin-free
+        # F are not tried one by one
+        F = hg.make(8, [
+            (0, 1, 3), (0, 1, 5), (0, 1, 6), (0, 2, 4), (0, 2, 5), (0, 2, 6), (0, 3, 7),
+            (0, 4, 6), (1, 2, 3), (1, 2, 6), (1, 3, 4), (1, 4, 6), (1, 6, 7), (2, 3, 6),
+            (2, 3, 7), (2, 4, 6), (2, 4, 7),
+        ])
+        assert pal._twin_classes(F) == [[v] for v in range(8)]
+        res = pal.representable(F, pal.builtin("tournament"), budget=1000)
+        assert res.status == "free"
+
+    def test_long_tight_path_certificate(self):
+        # the chordal completion of a tight path is its shadow, so the model
+        # stays linear in n
+        F, P = hg.make(1000, [(i, i + 1, i + 2) for i in range(998)]), pal.builtin("rainbow")
+        res = pal.representable(F, P)
+        assert res.found and pal.check_certificate(F, P, res.certificate)
 
     def test_edgeless_f_trivially_representable(self):
         F = hg.make(4, [])

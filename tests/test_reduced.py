@@ -462,10 +462,6 @@ class TestProjection:
             assert rd.validate_reduced_map(F, A, composed)
         assert found >= 20  # dense instances should usually admit a map
 
-    def test_failure_bound_formula(self):
-        val = rd.projection_failure_bound(4, 10, Fraction(1, 100), Fraction(1, 2))
-        assert val == pytest.approx(64 * 100 * (0.01 + np.exp(-0.25 * 10 / 2)))
-
 
 def naive_reduced_map(F, A, injective):
     """Oracle: try every index assignment and every class-vertex choice outright."""
@@ -688,28 +684,3 @@ class TestTetrahedronGreedy:
             # agreement in validity with the generic search
             res = rd.find_reduced_map(hg.clique(4), A)
             assert res.found
-
-
-class TestUselessTriples:
-    def test_exact_and_matches_recount(self):
-        rng = np.random.default_rng(13)
-        A = random_reduced(5, 4, 0.7, rng)
-        # delete some edges to form B
-        cons_b = {}
-        for ijk, edges in A.constituents.items():
-            cons_b[ijk] = frozenset(e for e in edges if rng.random() > 0.3)
-        B = rd.ReducedHypergraph(A.indices, A.class_sizes, cons_b)
-        xi = Fraction(1, 4)
-        count, triples = rd.count_useless_triples(A, B, xi)
-        brute = [
-            ijk
-            for ijk in sorted(A.constituents)
-            if len(A.constituents[ijk] - B.constituents[ijk])
-            > xi * np.prod(A.role_sizes(ijk))
-        ]
-        assert triples == brute and count == len(brute)
-
-    def test_identical_instances_have_none(self):
-        A = rd.from_palette(pal.builtin("ee5"), 5)
-        count, triples = rd.count_useless_triples(A, A, Fraction(1, 100))
-        assert count == 0 and triples == []

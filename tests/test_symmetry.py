@@ -111,6 +111,12 @@ def oracle_representable(F, P):
     return False
 
 
+def assert_twins_increasing(F, cert):
+    """The certificate lists each twin class of F in increasing order."""
+    for cls in oracle_twin_classes(F):
+        assert [v for v in cert.ordering if v in cls] == cls
+
+
 @SETTINGS
 @given(st.data())
 def test_representable_agrees_with_oracle(data):
@@ -123,6 +129,7 @@ def test_representable_agrees_with_oracle(data):
     assert res.found == oracle_representable(F, P)
     if res.found:
         assert pal.check_certificate(F, P, res.certificate)
+        assert_twins_increasing(F, res.certificate)
     K = len(P.base.colors)
     codes = P.pattern_codes()
     invariant = codes == close_codes(codes, K, True, False)
@@ -157,20 +164,40 @@ def test_solve_ternary_symmetry_rules_keep_verdict(data):
     )
     n = data.draw(st.integers(3, 7))
     s, constraints, chain = clique_csp(n, P)
-    variants = [(False, ()), (False, chain)]
+    full = [(1 << K) - 1] * s
+    variants = [(full, constraints, 0, ()), (full, constraints, 0, chain)]
     if invariant:
-        variants += [(True, ()), (True, chain)]
+        variants += [(full, constraints, 1, ()), (full, constraints, 1, chain)]
+    # stride 2: value 2c + b with the colour c under the codes and b free in
+    # the table but fixed by each domain, so the domains are closed under
+    # colour permutations without being full; the chain needs one b for all
+    doubled = pal.ternary_tables(
+        (2 * a + p, 2 * b + q, 2 * c + r)
+        for a, b, c in codes
+        for p, q, r in itertools.product((0, 1), repeat=3)
+    )
+    parity = data.draw(st.sampled_from(("even", "odd", "mixed")))
+    odd = [parity == "odd" or (parity == "mixed" and data.draw(st.booleans())) for _ in range(s)]
+    even = sum(1 << 2 * c for c in range(K))
+    halves = [even << b for b in odd]
+    stride2 = [(vars3, doubled) for vars3, _tables in constraints]
+    variants.append((halves, stride2, 0, ()))
+    if invariant:
+        variants.append((halves, stride2, 2, ()))
+        if parity != "mixed":
+            variants.append((halves, stride2, 2, chain))
     verdicts = set()
-    for interchangeable, ch in variants:
-        status, assign = pal.solve_ternary(
-            [(1 << K) - 1] * s, constraints, [0], None, interchangeable, ch
-        )
+    for domains, cons, k, ch in variants:
+        status, assign = pal.solve_ternary(domains, cons, [0], None, k, ch)
         verdicts.add(status)
         event(f"n={n} {status}")
         if status == "sat":
+            colours = [x // 2 for x in assign] if cons is stride2 else assign
             assert all(
-                tuple(assign[v] for v in vars3) in codes for vars3, _tables in constraints
+                tuple(colours[v] for v in vars3) in codes for vars3, _tables in constraints
             )
+            if cons is stride2:
+                assert [x % 2 for x in assign] == odd
             if ch:
                 assert all(assign[a] <= assign[b] for a, b in zip(ch, ch[1:]))
     assert len(verdicts) == 1 and verdicts <= {"sat", "unsat"}
@@ -200,23 +227,11 @@ def test_symmetry_names():
     assert pal.representable(hg.make(4, []), pal.builtin("ee6")).symmetry == pal.NO_SYMMETRY
 
 
-def test_twin_orderings():
-    # {0, 3} and {1, 2} interleave: 4!/(2! 2!) orderings, in lexicographic order
-    assert list(pal._twin_orderings([[0, 3], [1, 2]], 4)) == [
-        (0, 1, 2, 3), (0, 1, 3, 2), (0, 3, 1, 2), (1, 0, 2, 3), (1, 0, 3, 2), (1, 2, 0, 3),
-    ]
-    for n in range(5):
-        # twin-free: every ordering, in the order itertools gives them
-        singletons = [[v] for v in range(n)]
-        assert list(pal._twin_orderings(singletons, n)) == list(itertools.permutations(range(n)))
-        assert list(pal._twin_orderings([list(range(n))], n)) == [tuple(range(n))]
-
-
 @pytest.mark.parametrize("r", range(3, 9))
 def test_roedl_family_is_free_against_the_clique(r):
     """No pattern hypergraph over roedl(r) contains K_{r+2}, the paper's
-    Rödl-type bound (r-1)/r: K_{r+2} is one twin class, so the search takes
-    one ordering and r nodes."""
+    Rödl-type bound (r-1)/r: K_{r+2} is one twin class, so every pair is
+    oriented up front and the search takes r nodes."""
     res = pal.representable(hg.clique(r + 2), pal.builtin(f"roedl({r})"), budget=10_000)
     assert (res.status, res.nodes) == ("free", r)
     assert res.symmetry == pal.Symmetry(f"S{r} x Sym({r + 2})", factorial(r) * factorial(r + 2))
