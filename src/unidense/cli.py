@@ -76,16 +76,6 @@ def _count(text: str) -> int:
     return value
 
 
-def _budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"budget must be an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"budget must be a nonnegative node count, got {value}")
-    return value
-
-
 def _load_hypergraph(spec: str) -> _hg.Hypergraph3:
     p = Path(spec)
     if p.exists():
@@ -184,9 +174,7 @@ def _cmd_certify(args, report):
             raise _Failed("certificate failed revalidation")
         lines.append("  certificate validated")
     if args.emit_cnf:
-        # a certificate's ordering makes the exported CNF satisfiable by it
-        ordering = res.certificate.ordering if res.found else None
-        num_vars, clauses, varmap, meta = _palette.cnf_encoding(F, P, ordering)
+        num_vars, clauses, varmap, meta = _palette.cnf_encoding(F, P)
         _io.write_dimacs(args.emit_cnf, num_vars, clauses, varmap, meta)
         report["cnf"] = {"path": str(args.emit_cnf), "vars": num_vars, "clauses": len(clauses)}
         lines.append(f"  CNF written to {args.emit_cnf} ({num_vars} vars, {len(clauses)} clauses)")
@@ -428,13 +416,13 @@ def build_parser() -> _Parser:
     cert = sub.add_parser("certify", help="representability search")
     cert.add_argument("--F", required=True, help="hypergraph family name or file")
     cert.add_argument("--palette", required=True, help="palette name or file")
-    cert.add_argument("--budget", type=_budget, default=10**8, help="CSP node budget")
-    cert.add_argument("--emit-cnf", help="export the colouring search as DIMACS CNF")
+    cert.add_argument("--budget", type=_count, default=10**8, help="CSP node budget")
+    cert.add_argument("--emit-cnf", help="export the search's model as DIMACS CNF")
     cert.add_argument("--allow-inconclusive", action="store_true")
     command(cert, "certify", _cmd_certify)
 
     tab = sub.add_parser("table", help="certified lower-bound table")
-    tab.add_argument("--budget", type=_budget, default=10**6, help="CSP node budget per row")
+    tab.add_argument("--budget", type=_count, default=10**6, help="CSP node budget per row")
     command(tab, "table", _cmd_table)
 
     gen = sub.add_parser("gen", help="seeded generators")
@@ -514,7 +502,7 @@ def build_parser() -> _Parser:
     rm = red_sub.add_parser("map", help="reduced-map search")
     rm.add_argument("input")
     rm.add_argument("--F", required=True)
-    rm.add_argument("--budget", type=_budget, default=10**8, help="search node budget")
+    rm.add_argument("--budget", type=_count, default=10**8, help="search node budget")
     rm.add_argument("--injective", action="store_true",
                     help="force an injective index assignment")
     rm.add_argument("--allow-inconclusive", action="store_true")

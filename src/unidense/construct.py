@@ -252,15 +252,13 @@ def lift_hypergraph(A: ReducedHypergraph, pc: PartitionedColoring) -> Hypergraph
     return Hypergraph3(n, np.concatenate(edges))
 
 
-def lift_reduced(A: ReducedHypergraph, h: int, seed, coloring: PartitionedColoring | None = None) -> LiftResult:
+def lift_reduced(A: ReducedHypergraph, h: int, seed) -> LiftResult:
     """Concrete hypergraph on h*|I| vertices built from a reduced hypergraph.
 
-    Crossing pairs get uniformly random class vertices (or the supplied
-    colouring); only crossing triples can become edges.  Quasirandomness of the
-    sampled colour classes is audited separately, never enforced by resampling.
+    Crossing pairs get uniformly random class vertices; only crossing
+    triples can become edges.  Quasirandomness of the sampled colour classes
+    is audited separately, never enforced by resampling.  To lift a given
+    colouring, call :func:`lift_hypergraph`.
     """
-    if coloring is None:
-        coloring = random_partitioned_coloring(A, h, seed)
-    elif coloring.block_size != h or coloring.class_sizes != A.class_sizes:
-        raise PaletteError("supplied colouring does not match the reduced hypergraph")
+    coloring = random_partitioned_coloring(A, h, seed)
     return LiftResult(lift_hypergraph(A, coloring), coloring)

@@ -21,7 +21,7 @@ from graphlib import TopologicalSorter
 from math import factorial, inf, lcm, prod
 from typing import NamedTuple
 
-from .hypergraph import Hypergraph3
+from .hypergraph import Hypergraph3, bit_positions
 
 
 class PaletteError(ValueError):
@@ -495,11 +495,12 @@ class TernaryTables(NamedTuple):
     (r2) seen together with x; comp2[x][y] is the bitmask of values at r2
     completing x at s and y at r1, and comp1[x][y] those at r1 completing x
     at s and y at r2.  A value x that no triple uses at s reads an all-zero
-    row.
+    row.  allowed is the set of allowed triples itself.
     """
 
     width: int
     arcs: tuple
+    allowed: frozenset
 
 
 def ternary_tables(triples) -> TernaryTables:
@@ -523,7 +524,7 @@ def ternary_tables(triples) -> TernaryTables:
         (proj[s, r1], proj[s, r2], comp[s, r1], comp[s, r2])
         for s, (r1, r2) in enumerate(_OTHER_TWO)
     )
-    return TernaryTables(width, arcs)
+    return TernaryTables(width, arcs, allowed)
 
 
 def solve_ternary(
@@ -571,7 +572,9 @@ def solve_ternary(
       on the variables whose values all lie below k, maps solutions to
       solutions.  A variable then takes a used colour or the smallest unused
       one: its live values are its domain below k (u + 1), u being one more
-      than the largest colour assigned so far.  k = 0 turns the rule off.
+      than the largest colour assigned so far to a variable whose values do
+      not all lie below k (the others have no colour).  k = 0 turns the rule
+      off.
     * chain = (v1, v2, ...): some permutation group of the variables maps
       solutions to solutions and can sort the values along the chain, so some
       solution, if any exists, is non-decreasing along it.  Assigning v_i
@@ -581,10 +584,11 @@ def solve_ternary(
     that is non-decreasing along the chain, and let S give the next variable x
     a value of colour w > u, so that x's values are not all below k.  Swapping
     the colours w and u in S gives a solution S' that still extends P, because
-    P uses only colours below u, and S'(x), of colour u, is a value the search
-    tries.  It lies in x's domain because S' is a solution, so a domain need
-    not be full, only closed under the colour permutations (the even values
-    alone, say, with k = 2).  S' is still non-decreasing along the chain: if x
+    P gives colours below u to the variables that have one and the swap leaves
+    the others alone, and S'(x), of colour u, is a value the search tries.  It
+    lies in x's domain because S' is a solution, so a domain need not be full,
+    only closed under the colour permutations (the even values alone, say,
+    with k = 2).  S' is still non-decreasing along the chain: if x
     is a chain variable, the earlier chain values have colours below u and
     every later one is at least S(x), so colour w becomes u in the same order
     and the rest stay put; otherwise the whole chain lies in P.  So the search
@@ -606,6 +610,7 @@ def solve_ternary(
     chain = tuple(chain)
     chain_next = dict(zip(chain, chain[1:]))
     in_chain = set(chain)
+    coloured = [bool(interchangeable and d >> interchangeable) for d in domains]
     order = sorted((v for v in range(n) if v not in in_chain), key=lambda v: (-len(arcs[v]), v))
 
     def propagate(var, c):
@@ -676,7 +681,8 @@ def solve_ternary(
                 domains[nxt] = nd
             if ok:
                 stack.append((var, nxt, saved, rest, used))
-                used = max(used, c // interchangeable + 1) if interchangeable else 0
+                if coloured[var]:
+                    used = max(used, c // interchangeable + 1)
                 break
             domains[:] = saved
             assign[var] = -1
@@ -724,24 +730,32 @@ def _chordal_completion(n: int, pairs) -> tuple[list, list]:
     return sorted(edges), sorted(triangles)
 
 
-def representable(
-    F: Hypergraph3,
-    palette: Palette,
-    fixed_ordering=None,
-    budget: int | None = None,
-    probe_seed: int = 0,
-    probe_steps: int = 400_000,
-) -> RepresentabilityResult:
-    """Decide whether some pattern hypergraph over this palette contains F.
+class _Model(NamedTuple):
+    """The variables and constraints of one representability search.
 
-    Searches for an ordering of V(F) plus a shadow colouring sending every
-    edge's pattern into the palette, as one run of :func:`solve_ternary`,
-    the engine shared with :func:`unidense.reduced.find_reduced_map`; no
-    seed is involved.  A variable is a pair {u < v} with the value 2c + b:
-    c is its colour (0 off the shadow), colours ranked most frequent in the
-    patterns first, and b = 1 when v precedes u.  "free" is only reported
-    after full exhaustion, and certificates are re-validated by
-    :func:`check_certificate`.
+    Variable i is the pair pairs[i] = (u, v), u < v, and takes a value of
+    domains[i]: 2c + b, where b = 1 when v precedes u, and c is the colour
+    rank (0 off the shadow) of palette code value_order[c].  Each constraint
+    is ((i, j, k), tables) over the pairs (xy, xz, yz) of a triangle
+    x < y < z.  ordering is the ordering every b is read from, if there is
+    one, and twin_classes the classes the domains list in increasing order.
+    interchangeable and chain are :func:`solve_ternary`'s symmetry rules.
+    """
+
+    pairs: list
+    domains: list
+    constraints: list
+    value_order: list
+    ordering: tuple | None
+    twin_classes: list
+    interchangeable: int
+    chain: tuple
+    space: int
+    symmetry: Symmetry
+
+
+def _model(F: Hypergraph3, palette: Palette, fixed_ordering=None) -> _Model:
+    """The one model behind :func:`representable` and :func:`cnf_encoding`.
 
     With a symmetric palette (membership does not depend on the ordering,
     so the identity is taken) or fixed_ordering, every b is known: the
@@ -754,35 +768,23 @@ def representable(
     graph with no cyclic triangle has no cycle (a chord of a shortest cycle
     would close a shorter one), so the solutions are exactly the (ordering,
     colouring) pairs, the ordering a topological order of the orientation.
+    Colours are ranked most frequent in the patterns first, since the engine
+    tries values lowest first.
 
-    The search is cut by the symmetries the instance has, and the result
-    names the group used.  Colours are interchangeable, on value // 2, when
-    the pattern codes are invariant under S_K.  Every permutation of a twin
+    The symmetries: colours are interchangeable, on value // 2, when the
+    pattern codes are invariant under S_K.  Every permutation of a twin
     class C of F (:func:`_twin_classes`) is an automorphism of F.  For a
     symmetric palette and no fixed ordering, with v0 the smallest vertex of
     the largest class, the colours of the pairs (v0, t), t in C other than
-    v0, may be taken non-decreasing in t.  Otherwise each class is taken in
-    increasing order (b = 0 on its pairs), one ordering per orbit of the
-    twin group, named by its Sym(|C|) factors.
-
-    probe_seed and probe_steps are accepted and ignored.  They configured a
-    randomized certificate probe that has been removed; they stay in the
-    signature only so that existing callers which pass them, the benchmark
-    workloads among them, keep working.
+    v0, may be taken non-decreasing in t.  Otherwise, with no fixed
+    ordering, each class is taken in increasing order (b = 0 on its pairs),
+    one ordering per orbit of the twin group, named by its Sym(|C|) factors.
     """
-    colors = palette.base.colors
-    K = len(colors)
+    K = len(palette.base.colors)
     shadow = sorted(F.shadow())
-
-    if not F.edges:
-        cert = RepresentabilityCertificate(tuple(range(F.n)), {})
-        return RepresentabilityResult("certificate", cert, 1, 0)
-
     codes = palette.pattern_codes()
     interchangeable = _values_interchangeable(codes, K)
     groups = [(f"S{K}", factorial(K))] if interchangeable else []
-    # the engine tries values lowest first, so search over colour codes relabelled
-    # by frequency rank: code value_order[r] is searched as r
     value_order = sorted(range(K), key=lambda c: (-sum(p.count(c) for p in codes), c))
     rank = {c: r for r, c in enumerate(value_order)}
     ranked = frozenset((rank[a], rank[b], rank[c]) for a, b, c in codes)
@@ -797,6 +799,7 @@ def representable(
         )
 
     ordering = pos = None
+    classes: list = []
     if fixed_ordering is not None or palette.symmetric:
         ordering = tuple(range(F.n) if fixed_ordering is None else fixed_ordering)
         if sorted(ordering) != list(range(F.n)):
@@ -830,26 +833,61 @@ def representable(
         if len(row) >= 2 and all((v0, t) in pidx for t in row):
             chain = tuple(pidx[v0, t] for t in row)
             groups.append((f"Sym({len(row)})", factorial(len(row))))
-    symmetry = Symmetry.product(groups)
+    return _Model(
+        pairs, domains, constraints, value_order, ordering, classes,
+        2 if interchangeable else 0, chain, space, Symmetry.product(groups),
+    )
 
+
+def representable(
+    F: Hypergraph3,
+    palette: Palette,
+    fixed_ordering=None,
+    budget: int | None = None,
+    probe_seed: int = 0,
+    probe_steps: int = 400_000,
+) -> RepresentabilityResult:
+    """Decide whether some pattern hypergraph over this palette contains F.
+
+    Searches for an ordering of V(F) plus a shadow colouring sending every
+    edge's pattern into the palette, as one run of :func:`solve_ternary`,
+    the engine shared with :func:`unidense.reduced.find_reduced_map`, over
+    the model of :func:`_model`; no seed is involved.  The search is cut by
+    the symmetries the instance has, and the result names the group used.
+    "free" is only reported after full exhaustion, and certificates are
+    re-validated by :func:`check_certificate`.
+
+    probe_seed and probe_steps are accepted and ignored.  They configured a
+    randomized certificate probe that has been removed; they stay in the
+    signature only so that existing callers which pass them, the benchmark
+    workloads among them, keep working.
+    """
+    if not F.edges:
+        cert = RepresentabilityCertificate(tuple(range(F.n)), {})
+        return RepresentabilityResult("certificate", cert, 1, 0)
+
+    m = _model(F, palette, fixed_ordering)
     counter = [0]
     status, assign = solve_ternary(
-        domains, constraints, counter, budget, 2 if interchangeable else 0, chain
+        m.domains, m.constraints, counter, budget, m.interchangeable, m.chain
     )
     if status == "sat":
+        ordering = m.ordering
         if ordering is None:
             before = {v: set() for v in range(F.n)}
-            for (u, v), x in zip(pairs, assign):
+            for (u, v), x in zip(m.pairs, assign):
                 first, then = (v, u) if x & 1 else (u, v)
                 before[then].add(first)
             ordering = tuple(TopologicalSorter(before).static_order())
-        coloring = {p: colors[value_order[assign[pidx[p]] // 2]] for p in shadow}
+        value = dict(zip(m.pairs, assign))
+        colors = palette.base.colors
+        coloring = {p: colors[m.value_order[value[p] // 2]] for p in sorted(F.shadow())}
         cert = RepresentabilityCertificate(ordering, coloring)
         if not check_certificate(F, palette, cert):  # pragma: no cover - safety net
             raise AssertionError("internal error: produced certificate failed validation")
-        return RepresentabilityResult("certificate", cert, space, counter[0], symmetry)
+        return RepresentabilityResult("certificate", cert, m.space, counter[0], m.symmetry)
     status = "inconclusive" if status == "budget" else "free"
-    return RepresentabilityResult(status, None, space, counter[0], symmetry)
+    return RepresentabilityResult(status, None, m.space, counter[0], m.symmetry)
 
 
 def zero_density_certificate(F: Hypergraph3, budget: int | None = None) -> RepresentabilityResult:
@@ -866,47 +904,53 @@ def zero_density_certificate(F: Hypergraph3, budget: int | None = None) -> Repre
 
 
 def cnf_encoding(F: Hypergraph3, palette: Palette, ordering=None):
-    """DIMACS-style encoding of the colouring search for one fixed ordering.
+    """DIMACS-style CNF of the model :func:`representable` searches
+    (:func:`_model`, with ordering as its fixed_ordering).
 
-    Variable x_{p,c} means "shadow pair p receives colour c".  Clauses are
-    exactly-one per pair plus, for every edge and every non-pattern colour
-    triple, a blocking clause.  For symmetric palettes the single exported
-    ordering covers all orderings; otherwise unsatisfiability certifies only
-    the recorded ordering.
+    One variable per pair and value in its domain, numbered pair by pair and
+    then by (palette colour, b), so that with an ordering the variable of
+    shadow pair p and colour c is p*K + c + 1.  The varmap gives each one's
+    pair, its "color" when the pair is in the shadow and, when no ordering
+    is fixed, the vertex placed "first".  The clauses are exactly-one per
+    pair plus, for each constraint, one blocking clause per triple of domain
+    values it does not allow.  The CNF is satisfiable exactly when F is
+    representable (in the ordering, if one is given).  With no ordering and
+    an asymmetric palette it covers every ordering: the acyclic-orientation
+    constraints are the transitivity clauses, and meta names the twin
+    classes it takes in increasing order.  The search's first-use colours
+    and chain are not clauses.
     """
-    if ordering is None:
-        ordering = tuple(range(F.n))
-    ordering = tuple(ordering)
-    pairs = sorted(F.shadow())
-    pidx = {p: i for i, p in enumerate(pairs)}
-    K = len(palette.base.colors)
-
-    def var(p: int, c: int) -> int:
-        return p * K + c + 1
-
+    m = _model(F, palette, ordering)
+    colors = palette.base.colors
+    shadow = F.shadow()
+    lits: list[dict] = []  # lits[i][x]: the variable of pair i taking value x
+    varmap: dict = {}
     clauses: list[tuple[int, ...]] = []
-    for p in range(len(pairs)):
-        clauses.append(tuple(var(p, c) for c in range(K)))
-        for c1, c2 in itertools.combinations(range(K), 2):
-            clauses.append((-var(p, c1), -var(p, c2)))
-    codes = palette.pattern_codes()
-    forbidden = [t for t in itertools.product(range(K), repeat=3) if t not in codes]
-    rank = {v: r for r, v in enumerate(ordering)}
-    for e in F.edges:
-        x, y, z = sorted(e, key=rank.__getitem__)
-        i1, i2, i3 = pidx[_pair(x, y)], pidx[_pair(x, z)], pidx[_pair(y, z)]
-        for a, b, c in forbidden:
-            clauses.append((-var(i1, a), -var(i2, b), -var(i3, c)))
-    varmap = {
-        var(i, c): {"pair": list(p), "color": palette.base.colors[c]}
-        for i, p in enumerate(pairs)
-        for c in range(K)
-    }
+    for (u, v), domain in zip(m.pairs, m.domains):
+        values = sorted(bit_positions(domain), key=lambda x: (m.value_order[x // 2], x & 1))
+        own = {x: len(varmap) + k + 1 for k, x in enumerate(values)}
+        for x, var in own.items():
+            varmap[var] = {"pair": [u, v]}
+            if (u, v) in shadow:
+                varmap[var]["color"] = colors[m.value_order[x // 2]]
+            if m.ordering is None:
+                varmap[var]["first"] = v if x & 1 else u
+        lits.append(own)
+        clauses.append(tuple(own.values()))
+        clauses += [(-a, -b) for a, b in itertools.combinations(own.values(), 2)]
+    blocked: dict = {}  # (allowed, three domains) -> the value triples to block
+    for (i, j, k), tables in m.constraints:
+        key = (tables.allowed, m.domains[i], m.domains[j], m.domains[k])
+        if key not in blocked:
+            values = itertools.product(lits[i], lits[j], lits[k])
+            blocked[key] = [t for t in values if t not in tables.allowed]
+        clauses += [(-lits[i][a], -lits[j][b], -lits[k][c]) for a, b, c in blocked[key]]
     meta = {
-        "ordering": list(ordering),
-        "colors": list(palette.base.colors),
-        "num_pairs": len(pairs),
+        "ordering": None if m.ordering is None else list(m.ordering),
+        "colors": list(colors),
+        "num_pairs": len(m.pairs),
         "symmetric_palette": palette.symmetric,
-        "covers_all_orderings": bool(palette.symmetric),
+        "covers_all_orderings": palette.symmetric or ordering is None,
+        "ordered_twin_classes": [cls for cls in m.twin_classes if len(cls) > 1],
     }
-    return len(pairs) * K, clauses, varmap, meta
+    return len(varmap), clauses, varmap, meta

@@ -311,89 +311,14 @@ def check_counting_lemma(P: TripartiteGraph, delta, dXY, dXZ, dYZ) -> Fraction:
     return Fraction(triangle_count(P) - expected, sizes)
 
 
-def _edge_triangles(H: Hypergraph3, P: TripartiteGraph) -> tuple[int, int]:
-    """How many triangles of P are edges of H, and how many triangles P has."""
-    X, Y, Z = P.parts
-    hits = total = 0
-    for x, y, z in triangles(P):
-        total += 1
-        hits += H.has_edge(X[x], Y[y], Z[z])
-    return hits, total
-
-
 def relative_density(H: Hypergraph3, P: TripartiteGraph) -> Fraction:
     """Fraction of the triangles of P that are edges of H (0 when triangle-free)."""
     for part in P.parts:
         if any(v < 0 or v >= H.n for v in part):
             raise GraphError("tripartite parts must be subsets of V(H)")
-    hits, total = _edge_triangles(H, P)
-    if total == 0:
-        return Fraction(0)
-    return Fraction(hits, total)
-
-
-@dataclass
-class TriadRegularityReport:
-    """Sampled (heuristic) audit of hypergraph regularity against one triad.
-
-    The defining condition quantifies over all subgraphs Q of P; only randomly
-    subsampled subgraphs are checked here, so a pass is evidence, not proof.
-    """
-
-    delta3: Fraction
-    d3: Fraction
-    ok: bool
-    max_deviation: Fraction  # max over sampled Q of |E_H cap K3(Q)| - d3|K3(Q)|, / |K3(P)|
-    samples: int
-    seed: int
-    mode: str = "sampled-heuristic"
-
-
-_TRIAD_RATES = (0.25, 0.5, 0.75, 1.0)  # the edge-keep rates of the subsampled Q
-
-
-def audit_triad_regular(
-    H: Hypergraph3,
-    P: TripartiteGraph,
-    delta3,
-    d3=None,
-    samples: int = 40,
-    seed: int = 0,
-) -> TriadRegularityReport:
-    """Edge-subsample subgraphs Q of P and compare |E_H cap K3(Q)| to d3 |K3(Q)|.
-
-    The samples are shared among the keep rates of _TRIAD_RATES; rate 1 is P
-    itself, drawn once."""
-    delta3 = Fraction(delta3)
-    d3 = relative_density(H, P) if d3 is None else Fraction(d3)
-    k3_p = triangle_count(P)
-    if k3_p == 0:
-        return TriadRegularityReport(delta3, d3, True, Fraction(0), 0, seed)
-    gen = rng(seed)
-
-    def subsample(G: BipartiteGraph, rate: float) -> BipartiteGraph:
-        if rate >= 1.0:
-            return G
-        rows = []
-        for r in G.rows:
-            keep = 0
-            for y in bit_positions(r):
-                if gen.random() < rate:
-                    keep |= 1 << y
-            rows.append(keep)
-        return BipartiteGraph(G.nx, G.ny, tuple(rows))
-
-    worst = Fraction(0)
-    drawn = 0
-    for rate in _TRIAD_RATES:
-        for _ in range(max(1, samples // len(_TRIAD_RATES))):
-            Q = TripartiteGraph(
-                P.parts, subsample(P.xy, rate), subsample(P.xz, rate), subsample(P.yz, rate)
-            )
-            drawn += 1
-            hits, total = _edge_triangles(H, Q)
-            dev = abs(Fraction(hits) - d3 * total) / k3_p
-            worst = max(worst, dev)
-            if rate >= 1.0:
-                break
-    return TriadRegularityReport(delta3, d3, worst <= delta3, worst, drawn, seed)
+    X, Y, Z = P.parts
+    hits = total = 0
+    for x, y, z in triangles(P):
+        total += 1
+        hits += H.has_edge(X[x], Y[y], Z[z])
+    return Fraction(hits, total) if total else Fraction(0)

@@ -262,13 +262,6 @@ class TestLift:
         lift = cn.lift_reduced(A, 20, seed=1)
         assert hg.find_embedding(hg.clique_minus4(), lift.hypergraph) is None
 
-    def test_explicit_coloring_deterministic(self):
-        A = rd.from_palette(pal.builtin("roedl"), 3)
-        pc = cn.random_partitioned_coloring(A, 4, seed=11)
-        l1 = cn.lift_reduced(A, 4, seed=999, coloring=pc)
-        l2 = cn.lift_reduced(A, 4, seed=0, coloring=pc)
-        assert l1.hypergraph == l2.hypergraph
-
 
     def test_class_graph_rows(self):
         # bit y of row x is set exactly when the pair (x, y) takes the local

@@ -207,12 +207,9 @@ class TestCli:
             cli.main([{"IN": str(a), "OUT": str(out)}.get(x, x) for x in argv])
         assert exc.value.code == 64
         flag = argv[-2]
-        if flag == "--budget":
-            assert "budget must be a nonnegative node count" in capsys.readouterr().err
-        else:
-            err = capsys.readouterr().err
-            assert f"argument {flag}: must be a nonnegative integer, got {argv[-1]}" in err
-            assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a nonnegative integer, got {argv[-1]}" in err
+        assert not out.exists()
 
     def test_symmetry_in_json_reports(self, tmp_path):
         rpt = tmp_path / "r.json"
@@ -584,21 +581,29 @@ class TestCli:
         assert len(sidecar["variables"]) == 165
 
     def test_emit_cnf_holds_the_certificate(self, tmp_path):
-        # the identity ordering of this F is free under cycle5, so a CNF for
-        # it could not hold the certificate, which needs another ordering
+        # the identity ordering of this F is free under cycle5, so the CNF
+        # holds the certificate only because it covers every ordering
         f, cnf, rpt = tmp_path / "f.txt", tmp_path / "f.cnf", tmp_path / "f.json"
         uio.write_hypergraph(hg.make(5, [(0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 2, 3), (1, 3, 4)]), f)
         argv = ["certify", "--F", str(f), "--palette", "cycle5", "--emit-cnf", str(cnf)]
         assert cli.main(argv + ["--json", str(rpt)]) == 0
         cert = json.loads(rpt.read_text())["certificate"]
+        assert cert["ordering"] != list(range(5))
         sidecar = json.loads((tmp_path / "f.cnf.vars.json").read_text())
-        assert sidecar["meta"]["ordering"] == cert["ordering"]
-        truth = {
-            int(v): cert["coloring"][f"{info['pair'][0]},{info['pair'][1]}"] == info["color"]
-            for v, info in sidecar["variables"].items()
-        }
+        assert sidecar["meta"]["covers_all_orderings"] is True
+        assert sidecar["meta"]["ordering"] is None
+        # each variable is true when the certificate puts its "first" vertex
+        # first and, on a shadow pair, gives the pair its colour
+        rank = {v: r for r, v in enumerate(cert["ordering"])}
+        truth = {}
+        for v, info in sidecar["variables"].items():
+            u, w = info["pair"]
+            other = w if info["first"] == u else u
+            truth[int(v)] = rank[info["first"]] < rank[other] and (
+                "color" not in info or cert["coloring"][f"{u},{w}"] == info["color"]
+            )
         clauses = [[int(x) for x in line.split()[:-1]] for line in cnf.read_text().splitlines()[1:]]
-        assert len(truth) == 20 and clauses
+        assert len(truth) > 20 and clauses
         assert all(any(truth[abs(x)] == (x > 0) for x in c) for c in clauses)
 
     def test_table_rows_are_the_listed_palettes_claims(self):

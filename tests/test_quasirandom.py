@@ -227,22 +227,6 @@ class TestRelativeDensity:
             qr.relative_density(H, P)
 
 
-class TestTriadRegularity:
-    def test_heuristic_label_and_pass_on_random(self):
-        A = rd.from_palette(pal.builtin("roedl"), 3)
-        lift = cn.lift_reduced(A, 10, seed=4)
-        pc = lift.coloring
-        P = qr.TripartiteGraph(
-            (tuple(range(10)), tuple(range(10, 20)), tuple(range(20, 30))),
-            pc.class_graph(0, 1, 0),
-            pc.class_graph(0, 2, 0),
-            pc.class_graph(1, 2, 0),
-        )
-        rep = qr.audit_triad_regular(lift.hypergraph, P, Fraction(1, 4), samples=12, seed=0)
-        assert rep.mode == "sampled-heuristic"
-        assert rep.ok
-
-
 class TestLiftClassQuasirandomness:
     def test_class_graphs_quasirandom_for_most_seeds(self):
         # classes of size <= 4 at block size 64: (0.15, 1/ell) audit passes >= 95%
