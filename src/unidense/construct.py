@@ -88,9 +88,11 @@ def build_H(phi: PairColoring, P: Palette) -> Hypergraph3:
     The pair colours fill the upper triangle of an n x n code matrix M whose
     other cells hold a code K that no pattern uses.  A triple (x, y, z) is then
     an edge iff cube[M[x,y], M[x,z], M[y,z]] holds, which already fails unless
-    x < y < z.  The lookup runs over slabs of rows x, each with y and z past
-    the slab's first row and one byte per cell within ``chunk_len``, and
-    np.argwhere lists every slab's edges in lexicographic order.
+    x < y < z.  The lookup is one gather from the flat cube at
+    (M[x,y] B + M[x,z]) B + M[y,z], B = K + 1.  It runs over slabs of rows x,
+    each with y and z past the slab's first row and one flat index and one
+    hit byte per cell within ``chunk_len``, and np.argwhere lists every
+    slab's edges in lexicographic order.
     """
     for c in phi.base.colors:
         if c not in P.base.colors:
@@ -100,17 +102,18 @@ def build_H(phi: PairColoring, P: Palette) -> Hypergraph3:
     translate = np.array([P.base.index(c) for c in phi.base.colors], dtype=np.intp)
     M = np.full((n, n), K, dtype=np.intp)
     M[np.triu_indices(n, 1)] = translate[phi.codes]
-    cube = np.zeros((K + 1,) * 3, dtype=bool)
+    B = K + 1
+    cube = np.zeros((B,) * 3, dtype=bool)
     for a, b, c in P.pattern_codes():
         cube[a, b, c] = True
     slabs = [np.empty((0, 3), dtype=np.int64)]
     x0 = 0
     while x0 < n - 2:
         w = n - x0 - 1  # y and z run over x0+1 .. n-1
-        x1 = min(n - 2, x0 + chunk_len(w * w))
-        rest = M[x0 + 1 :, x0 + 1 :]
-        hit = cube[M[x0:x1, x0 + 1 :, None], M[x0:x1, None, x0 + 1 :], rest[None]]
-        slabs.append(np.argwhere(hit) + (x0, x0 + 1, x0 + 1))
+        x1 = min(n - 2, x0 + chunk_len((M.itemsize + 1) * w * w))
+        at = M[x0:x1, x0 + 1 :, None] * (B * B) + M[x0:x1, None, x0 + 1 :] * B
+        at += M[x0 + 1 :, x0 + 1 :]
+        slabs.append(np.argwhere(cube.take(at)) + (x0, x0 + 1, x0 + 1))
         x0 = x1
     E = np.concatenate(slabs)
     del slabs  # the parts go before the constructor copies E

@@ -306,7 +306,7 @@ def _uniform_rate(H: Hypergraph3, scale: int, binom_term: list[int]):
     count, and the int64 counts), which width declares in 8-byte cells.
     """
     n = H.n
-    keys, _, pair_rows = H._pair_rows()
+    keys, pair_rows = H._pair_rows()
     u, v = np.divmod(keys, n)
     words = pair_rows.shape[1]
     dtype = np.int64 if scale * comb(n, 3) < 2**63 else object

@@ -5,13 +5,14 @@ the one seeded random stream every module draws from.
 Vertices are dense integers ``0..n-1``.  A hypergraph stores its edges as one
 canonical int64 ``(m, 3)`` array: each triple sorted, the rows distinct and in
 lexicographic order.  The views that queries read (the edge tuple, the thirds
-rows of the shadow pairs and the pair -> bitmask-of-third-vertices map) are
-built from that array on first use and cached, so a hypergraph that is only
-generated, written or compared never pays for them.  The thirds map is the one
-cached adjacency: ``has_edge`` reads it, and ``link`` and ``degree`` read the
-array.  Instances are immutable after construction and safe to share across
-threads: two threads that build the same view at once build equal values,
-and either may be kept.
+rows of the shadow pairs and the thirds map, which takes the integer key
+u*n + v of a shadow pair, in either order, to the bitmask of its third
+vertices) are built from that array on first use and cached, so a hypergraph
+that is only generated, written or compared never pays for them.  The thirds
+map is the one cached adjacency: ``has_edge`` and ``find_embedding`` read it,
+and ``link`` and ``degree`` read the array.  Instances are immutable after
+construction and safe to share across threads: two threads that build the
+same view at once build equal values, and either may be kept.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+from array import array
 from dataclasses import dataclass
 from math import comb
 
@@ -29,8 +31,13 @@ class HypergraphError(ValueError):
     """Malformed hypergraph input (vertex out of range, repeated vertex, ...)."""
 
 
-# pairs are keyed u*n + v in int64 (see _pair_rows), so n*n must fit
+# pairs are keyed u*n + v in int64 (see _pair_index) and in the thirds map, so
+# n*n must fit
 MAX_VERTICES = 3_037_000_499  # isqrt(2**63 - 1)
+
+# the pair index uses a dense table of all n*n keys while it has at most this
+# many cells per opposite-pair entry (three an edge), and np.unique otherwise
+_DENSE_PAIRS = 8
 
 
 class Hypergraph3:
@@ -68,17 +75,19 @@ class Hypergraph3:
             self._edges = tuple(zip(*self._array.T.tolist()))  # plain ints keep bitmasks unbounded
         return self._edges
 
-    def _pair_rows(self):
-        """(keys, pair_id, rows) of :func:`_pair_rows`, built on first use."""
+    def _pair_rows(self, index=None):
+        """(keys, rows): the shadow pairs and their thirds rows (see
+        :func:`_pair_rows`), built on first use, from ``index`` when the
+        caller has already built :func:`_pair_index`."""
         if self._pairs is None:
-            self._pairs = _pair_rows(self.n, self._array)
+            keys, pair_id = index or _pair_index(self.n, self._array)
+            self._pairs = keys, _pair_rows(self.n, self._array, len(keys), pair_id)
         return self._pairs
 
     def _adjacency(self):
         """The thirds map of :func:`_adjacency`, built on first use."""
         if self._adj is None:
-            keys, _, rows = self._pair_rows()
-            self._adj = _adjacency(self.n, keys, rows)
+            self._adj = _adjacency(self.n, *self._pair_rows())
         return self._adj
 
     # -- basic queries ----------------------------------------------------
@@ -93,10 +102,12 @@ class Hypergraph3:
         return 0 <= a < b < c and self.thirds(a, b) >> c & 1 == 1
 
     def thirds(self, u: int, v: int) -> int:
-        """Bitmask of vertices w with {u, v, w} an edge."""
-        if u > v:
-            u, v = v, u
-        return (self._adj or self._adjacency()).get((u, v), 0)
+        """Bitmask of vertices w with {u, v, w} an edge; 0 for u == v and for
+        vertices outside 0..n-1."""
+        n = self.n
+        if 0 <= u < n and 0 <= v < n:
+            return (self._adj or self._adjacency()).get(u * n + v, 0)
+        return 0
 
     def degree(self, v: int) -> int:
         return int(np.count_nonzero(self._array == v))
@@ -156,26 +167,33 @@ def _canonical_triples(n: int, triples) -> np.ndarray:
     """The distinct triples, each sorted, as an int64 (m, 3) array in
     lexicographic order.
 
-    The triples are read and checked as one array of the dtype numpy infers.
+    An integer ndarray is copied to int64; other triples are read as one
+    int64 buffer when every one has three entries.  The rows are sorted only
+    when some row is out of order, and the array is then checked at once.
     When that fails (a bad triple, ragged rows, labels that are not integers,
-    ints beyond int64, sets, ...) they are read again one by one as plain ints,
-    so the first bad triple raises its error.
+    ints beyond int64, sets, ...) the triples are read again one by one as
+    plain ints, so the first bad triple raises its error.
     """
     rows = triples if isinstance(triples, np.ndarray) else list(triples)
     if len(rows) == 0:
         return np.empty((0, 3), dtype=np.int64)
-    try:
-        E = np.asarray(rows)
-    except (TypeError, ValueError, OverflowError):
-        E = None
-    if E is not None and E.dtype.kind in "iu" and E.ndim == 2:
-        E = np.sort(E, axis=1).astype(np.int64, copy=False)
-    if (
-        E is None
-        or E.dtype != np.int64
-        or E.shape != (len(rows), 3)
-        or not ((E[:, 0] >= 0) & (E[:, 0] < E[:, 1]) & (E[:, 1] < E[:, 2]) & (E[:, 2] < n)).all()
-    ):
+    E = None
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind in "iu" and rows.ndim == 2 and rows.shape[1] == 3:
+            E = rows.astype(np.int64)  # a copy: the caller's array is never frozen
+    else:
+        try:
+            if set(map(len, rows)) == {3}:
+                flat = array("q", list(itertools.chain.from_iterable(rows)))
+                E = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
+        except (TypeError, OverflowError):
+            pass
+    if E is not None:
+        if not ((E[:, 0] < E[:, 1]) & (E[:, 1] < E[:, 2])).all():
+            E.sort(axis=1)
+        if not ((E[:, 0] >= 0) & (E[:, 0] < E[:, 1]) & (E[:, 1] < E[:, 2]) & (E[:, 2] < n)).all():
+            E = None
+    if E is None:
         plain = rows.tolist() if isinstance(rows, np.ndarray) else rows
         E = np.array([_checked_triple(t, n) for t in plain], dtype=np.int64)
     if _strictly_increasing(E):
@@ -195,36 +213,67 @@ def _strictly_increasing(E: np.ndarray) -> bool:
     return bool(up.all())
 
 
-def _pair_rows(n: int, E: np.ndarray):
-    """The shadow pairs of the canonical edge array E and their thirds rows.
+def _pair_index(n: int, E: np.ndarray):
+    """The shadow pairs of the canonical edge array E, and where each edge's
+    pairs lie among them.
 
     Each edge {a, b, c} gives vertex a the opposite pair (b, c), and so on.
-    Returns (keys, pair_id, rows): ``keys`` are the shadow pairs as u*n + v
-    (u < v), ascending; ``pair_id[i, k]`` is the index in ``keys`` of the pair
-    of edge i opposite its vertex ``E[i, k]``; and ``rows`` is a uint64
-    (len(keys), ceil(n/64)) array whose row p has bit w set when pair p and w
-    form an edge.
+    Returns (keys, pair_id): ``keys`` are the shadow pairs as u*n + v
+    (u < v), ascending, and ``pair_id[i, k]`` is the index in ``keys`` of the
+    pair of edge i opposite its vertex ``E[i, k]``.  While the n*n keys are
+    at most _DENSE_PAIRS per opposite pair, a table over all of them marks
+    the pairs present, and a rank table over the same keys gives pair_id.
+    Otherwise np.unique sorts the opposite pairs, so memory stays O(m) for
+    sparse hypergraphs on many vertices.
     """
     a, b, c = E.T
-    opposite = np.column_stack((b * n + c, a * n + c, a * n + b))
-    keys, pair_id = np.unique(opposite.ravel(), return_inverse=True)
+    opposite = np.column_stack((b * n + c, a * n + c, a * n + b)).ravel()
+    if n * n > _DENSE_PAIRS * len(opposite):
+        keys, pair_id = np.unique(opposite, return_inverse=True)
+        return keys, pair_id.reshape(-1, 3)
+    seen = np.zeros(n * n, dtype=bool)
+    seen[opposite] = True
+    keys = np.flatnonzero(seen)
+    rank = np.zeros(n * n, dtype=np.intp)
+    rank[keys] = np.arange(len(keys))
+    return keys, rank[opposite].reshape(-1, 3)
+
+
+def _pair_rows(n: int, E: np.ndarray, count: int, pair_id: np.ndarray) -> np.ndarray:
+    """The thirds rows of the ``count`` shadow pairs that ``pair_id`` (see
+    :func:`_pair_index`) places the opposite pairs of the canonical edge
+    array E on: a uint64 (count, ceil(n/64)) array whose row p has bit w set
+    when pair p and w form an edge.
+
+    Each edge sets three distinct bits.  When a table of one byte per bit
+    holds no more than the 16 bytes per set bit (an index and a word) that a
+    scatter holds, the bits are marked in that table and packed; otherwise
+    np.bitwise_or.at scatters them into the words.
+    """
     vertex = E.ravel()
     words = (n + 63) >> 6
-    rows = np.zeros(len(keys) * words, dtype=np.uint64)
+    if count * words * 64 <= 16 * len(vertex):
+        table = np.zeros(count * words * 64, dtype=bool)
+        table[pair_id.ravel() * (words * 64) + vertex] = True
+        packed = np.packbits(table.reshape(count, words * 64), axis=1, bitorder="little")
+        return packed.view("<u8").astype(np.uint64, copy=False)
+    rows = np.zeros(count * words, dtype=np.uint64)
     bits = np.left_shift(np.uint64(1), (vertex & 63).astype(np.uint64))
-    np.bitwise_or.at(rows, pair_id * words + (vertex >> 6), bits)
-    return keys, pair_id.reshape(-1, 3), rows.reshape(len(keys), words)
+    np.bitwise_or.at(rows, pair_id.ravel() * words + (vertex >> 6), bits)
+    return rows.reshape(count, words)
 
 
 def _adjacency(n: int, keys, rows):
-    """The thirds map {(u, v): bitmask of the w with {u, v, w} an edge} of the
-    shadow pairs ``keys`` and their thirds ``rows`` (see :func:`_pair_rows`)."""
+    """The thirds map {u*n + v: bitmask of the w with {u, v, w} an edge} of
+    the shadow pairs ``keys`` (u < v) and their thirds ``rows`` (see
+    :func:`_pair_rows`), with both orders of each pair keyed to one int."""
     width = 8 * rows.shape[1]
     raw = rows.astype("<u8", copy=False).tobytes()
-    return {
-        divmod(k, n): int.from_bytes(raw[i * width : (i + 1) * width], "little")
-        for i, k in enumerate(keys.tolist())
-    }
+    masks = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    u, v = np.divmod(keys, n)
+    adj = dict(zip(keys.tolist(), masks))
+    adj.update(zip((v * n + u).tolist(), masks))
+    return adj
 
 
 def make(n: int, triples) -> Hypergraph3:
@@ -605,21 +654,24 @@ def find_embedding(F: Hypergraph3, H: Hypergraph3) -> Embedding | None:
     # until the step is entered)
     free = [(1 << H.n) - 1] * F.n
     cands: list[int | None] = [None] * F.n
-    thirds, last, step = H.thirds, F.n - 1, 0
+    get, n, last, step = H._adjacency().get, H.n, F.n - 1, 0  # images are distinct, in range
     while step >= 0:
         v, twos, unused = order[step], two_at[step], free[step]
         cand = cands[step]
         if cand is None:
             cand = unused
             for a, b in closed_at[step]:
-                cand &= thirds(img[a], img[b])
+                cand &= get(img[a] * n + img[b], 0)
         while cand:
             bit = cand & -cand
             cand ^= bit
             img[v] = bit.bit_length() - 1
             avail = unused ^ bit
-            if all(thirds(img[a], img[b]) & avail for a, b in twos):
-                break
+            for a, b in twos:
+                if not get(img[a] * n + img[b], 0) & avail:
+                    break
+            else:
+                break  # every 2/3-mapped edge keeps an unused third
         else:
             img[v], cands[step] = -1, None
             step -= 1
@@ -634,12 +686,14 @@ def find_embedding(F: Hypergraph3, H: Hypergraph3) -> Embedding | None:
 
 def _rows_meet(H: Hypergraph3, groups) -> bool:
     """Whether some edge has, for some group of its pair columns (see
-    :func:`_pair_rows`), thirds rows with a common bit.
+    :func:`_pair_index`), thirds rows with a common bit.
 
-    The edges are taken in chunks whose three gathered rows fit _CHUNK_BYTES,
-    and the first chunk with a meeting ends the scan.
+    The pair index is built here and dropped on return; only the thirds rows
+    are cached.  The edges are taken in chunks whose three gathered rows fit
+    _CHUNK_BYTES, and the first chunk with a meeting ends the scan.
     """
-    _, pair_id, rows = H._pair_rows()
+    keys, pair_id = _pair_index(H.n, H.array)
+    _, rows = H._pair_rows((keys, pair_id))
     step = chunk_len(3 * rows.itemsize * rows.shape[1])
     for lo in range(0, len(pair_id), step):
         chunk = pair_id[lo : lo + step]

@@ -116,11 +116,10 @@ def assert_matches_reference(H, n, triples):
     )
     assert all(type(x) is int for e in H.edges for x in e)
     assert H.shadow() == set(thirds)
-    for u in range(n):
-        for v in range(n):
-            want = thirds.get((min(u, v), max(u, v)), 0)
-            got = H.thirds(u, v)
-            assert got == want and type(got) is int
+    for u, v in itertools.product(span, repeat=2):
+        want = thirds.get((min(u, v), max(u, v)), 0)  # 0 for u == v and outside 0..n-1
+        got = H.thirds(u, v)
+        assert got == want and type(got) is int
     assert tuple(H.link(v) for v in range(n)) == link  # order included
     assert [H.degree(v) for v in range(n)] == [len(x) for x in link]
 
@@ -149,6 +148,15 @@ class TestConstructorReference:
         H = hg.make(100, [(3, 64, 99)])
         assert H.has_edge(np.int64(99), np.int32(3), np.int64(64))
         assert not H.has_edge(np.int64(99), np.int64(3), np.int64(65))
+
+    @pytest.mark.parametrize("n, triples", [
+        (80, [tuple(np.random.default_rng(4).permutation(80)[:3].tolist()) for _ in range(12)]),
+        (100, [(3, 64, 99)]),
+    ])
+    def test_sparse_side_of_the_pair_index(self, n, triples):
+        # n*n keys against 3 opposite pairs an edge: np.unique builds the index
+        assert n * n > hg._DENSE_PAIRS * 3 * len(triples)
+        assert_matches_reference(hg.make(n, triples), n, triples)
 
     def test_generated_hypergraph(self):
         H = cn.roedl_hypergraph(30, 4)
@@ -342,6 +350,32 @@ class TestFindEmbedding:
 
 TWO_EDGES = hg.make(4, [(0, 1, 2), (1, 2, 3)])
 TIGHT_PATH = hg.make(5, [(0, 1, 2), (2, 3, 4)])
+
+
+@pytest.mark.parametrize("n, triples, dense", [
+    (8, [t for t in itertools.combinations(range(8), 3) if sum(t) % 3], True),
+    (7, list(itertools.combinations((0, 2, 3, 6), 3)) + [(1, 4, 5)], True),
+    (7, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (4, 5, 6)], True),
+    (6, [(0, 1, 2), (0, 3, 4), (3, 4, 5)], True),
+    (12, list(itertools.combinations((2, 5, 7, 11), 3)) + [(0, 1, 3)], False),
+    (12, [(2, 5, 7), (2, 5, 11), (2, 7, 11), (0, 1, 3)], False),
+    (12, [(0, 1, 2), (2, 3, 4), (4, 5, 6)], False),
+])
+def test_both_sides_of_the_pair_index_size_rule(n, triples, dense):
+    """The dense table and np.unique give the same pair index, and the
+    containment tests and the embedding search agree with the brute force."""
+    assert (n * n <= hg._DENSE_PAIRS * 3 * len(triples)) == dense
+    H = hg.make(n, triples)
+    a, b, c = H.array.T
+    keys, pair_id = np.unique(np.column_stack((b * n + c, a * n + c, a * n + b)), return_inverse=True)
+    got_keys, got_id = hg._pair_index(n, H.array)
+    assert got_keys.tolist() == keys.tolist() and got_id.tolist() == pair_id.reshape(-1, 3).tolist()
+    assert hg.contains_clique4(H) == (brute_force_embedding(hg.clique(4), H) is not None)
+    assert hg.contains_clique4_minus(H) == (brute_force_embedding(hg.clique_minus4(), H) is not None)
+    for F in (hg.clique(4), hg.clique_minus4(), TWO_EDGES, TIGHT_PATH, hg.cycle5()):
+        emb = hg.find_embedding(F, H)
+        assert (emb is None) == (brute_force_embedding(F, H) is None)
+        assert emb is None or hg.check_embedding(F, H, emb)
 
 
 class TestEmbeddingPinned:
