@@ -149,6 +149,22 @@ class TestConstructorReference:
         assert H.has_edge(np.int64(99), np.int32(3), np.int64(64))
         assert not H.has_edge(np.int64(99), np.int64(3), np.int64(65))
 
+    def test_thirds_takes_numpy_ints_past_their_range(self):
+        # u*n + v in the arguments' dtype would wrap (int32) or overflow (uint8)
+        H = hg.make(50_000, [(200, 250, 49_999), (46_000, 49_000, 49_999)])
+        assert H.thirds(200, 250) == 1 << 49_999 and H.thirds(49_000, 46_000) == 1 << 49_999
+        for u, v in ((200, 250), (250, 49_999), (46_000, 49_000), (49_999, 46_000), (200, 46_000)):
+            want = H.thirds(u, v)
+            kinds = (np.int32, np.int64, np.uint16, np.uint8) if max(u, v) < 256 else (np.int32, np.int64)
+            for kind in kinds:
+                got = H.thirds(kind(u), kind(v))
+                assert got == want and type(got) is int
+
+    def test_thirds_of_labels_that_are_not_integers(self):
+        H = hg.make(3, [(0, 1, 2)])
+        assert H.thirds(1.0, 2) == H.thirds(np.float64(1.0), 2) == 1
+        assert H.thirds(0.5, 0) == H.thirds(0.5, 1) == H.thirds(1.5, 0) == 0
+
     @pytest.mark.parametrize("n, triples", [
         (80, [tuple(np.random.default_rng(4).permutation(80)[:3].tolist()) for _ in range(12)]),
         (100, [(3, 64, 99)]),
@@ -355,7 +371,7 @@ TIGHT_PATH = hg.make(5, [(0, 1, 2), (2, 3, 4)])
 @pytest.mark.parametrize("n, triples, dense", [
     (8, [t for t in itertools.combinations(range(8), 3) if sum(t) % 3], True),
     (7, list(itertools.combinations((0, 2, 3, 6), 3)) + [(1, 4, 5)], True),
-    (7, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (4, 5, 6)], True),
+    (6, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (3, 4, 5)], True),
     (6, [(0, 1, 2), (0, 3, 4), (3, 4, 5)], True),
     (12, list(itertools.combinations((2, 5, 7, 11), 3)) + [(0, 1, 3)], False),
     (12, [(2, 5, 7), (2, 5, 11), (2, 7, 11), (0, 1, 3)], False),
