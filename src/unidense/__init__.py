@@ -18,7 +18,6 @@ from .hypergraph import (
     find_embedding,
     make,
     named,
-    shadow,
     star,
 )
 from .palette import (

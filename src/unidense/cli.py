@@ -244,24 +244,24 @@ def _cmd_gen(args, report):
     report["command"] = f"gen {args.kind}"
     report["seed"] = args.seed
     report["rng_algorithm"] = _hg.RNG_ALGORITHM
-    phi = None
-    if args.kind == "tournament":
-        H = _construct.tournament_hypergraph(args.n, args.seed)
-    elif args.kind == "roedl":
-        H = _construct.roedl_hypergraph(args.n, args.seed)
-    elif args.kind == "palette":
-        if not args.palette:
-            raise _palette.PaletteError("gen palette requires --palette")
-        P = _load_palette(args.palette)
-        phi = _construct.random_pair_coloring(args.n, P.base, args.seed)
-        H = _construct.build_H(phi, P)
-    else:
+    if args.kind == "lift":
         if not args.reduced:
             raise _reduced.ReducedError("gen lift requires --reduced")
         A = _io.read_reduced(args.reduced)
         lifted = _construct.lift_reduced(A, args.h, args.seed)
         H, phi = lifted.hypergraph, lifted.coloring
-    if phi is not None and args.coloring_out:
+    else:
+        if args.kind == "palette":
+            if not args.palette:
+                raise _palette.PaletteError("gen palette requires --palette")
+            P = _load_palette(args.palette)
+        elif args.n < 3:  # tournament and roedl are gen palette with their builtin palette
+            raise _palette.PaletteError(f"need n >= 3, got {args.n}")
+        else:
+            P = _palette.builtin(args.kind)
+        phi = _construct.random_pair_coloring(args.n, P.base, args.seed)
+        H = _construct.build_H(phi, P)
+    if args.coloring_out:
         Path(args.coloring_out).write_text(_io.coloring_to_text(phi))
         report["coloring"] = str(args.coloring_out)
     _io.write_hypergraph(H, args.out)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,25 +47,6 @@ class PairColoring:
     def items(self):
         for x, y in itertools.combinations(range(self.n), 2):
             yield (x, y), self.color(x, y)
-
-    @classmethod
-    def from_map(cls, n: int, base: WeightedColorSet, mapping) -> "PairColoring":
-        codes = np.zeros(n * (n - 1) // 2, dtype=np.int64)
-        seen = 0
-        for (x, y), color in mapping.items():
-            if x > y:
-                x, y = y, x
-            codes[pair_rank(n, x, y)] = base.index(color)
-            seen += 1
-        if seen != len(codes):
-            raise PaletteError(f"mapping covers {seen} of {len(codes)} pairs")
-        return cls(n, base, codes)
-
-    def fraction_of(self, color: str) -> Fraction:
-        if len(self.codes) == 0:
-            return Fraction(0)
-        idx = self.base.index(color)
-        return Fraction(int((self.codes == idx).sum()), len(self.codes))
 
 
 def random_pair_coloring(n: int, base: WeightedColorSet, seed) -> PairColoring:

@@ -8,11 +8,12 @@ lexicographic order.  The views that queries read (the edge tuple, the thirds
 rows of the shadow pairs and the thirds map, which takes the integer key
 u*n + v of a shadow pair, in either order, to the bitmask of its third
 vertices) are built from that array on first use and cached, so a hypergraph
-that is only generated, written or compared never pays for them.  The thirds
-map is the one cached adjacency: ``has_edge`` and ``find_embedding`` read it,
-and ``link`` and ``degree`` read the array.  Instances are immutable after
-construction and safe to share across threads: two threads that build the
-same view at once build equal values, and either may be kept.
+that is only generated, written or compared never pays for them.  Two cached
+views are adjacency: the packed thirds rows, which the K4 and K4-minus tests
+and the sampled uniform audit read, and the thirds map built from them, which
+``thirds``, ``has_edge`` and ``find_embedding`` read.  Instances are immutable
+after construction and safe to share across threads: two threads that build
+the same view at once build equal values, and either may be kept.
 """
 
 from __future__ import annotations
@@ -111,14 +112,6 @@ class Hypergraph3:
             return (self._adj or self._adjacency()).get(x * n + y, 0)
         return 0
 
-    def degree(self, v: int) -> int:
-        return int(np.count_nonzero(self._array == v))
-
-    def link(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Pairs (x, y) with x < y such that {v, x, y} is an edge, in edge order."""
-        rows = self._array[(self._array == v).any(axis=1)]
-        return tuple(map(tuple, rows[rows != v].reshape(-1, 2).tolist()))
-
     def shadow(self) -> set[tuple[int, int]]:
         """All pairs {u, v} covered by at least one edge."""
         return {divmod(k, self.n) for k in _pair_index(self.n, self._array)[0].tolist()}
@@ -165,6 +158,19 @@ def _checked_triple(t, n: int) -> tuple[int, int, int]:
     return a, b, c
 
 
+def int64_triples(rows: list) -> np.ndarray | None:
+    """The rows as one int64 (m, 3) array, read through a checked int64
+    buffer; None when some row is not of length 3 or holds a label that is not
+    an integer (a float, even 1.0, or a string) or lies outside int64."""
+    try:
+        if set(map(len, rows)) <= {3}:
+            flat = array("q", list(itertools.chain.from_iterable(rows)))
+            return np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
+    except (TypeError, OverflowError):
+        pass
+    return None
+
+
 def _canonical_triples(n: int, triples) -> np.ndarray:
     """The distinct triples, each sorted, as an int64 (m, 3) array in
     lexicographic order.
@@ -184,12 +190,7 @@ def _canonical_triples(n: int, triples) -> np.ndarray:
         if rows.dtype.kind in "iu" and rows.ndim == 2 and rows.shape[1] == 3:
             E = rows.astype(np.int64)  # a copy: the caller's array is never frozen
     else:
-        try:
-            if set(map(len, rows)) == {3}:
-                flat = array("q", list(itertools.chain.from_iterable(rows)))
-                E = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
-        except (TypeError, OverflowError):
-            pass
+        E = int64_triples(rows)
     if E is not None:
         if not ((E[:, 0] < E[:, 1]) & (E[:, 1] < E[:, 2])).all():
             E.sort(axis=1)
@@ -276,10 +277,6 @@ def _adjacency(n: int, keys, rows):
 def make(n: int, triples) -> Hypergraph3:
     """Build a canonicalized hypergraph; duplicate triples collapse."""
     return Hypergraph3(n, triples)
-
-
-def shadow(F: Hypergraph3) -> set[tuple[int, int]]:
-    return F.shadow()
 
 
 def bit_positions(mask: int) -> list[int]:

@@ -302,10 +302,7 @@ def reduced_from_json(obj: dict):
             'integer sizes and a "constituents" map of triple lists'
         )
     classes = {index_key(key, 2): size for key, size in obj["classes"].items()}
-    cons = {
-        index_key(key, 3): frozenset(tuple(e) for e in edges)
-        for key, edges in constituents.items()
-    }
+    cons = {index_key(key, 3): edges for key, edges in constituents.items()}
     if len(classes) != len(obj["classes"]) or len(cons) != len(constituents):
         raise ReducedError("reduced JSON names one class or constituent under two keys")
     return ReducedHypergraph(tuple(range(obj["indices"])), classes, cons)
@@ -478,16 +475,14 @@ def tripartite_from_json(obj: dict):
 # -- DIMACS -------------------------------------------------------------------
 
 
-def write_dimacs(path, num_vars: int, clauses, varmap=None, meta=None) -> None:
-    """Write a CNF plus a sidecar <path>.vars.json with the variable meaning."""
+def write_dimacs(path, num_vars: int, clauses, varmap: dict, meta: dict) -> None:
+    """Write a CNF plus a sidecar <path>.vars.json with the variable meaning
+    and the encoding's meta."""
     path = Path(path)
     lines = [f"p cnf {num_vars} {len(clauses)}"]
     lines.extend(" ".join(str(lit) for lit in cl) + " 0" for cl in clauses)
     path.write_text("\n".join(lines) + "\n")
-    if varmap is not None:
-        sidecar = {"variables": {str(v): info for v, info in sorted(varmap.items())}}
-        if meta:
-            sidecar["meta"] = meta
-        path.with_suffix(path.suffix + ".vars.json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-        )
+    sidecar = {"variables": {str(v): info for v, info in sorted(varmap.items())}, "meta": meta}
+    path.with_suffix(path.suffix + ".vars.json").write_text(
+        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    )

@@ -73,9 +73,6 @@ class WeightedColorSet:
         w = Fraction(1, len(self.colors))
         return all(x == w for x in self.weights)
 
-    def __len__(self):
-        return len(self.colors)
-
 
 _PERMS3 = tuple(itertools.permutations(range(3)))
 
@@ -337,8 +334,6 @@ _BUILTINS = {
     "ee6": ee6_palette,
     "ee11": ee11_palette,
 }
-
-BUILTIN_NAMES = tuple(sorted(_BUILTINS)) + ("roedl(r)",)
 
 
 # -- representability -------------------------------------------------------

@@ -70,19 +70,12 @@ class BipartiteGraph:
     def complete(cls, nx_: int, ny_: int) -> "BipartiteGraph":
         return cls(nx_, ny_, tuple([(1 << ny_) - 1] * nx_))
 
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
-
     def e(self, A, B) -> int:
         """Edges between vertex subsets A of X and B of Y."""
         bmask = 0
         for y in B:
             bmask |= 1 << y
         return sum((self.rows[x] & bmask).bit_count() for x in A)
-
-    def complement(self) -> "BipartiteGraph":
-        mask = (1 << self.ny) - 1
-        return BipartiteGraph(self.nx, self.ny, tuple(r ^ mask for r in self.rows))
 
     def transpose(self) -> "BipartiteGraph":
         cols = [0] * self.ny

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph3, rng
+from .hypergraph import Hypergraph3, int64_triples, rng
 from .palette import NO_SYMMETRY, Palette, Symmetry, solve_ternary, ternary_tables
 
 
@@ -36,23 +37,19 @@ def _ceil_frac(f: Fraction) -> int:
     return -((-f.numerator) // f.denominator)
 
 
-def _edge_array(edges) -> np.ndarray:
-    """The edges of a constituent, all of length 3, as an int64 (m, 3) array."""
-    flat = itertools.chain.from_iterable(edges)
-    return np.fromiter(flat, dtype=np.int64, count=3 * len(edges)).reshape(-1, 3)
-
-
-def _checked_edges(edges, lim, name: str) -> np.ndarray:
-    """The edges as an (m, 3) array once every edge is a triple inside the role
-    classes; the first bad one is reported."""
-    try:
-        E = _edge_array(edges) if set(map(len, edges)) <= {3} else None
-        ok = E is not None and bool(((E >= 0) & (E < lim)).all())
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:  # find the first bad edge, with the tuple's own values
-        for e in edges:
-            if len(e) != 3 or any(not 0 <= e[r] < lim[r] for r in range(3)):
+def _checked_edges(edges: list, lim, name: str) -> np.ndarray:
+    """The edges, a list of tuples, as an (m, 3) array once every edge is a
+    triple of integers inside the role classes; the first bad one is reported."""
+    E = int64_triples(edges)
+    if E is None or not ((E >= 0) & (E < lim)).all():
+        for e in edges:  # find the first bad edge, with the tuple's own values
+            try:
+                labels = [operator.index(x) for x in e]
+            except TypeError:
+                raise ReducedError(
+                    f"constituent edge {e} of {name} has a label that is not an integer"
+                ) from None
+            if len(e) != 3 or any(not 0 <= x < s for x, s in zip(labels, lim)):
                 raise ReducedError(f"constituent edge {e} outside classes of {name}")
     return E
 
@@ -66,16 +63,21 @@ def _refuse_stray_keys(keys, allowed, kind: str) -> None:
 
 
 def _checked_classes(indices, class_sizes) -> tuple[tuple, dict]:
-    """The sorted indices and the size of every class, each at least one."""
+    """The sorted indices and the size of every class, an integer of at least
+    one; a size such as 2.5 or '2' is refused, never truncated."""
     indices = tuple(sorted(indices))
     if len(set(indices)) != len(indices) or len(indices) < 2:
         raise ReducedError("index set must hold at least two distinct indices")
     sizes = {}
     for i, j in itertools.combinations(indices, 2):
-        size = class_sizes.get((i, j))
-        if size is None or size < 1:
+        size = class_sizes.get((i, j), 0)
+        try:
+            size = operator.index(size)
+        except TypeError:
+            raise ReducedError(f"class ({i},{j}) has size {size!r}, not an integer") from None
+        if size < 1:
             raise ReducedError(f"class ({i},{j}) missing or empty")
-        sizes[(i, j)] = int(size)
+        sizes[(i, j)] = size
     _refuse_stray_keys(class_sizes, sizes, "pair")
     return indices, sizes
 
@@ -95,9 +97,8 @@ class ReducedHypergraph:
     within a stack and the stacks ordered by their first triple; an instance
     with uniform class sizes has a single stack.  Every degree, density,
     purge, projection and lift query is a pass over the stacks.
-    ``constituents``, the frozensets of local triples, is a view built on
-    first use; an instance made by ``__init__`` keeps the frozensets it was
-    given as that view.
+    ``constituents``, the frozensets of local triples, is a view built from
+    the cubes on first use.
     """
 
     __slots__ = ("indices", "class_sizes", "triples", "stacks", "_slot", "_constituents")
@@ -106,17 +107,15 @@ class ReducedHypergraph:
         indices, sizes = _checked_classes(indices, class_sizes)
         triples = list(itertools.combinations(indices, 3))
         _refuse_stray_keys(constituents, triples, "triple")
-        cons, pieces = {}, []
+        pieces = []
         for ijk in triples:
-            edges = frozenset(map(tuple, constituents.get(ijk, ())))
+            edges = list(map(tuple, constituents.get(ijk, ())))
             lim = tuple(sizes[p] for p in _roles(ijk))
             E = _checked_edges(edges, lim, "({},{},{})".format(*ijk))
             cube = np.zeros((1, *lim), dtype=bool)
             cube[(0, *E.T)] = True
-            cons[ijk] = edges
             pieces.append(([ijk], cube))
         self._set(indices, sizes, pieces)
-        self._constituents = cons
 
     @classmethod
     def _from_cubes(cls, indices, class_sizes, pieces) -> "ReducedHypergraph":
@@ -124,11 +123,9 @@ class ReducedHypergraph:
         pieces covering every index triple once, ``cubes[t]`` being the cube of
         ``triples[t]``.  The indices and classes are checked as in __init__;
         each cube's shape is its role sizes, so no edge needs checking.  The
-        pieces are regrouped into stacks (and become read-only), and no
-        frozenset is built."""
+        pieces are regrouped into stacks (and become read-only)."""
         A = cls.__new__(cls)
         A._set(*_checked_classes(indices, class_sizes), pieces)
-        A._constituents = None
         return A
 
     def _set(self, indices: tuple, sizes: dict, pieces) -> None:
@@ -152,6 +149,7 @@ class ReducedHypergraph:
         self.triples = tuple(itertools.combinations(indices, 3))
         self.stacks = tuple(stacks)
         self._slot = slot
+        self._constituents = None
 
     @property
     def constituents(self) -> dict:
@@ -185,9 +183,6 @@ class ReducedHypergraph:
     def roles(self, ijk) -> tuple[tuple[int, int], ...]:
         return _roles(ijk)
 
-    def role_sizes(self, ijk) -> tuple[int, int, int]:
-        return tuple(self.class_sizes[p] for p in _roles(ijk))
-
     def class_rows(self, triples) -> np.ndarray:
         """(T, 3) int array: the position in ``class_sizes``, whose keys are
         the sorted classes, of the class of each role of each triple."""
@@ -201,9 +196,6 @@ class ReducedHypergraph:
         stack."""
         s, t = self._slot[ijk]
         return self.stacks[s][1][t]
-
-    def degree(self, ijk, role: int, v: int) -> int:
-        return int(np.count_nonzero(np.take(self.cube(ijk), v, axis=role)))
 
     def __eq__(self, other):
         return (

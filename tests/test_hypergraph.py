@@ -82,8 +82,8 @@ class TestMake:
 
 
 def reference_structure(n, triples):
-    """Literal per-triple construction: (edges, thirds map, links), the
-    thirds and links built edge by edge in sorted edge order."""
+    """Literal per-triple construction: (edges, thirds map), the thirds
+    built edge by edge in sorted edge order."""
     canon = set()
     for t in triples:
         t = tuple(t)
@@ -96,18 +96,15 @@ def reference_structure(n, triples):
             raise hg.HypergraphError(f"vertex out of range in triple {t!r} (n={n})")
         canon.add((a, b, c))
     edges = tuple(sorted(canon))
-    thirds, link = {}, [[] for _ in range(n)]
+    thirds = {}
     for a, b, c in edges:
         for (u, v), w in (((a, b), c), ((a, c), b), ((b, c), a)):
             thirds[(u, v)] = thirds.get((u, v), 0) | (1 << w)
-        link[a].append((b, c))
-        link[b].append((a, c))
-        link[c].append((a, b))
-    return edges, thirds, tuple(tuple(x) for x in link)
+    return edges, thirds
 
 
 def assert_matches_reference(H, n, triples):
-    edges, thirds, link = reference_structure(n, triples)
+    edges, thirds = reference_structure(n, triples)
     assert H.n == n and H.edges == edges
     edge_set, span = set(edges), range(-1, n + 1)  # repeated and out-of-range vertices too
     assert all(
@@ -120,8 +117,6 @@ def assert_matches_reference(H, n, triples):
         want = thirds.get((min(u, v), max(u, v)), 0)  # 0 for u == v and outside 0..n-1
         got = H.thirds(u, v)
         assert got == want and type(got) is int
-    assert tuple(H.link(v) for v in range(n)) == link  # order included
-    assert [H.degree(v) for v in range(n)] == [len(x) for x in link]
 
 
 class TestConstructorReference:
@@ -260,19 +255,19 @@ class TestShadow:
         want = set()
         for e in H.edges:
             want.update(itertools.combinations(e, 2))
-        assert hg.shadow(H) == want == set(itertools.combinations(range(4), 2))
+        assert H.shadow() == want == set(itertools.combinations(range(4), 2))
 
     def test_single_edge(self):
         H = hg.make(3, [(0, 1, 2)])
-        assert hg.shadow(H) == {(0, 1), (0, 2), (1, 2)}
+        assert H.shadow() == {(0, 1), (0, 2), (1, 2)}
 
     def test_cycle5_covers_all_pairs(self):
         # {i, i+1, i+2} covers distances 1 and 2, which is every pair mod 5
-        assert hg.shadow(hg.cycle5()) == set(itertools.combinations(range(5), 2))
+        assert hg.cycle5().shadow() == set(itertools.combinations(range(5), 2))
 
     def test_shadow_size_bound(self):
         for H in (hg.clique(5), hg.cycle5(), hg.fano(), hg.star(4)):
-            assert len(hg.shadow(H)) <= 3 * H.edge_count
+            assert len(H.shadow()) <= 3 * H.edge_count
 
 
 class TestNamed:

@@ -4,6 +4,7 @@ codes, JSON report reproducibility, and CNF export."""
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from unidense import cli
@@ -118,6 +119,22 @@ class TestGraphFormats:
         assert (Q.xy, Q.xz, Q.yz) == (P.xy, P.xz, P.yz)
         assert tuple(len(p) for p in Q.parts) == tuple(len(p) for p in P.parts)
 
+    def test_bipartite_text_edges_from_either_part(self):
+        # parts {0, 2} and {1, 3}; edge "1 0" is listed from the higher part
+        G = uio.bipartite_from_text("4 2\n0 1 0 1\n1 0\n2 3\n")
+        assert G == qr.BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
+
+    def test_tripartite_text_edges_from_either_part(self):
+        # parts (1, 3), (2, 5), (0, 4) interleaved in the header; every layer
+        # has an edge listed from its higher part, and "3 4" from its lower one
+        P = uio.tripartite_from_text("6 4\n2 0 1 0 2 1\n2 1\n0 5\n3 4\n4 1\n")
+        assert P == qr.TripartiteGraph(
+            ((1, 3), (2, 5), (0, 4)),
+            qr.BipartiteGraph.from_edges(2, 2, [(0, 0)]),
+            qr.BipartiteGraph.from_edges(2, 2, [(0, 1), (1, 1)]),
+            qr.BipartiteGraph.from_edges(2, 2, [(1, 0)]),
+        )
+
     def test_text_part_header_shape(self):
         G = qr.BipartiteGraph.complete(2, 3)
         lines = uio.bipartite_to_text(G).splitlines()
@@ -148,7 +165,7 @@ class TestGraphFormats:
 class TestColoringDump:
     def test_lines(self):
         base = pal.WeightedColorSet.uniform(("r", "g"))
-        phi = cn.PairColoring.from_map(3, base, {(0, 1): "r", (0, 2): "g", (1, 2): "r"})
+        phi = cn.PairColoring(3, base, np.array([0, 1, 0]))  # r, g, r
         assert uio.coloring_to_text(phi).splitlines() == ["0 1 r", "0 2 g", "1 2 r"]
 
 
@@ -564,6 +581,25 @@ class TestCli:
         H = uio.read_hypergraph(out)
         assert H.n == 20
         assert col.read_text().count("\n") == 150  # crossing pairs only: C(4,2)*25
+
+    @pytest.mark.parametrize("kind", ["tournament", "roedl"])
+    def test_gen_kind_is_gen_palette_with_its_builtin(self, tmp_path, kind):
+        files = {}
+        for argv in (["gen", kind], ["gen", "palette", "--palette", kind]):
+            h, col, rpt = (tmp_path / f"{argv[1]}.{ext}" for ext in ("txt", "phi", "json"))
+            assert cli.main(argv + ["--n", "6", "--out", str(h), "--coloring-out", str(col),
+                                    "--json", str(rpt)]) == 0
+            assert json.loads(rpt.read_text())["coloring"] == str(col)
+            files[argv[1]] = h.read_text(), col.read_text()
+        assert files[kind] == files["palette"]
+        assert files[kind][1].count("\n") == 15  # C(6, 2) pairs
+
+    @pytest.mark.parametrize("kind", ["tournament", "roedl"])
+    def test_gen_kind_needs_three_vertices(self, tmp_path, capsys, kind):
+        col = tmp_path / "phi.txt"
+        argv = ["gen", kind, "--n", "2", "--out", str(tmp_path / "h.txt"), "--coloring-out", str(col)]
+        assert cli.main(argv) == 64
+        assert "need n >= 3, got 2" in capsys.readouterr().err and not col.exists()
 
     def test_emit_cnf(self, tmp_path):
         cnf = tmp_path / "k11.cnf"

@@ -12,7 +12,7 @@ from unidense import hypergraph as hg
 from unidense import palette as pal
 from unidense import reduced as rd
 
-BUILTIN_NAMES = ("rainbow", "tournament", "star4", "roedl", "ramsey6", "ee5", "ee6", "ee11")
+PALETTE_NAMES = ("rainbow", "tournament", "star4", "roedl", "ramsey6", "ee5", "ee6", "ee11")
 
 
 def random_reduced(m, max_size, p, rng):
@@ -50,6 +50,29 @@ class TestConstruction:
         # a key the instance never reads is refused, not dropped
         with pytest.raises(rd.ReducedError, match="is not a sorted"):
             rd.ReducedHypergraph((0, 1, 2), classes, cons)
+
+    @pytest.mark.parametrize("edge", [(0.5, 1, 1), (1.0, 1, 1), ("1", 1, 1), (0, 1, np.float64(1))])
+    def test_edge_labels_that_are_not_integers_refused(self, edge):
+        # never truncated to the cell (0, 1, 1) or parsed into (1, 1, 1)
+        sizes = {(0, 1): 2, (0, 2): 2, (1, 2): 2}
+        with pytest.raises(rd.ReducedError, match="not an integer"):
+            rd.ReducedHypergraph((0, 1, 2), sizes, {(0, 1, 2): [(0, 0, 0), edge]})
+
+    @pytest.mark.parametrize("size", [2.5, 2.0, "2"])
+    def test_class_sizes_that_are_not_integers_refused(self, size):
+        sizes = {(0, 1): 2, (0, 2): size, (1, 2): 2}
+        with pytest.raises(rd.ReducedError, match="not an integer"):
+            rd.ReducedHypergraph((0, 1, 2), sizes, {})
+
+    def test_numpy_int_labels_and_sizes_read_as_ints(self):
+        sizes = {(0, 1): np.int64(2), (0, 2): np.uint8(3), (1, 2): 2}
+        edges = np.array([[1, 2, 0], [0, 0, 1], [1, 2, 0]], dtype=np.int32)  # one edge twice
+        A = rd.ReducedHypergraph((0, 1, 2), sizes, {(0, 1, 2): edges})
+        assert A.class_sizes == {(0, 1): 2, (0, 2): 3, (1, 2): 2}
+        assert all(type(x) is int for x in A.class_sizes.values())
+        assert A.constituents == {(0, 1, 2): frozenset({(0, 0, 1), (1, 2, 0)})}
+        assert A.cube((0, 1, 2)).shape == (2, 3, 2)
+
     def test_from_palette_shapes(self):
         A = rd.from_palette(pal.builtin("tournament"), 5)
         assert len(A.indices) == 5
@@ -82,7 +105,7 @@ class TestCheckDense:
         assert not chk.ok and chk.witness == ((0, 1, 2),)
 
     def test_density_transfer_all_builtins(self):
-        for name in BUILTIN_NAMES:
+        for name in PALETTE_NAMES:
             P = pal.builtin(name)
             for m in (3, 5):
                 A = rd.from_palette(P, m)
@@ -108,10 +131,10 @@ class TestCheckDense:
         rng = np.random.default_rng(5)
         A = random_reduced(4, 5, 0.6, rng)
         for ijk, edges in A.constituents.items():
-            sizes = A.role_sizes(ijk)
+            sizes = A.cube(ijk).shape
             for r in range(3):
                 for v in range(sizes[r]):
-                    assert A.degree(ijk, r, v) == sum(1 for e in edges if e[r] == v)
+                    assert np.take(A.cube(ijk), v, axis=r).sum() == sum(1 for e in edges if e[r] == v)
 
 
 def reference_scan(A, star):
@@ -119,7 +142,7 @@ def reference_scan(A, star):
     strict minimum kept (the incumbent starts at 1 with no witness)."""
     best, witness = Fraction(1), None
     for ijk in sorted(A.constituents):
-        sizes, roles, edges = A.role_sizes(ijk), A.roles(ijk), A.constituents[ijk]
+        sizes, roles, edges = A.cube(ijk).shape, A.roles(ijk), A.constituents[ijk]
         cands = []
         if star == "vvv":
             cands.append((Fraction(len(edges), sizes[0] * sizes[1] * sizes[2]), (ijk,)))
@@ -147,7 +170,7 @@ def reference_scan(A, star):
 def reference_exceptional(A, star, d):
     entries = {}
     for ijk in sorted(A.constituents):
-        sizes, roles, edges = A.role_sizes(ijk), A.roles(ijk), A.constituents[ijk]
+        sizes, roles, edges = A.cube(ijk).shape, A.roles(ijk), A.constituents[ijk]
         if star == "ev":
             for r in range(3):
                 other = sizes[(r + 1) % 3] * sizes[(r + 2) % 3]
@@ -319,7 +342,7 @@ class TestEtaDense:
         for ((i, j), k), bad in exc.entries.items():
             ijk = tuple(sorted((i, j, k)))
             role = A.roles(ijk).index((i, j))
-            others = [s for r, s in enumerate(A.role_sizes(ijk)) if r != role]
+            others = [s for r, s in enumerate(A.cube(ijk).shape) if r != role]
             want = tuple(
                 v
                 for v in range(size)
@@ -337,7 +360,7 @@ class TestEtaDense:
         for ((i, j), k), bad in exc.entries.items():
             ijk = tuple(sorted((i, j, k)))
             role = A.roles(ijk).index((i, j))
-            others = [s for r, s in enumerate(A.role_sizes(ijk)) if r != role]
+            others = [s for r, s in enumerate(A.cube(ijk).shape) if r != role]
             want = tuple(
                 v
                 for v in range(A.class_sizes[(i, j)])
@@ -390,11 +413,11 @@ class TestPurge:
             pytest.skip("instance too sparse for the chosen threshold")
         for ijk in A.constituents:
             roles = A.roles(ijk)
-            sizes = A.role_sizes(ijk)
+            sizes = A.cube(ijk).shape
             for r in range(3):
                 other = sizes[(r + 1) % 3] * sizes[(r + 2) % 3]
                 for old in res.kept[roles[r]]:
-                    assert A.degree(ijk, r, old) >= d * other
+                    assert np.take(A.cube(ijk), old, axis=r).sum() >= d * other
 
     def test_lemma_conclusion_on_seeded_instances(self):
         # purge at D on (D, eta, ev)-dense instances with m * eta <= eps / 4:

@@ -39,12 +39,12 @@ def roles(ijk):
     return ((i, j), (i, k), (j, k))
 
 
-def role_sizes(P, ijk):
+def sizes_of(P, ijk):
     return tuple(P.sizes[p] for p in roles(ijk))
 
 
 def oracle_cube(P, ijk):
-    cube = np.zeros(role_sizes(P, ijk), dtype=bool)
+    cube = np.zeros(sizes_of(P, ijk), dtype=bool)
     for e in P.cons[ijk]:
         cube[e] = True
     return cube
@@ -61,7 +61,7 @@ def plain_of(A):
 def oracle_scan(P, star):
     num, den, witness = 1, 1, None
     for ijk in sorted(P.cons):
-        sizes, rs, cube = role_sizes(P, ijk), roles(ijk), oracle_cube(P, ijk)
+        sizes, rs, cube = sizes_of(P, ijk), roles(ijk), oracle_cube(P, ijk)
         if star == "vvv":
             groups = [(np.array(len(P.cons[ijk])), math.prod(sizes), ())]
         elif star == "ev":
@@ -92,7 +92,7 @@ def ceil_frac(f):
 def oracle_exceptional(P, star, d):
     entries = {}
     for ijk in sorted(P.cons):
-        rs, sizes, cube = roles(ijk), role_sizes(P, ijk), oracle_cube(P, ijk)
+        rs, sizes, cube = roles(ijk), sizes_of(P, ijk), oracle_cube(P, ijk)
         if star == "ev":
             for r in range(3):
                 deg = cube.sum(axis=tuple(x for x in range(3) if x != r), dtype=np.int64)
@@ -258,7 +258,7 @@ def random_map(rng, F, P):
 def flipped(P, rng):
     """The record with one cell of one constituent flipped."""
     ijk = P.indices[:3]
-    cell = tuple(int(rng.integers(0, s)) for s in role_sizes(P, ijk))
+    cell = tuple(int(rng.integers(0, s)) for s in sizes_of(P, ijk))
     cons = dict(P.cons)
     cons[ijk] = cons[ijk] ^ {cell}
     return Plain(P.indices, P.sizes, cons)
@@ -364,7 +364,7 @@ def test_constituents_is_a_lazy_view():
     assert all(type(x) is int for e in view.values() for t in e for x in t)
     given_cons = {(0, 1, 2): frozenset({(0, 0, 0)})}
     B = rd.ReducedHypergraph((0, 1, 2), {(0, 1): 1, (0, 2): 1, (1, 2): 1}, given_cons)
-    assert B._constituents is not None and B.constituents == given_cons  # kept from __init__
+    assert B._constituents is None and B.constituents == given_cons  # built from the cubes
     ((triples, cubes),) = B.stacks
     assert triples == ((0, 1, 2),) and not cubes.flags.writeable
     assert np.shares_memory(B.cube((0, 1, 2)), cubes) and not B.cube((0, 1, 2)).flags.writeable
