@@ -2,7 +2,9 @@
 
 Subcommands: palette {info, closure}, certify, table, gen {tournament, roedl,
 palette, lift}, audit {uniform, star, quasirandom, counting-lemma}, reduced
-{check, purge, project, map, tetra}.
+{check, purge, project, map, tetra}.  Each gen kind takes --seed, --out and
+--coloring-out, plus --n (tournament, roedl), --n and a required --palette
+(palette), or a required --reduced and --h (lift); any other flag exits 64.
 
 Exit codes: 0 = verdict obtained (either way), 1 = a table row differs from
 its expected bound, reduced tetra refused, or a certificate failed
@@ -241,24 +243,15 @@ def _cmd_table(args, report):
 
 
 def _cmd_gen(args, report):
-    report["command"] = f"gen {args.kind}"
     report["seed"] = args.seed
     report["rng_algorithm"] = _hg.RNG_ALGORITHM
     if args.kind == "lift":
-        if not args.reduced:
-            raise _reduced.ReducedError("gen lift requires --reduced")
-        A = _io.read_reduced(args.reduced)
-        lifted = _construct.lift_reduced(A, args.h, args.seed)
+        lifted = _construct.lift_reduced(_io.read_reduced(args.reduced), args.h, args.seed)
         H, phi = lifted.hypergraph, lifted.coloring
-    else:
-        if args.kind == "palette":
-            if not args.palette:
-                raise _palette.PaletteError("gen palette requires --palette")
-            P = _load_palette(args.palette)
-        elif args.n < 3:  # tournament and roedl are gen palette with their builtin palette
+    else:  # tournament and roedl are gen palette with their builtin palette
+        if args.n < 3:
             raise _palette.PaletteError(f"need n >= 3, got {args.n}")
-        else:
-            P = _palette.builtin(args.kind)
+        P = _load_palette(args.palette) if args.kind == "palette" else _palette.builtin(args.kind)
         phi = _construct.random_pair_coloring(args.n, P.base, args.seed)
         H = _construct.build_H(phi, P)
     if args.coloring_out:
@@ -426,15 +419,21 @@ def build_parser() -> _Parser:
     command(tab, "table", _cmd_table)
 
     gen = sub.add_parser("gen", help="seeded generators")
-    gen.add_argument("kind", choices=("tournament", "roedl", "palette", "lift"))
-    gen.add_argument("--n", type=int, default=50)
-    gen.add_argument("--seed", type=_count, default=0)
-    gen.add_argument("--palette", help="palette for kind=palette")
-    gen.add_argument("--reduced", help="reduced hypergraph JSON for kind=lift")
-    gen.add_argument("--h", type=int, default=16, help="block size for kind=lift")
-    gen.add_argument("--out", required=True)
-    gen.add_argument("--coloring-out", help="also dump the pair colouring")
-    command(gen, "gen", _cmd_gen)
+    gen_sub = gen.add_subparsers(dest="kind", required=True)
+    for kind in ("tournament", "roedl", "palette", "lift"):
+        # no abbreviations: "--h" would read as "--help" on the kinds without --h
+        gk = gen_sub.add_parser(kind, help=f"seeded {kind} hypergraph", allow_abbrev=False)
+        if kind == "lift":
+            gk.add_argument("--reduced", required=True, help="reduced hypergraph JSON")
+            gk.add_argument("--h", type=int, default=16, help="block size")
+        else:
+            gk.add_argument("--n", type=int, default=50)
+        if kind == "palette":
+            gk.add_argument("--palette", required=True, help="palette name or file")
+        gk.add_argument("--seed", type=_count, default=0)
+        gk.add_argument("--out", required=True)
+        gk.add_argument("--coloring-out", help="also dump the pair colouring")
+        command(gk, f"gen {kind}", _cmd_gen)
 
     aud = sub.add_parser("audit", help="density and quasirandomness audits")
     aud_sub = aud.add_subparsers(dest="audcmd", required=True)
@@ -518,7 +517,7 @@ def build_parser() -> _Parser:
 
 # parsed values that are not inputs: the handler, the command name, the
 # report path, and the subcommand names that only restate "command"
-_NOT_INPUTS = ("func", "command", "json", "cmd", "palcmd", "audcmd", "redcmd")
+_NOT_INPUTS = ("func", "command", "json", "cmd", "palcmd", "kind", "audcmd", "redcmd")
 
 
 def main(argv=None) -> int:

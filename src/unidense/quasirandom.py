@@ -24,6 +24,7 @@ from .hypergraph import (
     Hypergraph3,
     bit_positions,
     check_sweep,
+    pack_rows,
     random_masks,
     random_rows,
     rng,
@@ -31,6 +32,7 @@ from .hypergraph import (
     split_sums,
     subset_search,
     subset_sweep,
+    unpack_rows,
 )
 
 
@@ -78,10 +80,7 @@ class BipartiteGraph:
         return sum((self.rows[x] & bmask).bit_count() for x in A)
 
     def transpose(self) -> "BipartiteGraph":
-        cols = [0] * self.ny
-        for x, r in enumerate(self.rows):
-            for y in bit_positions(r):
-                cols[y] |= 1 << x
+        cols = pack_rows(unpack_rows(self.rows, self.ny).T)
         return BipartiteGraph(self.ny, self.nx, tuple(cols))
 
 
@@ -148,7 +147,7 @@ def audit_quasirandom(
     # q |X| |Y|, held in int64 unless that could overflow (Python ints then)
     bound = q * W.nx * W.ny
     dtype = np.int64 if bound < 2**63 else object
-    steps = np.array([[q * (r >> y & 1) - p for y in range(W.ny)] for r in W.rows], dtype=dtype)
+    steps = q * unpack_rows(W.rows, W.ny).astype(dtype) - p
     v = np.zeros(W.ny, dtype=dtype)
     mask = up = down = 0
 

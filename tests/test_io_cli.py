@@ -476,8 +476,8 @@ class TestCli:
             assert isinstance(data["timing"]["seconds"], float)
             # neither the parser's own values nor the subcommand names
             # that only restate "command"
-            assert not {"func", "command", "json", "cmd", "palcmd", "audcmd", "redcmd"} & set(
-                data["inputs"])
+            assert not {"func", "command", "json", "cmd", "palcmd", "kind", "audcmd",
+                        "redcmd"} & set(data["inputs"])
             data.pop("timing")
         assert reports[0] == reports[1]
 
@@ -600,6 +600,51 @@ class TestCli:
         argv = ["gen", kind, "--n", "2", "--out", str(tmp_path / "h.txt"), "--coloring-out", str(col)]
         assert cli.main(argv) == 64
         assert "need n >= 3, got 2" in capsys.readouterr().err and not col.exists()
+
+    # each gen kind declares only the flags it reads: the last flag, which
+    # the kind would ignore, is refused, and so is n < 3 for every colouring
+    # kind; nothing is written either way
+    @pytest.mark.parametrize("argv", [
+        *(["gen", kind, flag, value] for kind in ("tournament", "roedl")
+          for flag, value in (("--palette", "ee5"), ("--reduced", "A"), ("--h", "4"))),
+        ["gen", "palette", "--palette", "ee5", "--reduced", "A"],
+        ["gen", "palette", "--palette", "ee5", "--h", "4"],
+        ["gen", "lift", "--reduced", "A", "--n", "5"],
+        ["gen", "lift", "--reduced", "A", "--palette", "ee5"],
+        ["gen", "palette", "--palette", "ee5", "--n", "2"],
+    ], ids=" ".join)
+    def test_gen_refuses_what_its_kind_does_not_read(self, tmp_path, capsys, argv):
+        a = tmp_path / "a.json"
+        uio.write_reduced(rd.from_palette(pal.builtin("tournament"), 4), a)
+        h, phi, rpt = (tmp_path / name for name in ("h.txt", "phi.txt", "r.json"))
+        argv = [str(a) if x == "A" else x for x in argv]
+        try:
+            code = cli.main(argv + ["--out", str(h), "--coloring-out", str(phi), "--json", str(rpt)])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        if argv[-2:] == ["--n", "2"]:
+            assert "need n >= 3, got 2" in err
+        else:
+            assert f"unrecognized arguments: {argv[-2]}" in err
+        assert code == 64 and not any(path.exists() for path in (h, phi, rpt))
+
+    def test_gen_report_inputs_are_the_flags_its_kind_reads(self, tmp_path):
+        a = tmp_path / "a.json"
+        uio.write_reduced(rd.from_palette(pal.builtin("tournament"), 4), a)
+        common = {"seed", "out", "coloring_out"}
+        for argv, flags in [
+            (["gen", "tournament"], common | {"n"}),
+            (["gen", "roedl"], common | {"n"}),
+            (["gen", "palette", "--palette", "ee5"], common | {"n", "palette"}),
+            (["gen", "lift", "--reduced", str(a), "--h", "4"], common | {"h", "reduced"}),
+        ]:
+            rpt = tmp_path / "r.json"
+            assert cli.main(argv + ["--seed", "2", "--out", str(tmp_path / "h.txt"),
+                                    "--coloring-out", str(tmp_path / "phi.txt"),
+                                    "--json", str(rpt)]) == 0
+            data = json.loads(rpt.read_text())
+            assert data["command"] == " ".join(argv[:2]) and set(data["inputs"]) == flags
 
     def test_emit_cnf(self, tmp_path):
         cnf = tmp_path / "k11.cnf"

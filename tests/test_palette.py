@@ -305,6 +305,24 @@ class TestRepresentable:
         res = pal.representable(F, P)
         assert res.found and pal.check_certificate(F, P, res.certificate)
 
+    def test_certificate_needs_every_vertex_order_of_an_edge(self):
+        # every ordering that represents this F under cycle5 lists some three
+        # of its vertices x < y < z as z, y, x, the last of the six orders
+        # under which the model reads a triangle
+        F = hg.make(5, [(0, 1, 4), (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 3, 4)])
+        P = pal.builtin("cycle5")
+        res = pal.representable(F, P)
+        assert res.found and pal.check_certificate(F, P, res.certificate)
+
+    def test_check_certificate_refuses_a_pair_outside_the_shadow(self):
+        # (0, 3) lies in no edge of F, so no certificate colours it
+        F, P = hg.make(4, [(0, 1, 2), (1, 2, 3)]), pal.builtin("tournament")
+        cert = pal.representable(F, P).certificate
+        assert pal.check_certificate(F, P, cert)
+        coloring = {**cert.coloring, (0, 3): P.base.colors[0]}
+        extra = pal.RepresentabilityCertificate(cert.ordering, coloring)
+        assert not pal.check_certificate(F, P, extra)
+
     def test_twin_free_f8_free_within_budget(self):
         # one search over every ordering: the 8! orderings of this twin-free
         # F are not tried one by one

@@ -3,6 +3,7 @@ the non-decreasing chain over a twin class and the orderings that list each
 twin class in increasing order, each against a search that uses none of them."""
 
 import itertools
+import random
 from math import factorial
 
 import pytest
@@ -16,24 +17,42 @@ COLORS = ("a", "b", "c")
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-def close_codes(codes, K, colours, coordinates):
-    """Close colour-code triples under S_K on colours and/or S_3 on coordinates."""
-    out = set(codes)
-    for t in codes:
-        for g in itertools.permutations(range(K)) if colours else [tuple(range(K))]:
-            for s in itertools.permutations(range(3)) if coordinates else [(0, 1, 2)]:
-                out.add(tuple(g[t[i]] for i in s))
+def all_of(K):
+    """Every colour permutation of range(K): the group S_K."""
+    return tuple(itertools.permutations(range(K)))
+
+
+def close_codes(codes, K, colours=(), coordinates=False):
+    """Close colour-code triples under the group generated by the colour
+    permutations in colours and/or S_3 on coordinates."""
+    moves = list(colours) + [tuple(range(K))]
+    orders = list(itertools.permutations(range(3))) if coordinates else [(0, 1, 2)]
+    out = new = set(codes)
+    while new:
+        new = {tuple(g[t[i]] for i in s) for t in new for g in moves for s in orders} - out
+        out |= new
     return out
+
+
+# K = 3 colour groups that are proper subgroups of S_3, each generated by one
+# permutation: an engine that tests S_K-invariance on one generator of S_K
+# alone takes either for all of S_3
+SUBGROUPS = {"transposition": (1, 0, 2), "3-cycle": (1, 2, 0)}
 
 
 @st.composite
 def palettes(draw):
     K = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(("S_K-invariant", "symmetric", "both", "neither")))
+    kinds = ("S_K-invariant", "symmetric", "both", "neither")
+    kind = draw(st.sampled_from(kinds + (tuple(SUBGROUPS) if K == 3 else ())))
     codes = draw(st.sets(st.tuples(*[st.integers(0, K - 1)] * 3), max_size=8))
-    codes = close_codes(
-        codes, K, kind in ("S_K-invariant", "both"), kind in ("symmetric", "both")
-    )
+    if kind in SUBGROUPS:
+        codes = close_codes(codes, K, [SUBGROUPS[kind]], draw(st.booleans()))
+    else:
+        codes = close_codes(
+            codes, K, all_of(K) if kind in ("S_K-invariant", "both") else (),
+            kind in ("symmetric", "both"),
+        )
     colors = COLORS[:K]
     return pal.Palette(
         pal.WeightedColorSet.uniform(colors),
@@ -132,8 +151,27 @@ def test_representable_agrees_with_oracle(data):
         assert_twins_increasing(F, res.certificate)
     K = len(P.base.colors)
     codes = P.pattern_codes()
-    invariant = codes == close_codes(codes, K, True, False)
+    invariant = codes == close_codes(codes, K, all_of(K))
     assert (K >= 2 and invariant) == res.symmetry.name.startswith(f"S{K}")
+
+
+@pytest.mark.parametrize("kind", sorted(SUBGROUPS))
+def test_subgroup_closed_palettes_agree_with_oracle(kind):
+    """Seeded K = 3 palettes closed under one transposition or under the
+    3-cycle alone: taking either group for S_3 turns some certificates into
+    "free", which the symmetry names above need not reveal."""
+    gen = random.Random(0)
+    for _ in range(200):
+        codes = {tuple(gen.randrange(3) for _ in range(3)) for _ in range(gen.randint(1, 8))}
+        codes = close_codes(codes, 3, [SUBGROUPS[kind]], gen.random() < 0.5)
+        P = pal.Palette(
+            pal.WeightedColorSet.uniform(COLORS),
+            frozenset(tuple(COLORS[c] for c in t) for t in codes),
+        )
+        n = gen.randint(3, 5)
+        triples = list(itertools.combinations(range(n), 3))
+        F = hg.make(n, gen.sample(triples, gen.randint(1, min(6, len(triples)))))
+        assert pal.representable(F, P).found == oracle_representable(F, P)
 
 
 def clique_csp(n, P):
@@ -156,7 +194,7 @@ def test_solve_ternary_symmetry_rules_keep_verdict(data):
     K = data.draw(st.integers(1, 3))
     codes = data.draw(st.sets(st.tuples(*[st.integers(0, K - 1)] * 3), max_size=8))
     invariant = data.draw(st.booleans())
-    codes = close_codes(codes, K, invariant, True)
+    codes = close_codes(codes, K, all_of(K) if invariant else (), True)
     colors = COLORS[:K]
     P = pal.Palette(
         pal.WeightedColorSet.uniform(colors),
