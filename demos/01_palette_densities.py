@@ -16,7 +16,7 @@ for name in NAMES:
     P = builtin(name)
     print(
         f"{name:12s} {len(P.patterns):10d} {str(P.symmetric):>9s}"
-        f" {str(P.density_vvv()):>6s} {str(P.density_ev()):>6s} {str(P.density_ee()):>6s}"
+        f" {str(P.density('vvv')):>6s} {str(P.density('ev')):>6s} {str(P.density('ee')):>6s}"
     )
 
 print()
@@ -25,4 +25,4 @@ print("heavy colour into two shades gives an equivalent uniform palette:")
 P = builtin("cycle5")
 U = P.expand_weights()
 print(f"  {len(U.base.colors)} colours, {len(U.patterns)} patterns,"
-      f" vvv density {U.density_vvv()} (unchanged)")
+      f" vvv density {U.density('vvv')} (unchanged)")

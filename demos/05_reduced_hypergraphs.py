@@ -18,7 +18,7 @@ for name in ("tournament", "ee5", "ee11"):
     A = rd.from_palette(P, 5)
     print(f"{name:10s}: vvv {rd.reduced_density(A, 'vvv')}, "
           f"ev {rd.reduced_density(A, 'ev')}, ee {rd.reduced_density(A, 'ee')}"
-          f"   (palette: {P.density_vvv()}, {P.density_ev()}, {P.density_ee()})")
+          f"   (palette: {P.density('vvv')}, {P.density('ev')}, {P.density('ee')})")
 
 print()
 print("-- purge: delete low-degree class vertices --")

@@ -19,6 +19,7 @@ carries "command", "inputs", "version" and "timing".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -118,9 +119,7 @@ def _search_exit(args, status: str) -> int:
 def _cmd_palette_info(args, report):
     P = _load_palette(args.builtin or args.file)
     report["palette"] = _io.palette_to_json(P)
-    report["density"] = {
-        star: _io.format_fraction(P.density(star)) for star in ("vvv", "ev", "ee")
-    }
+    report["density"] = {star: _io.format_fraction(P.density(star)) for star in _palette.NOTIONS}
     report["symmetric"] = P.symmetric
     report["patterns"] = len(P.patterns)
     lines = [
@@ -385,6 +384,8 @@ def _cmd_reduced_tetra(args, report):
 # -- parser ------------------------------------------------------------------------
 
 
+# built once per process, since parsing leaves the parser as it was
+@functools.cache
 def build_parser() -> _Parser:
     p = _Parser(prog="unidense", description=__doc__)
     p.add_argument("--version", action="version", version=f"unidense {__version__}")
@@ -449,7 +450,7 @@ def build_parser() -> _Parser:
 
     ast = aud_sub.add_parser("star", help="three-set / pair-set density notions")
     ast.add_argument("input", help="hypergraph file")
-    ast.add_argument("--notion", choices=("vvv", "ev", "ee"), required=True)
+    ast.add_argument("--notion", choices=tuple(_palette.NOTIONS), required=True)
     ast.add_argument("--d", type=_fraction, required=True)
     ast.add_argument("--eta", type=_fraction, required=True)
     ast.add_argument("--exact-threshold", type=int, default=None)
@@ -479,7 +480,7 @@ def build_parser() -> _Parser:
 
     rc = red_sub.add_parser("check", help="(d, star)- or (d, eta, star)-density")
     rc.add_argument("input", help="reduced hypergraph JSON")
-    rc.add_argument("--star", choices=("vvv", "ev", "ee"), required=True)
+    rc.add_argument("--star", choices=tuple(_palette.NOTIONS), required=True)
     rc.add_argument("--d", type=_fraction, required=True)
     rc.add_argument("--eta", type=_fraction, default=None,
                     help="check (d, eta, star)-density instead; ev and ee only")

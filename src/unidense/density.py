@@ -546,64 +546,64 @@ class _RowSums:
     is a vertex a, whose row scale * t[a] - d_term covers all of term (ev),
     or, when ``pairs``, the pair (a, b) = divmod(i, n) of element i, whose
     row scale * t[a, b] - d_term is placed at row b of term (ee); at(i) is
-    where element i's row goes.  A flip adds the int8 rows of t, with a
-    trailing 1 that counts the elements placed there, to count[at(i)], and
-    score() forms term from count in int64.  ``search`` rates candidate sets
-    with ``rate``, and the float64 table of every element's row is built only
-    by ``sweep``.  At most n elements are placed at each cell of term, so its
-    entries lie in [-scale n, scale n] and the slack in [-scale n^3, 0].
+    where element i's row goes.  A flip adds or subtracts the row, formed in
+    int64 from the int8 tensor, at term[at(i)].  ``search`` rates candidate
+    sets with ``rate``, and the float64 table of every element's row is
+    built only by ``sweep``.  At most n elements are placed at each cell of
+    term, so its entries lie in [-scale n, scale n] and the slack in
+    [-scale n^3, 0].
     """
 
     def __init__(self, t: np.ndarray, pairs: bool, scale: int, d_term: int):
         n = len(t)
-        t = np.concatenate([t, np.ones((n, n, 1), dtype=np.int8)], axis=-1)
-        self.t = t.reshape(n * n, n + 1) if pairs else t
+        self.t = t.reshape(n * n, n) if pairs else t
         self.at = (lambda i: i % n) if pairs else (lambda i: ...)
         self.pairs, self.scale, self.d_term = pairs, scale, d_term
         self.mask = 0
-        self.count = np.zeros((n, n + 1), dtype=np.int64)
-        self.term = None
+        self.term = np.zeros((n, n), dtype=np.int64)
 
     def flip(self, i):
         self.mask ^= 1 << i
+        row = self.scale * self.t[i].astype(np.int64) - self.d_term
         if self.mask >> i & 1:
-            self.count[self.at(i)] += self.t[i]
+            self.term[self.at(i)] += row
         else:
-            self.count[self.at(i)] -= self.t[i]
+            self.term[self.at(i)] -= row
 
     def score(self):
-        self.term = self.scale * self.count[:, :-1] - self.d_term * self.count[:, -1:]
         return int(np.minimum(self.term, 0).sum())
 
     def rate(self, rows):
-        """score() of each 0/1 row of elements: row b of count is one product
-        of the row's elements placed there by t[:, b], in float64 so that it
-        runs on BLAS (the counts are at most n, exact), and term and the
-        slack are formed from it in int64, as score() forms them."""
-        n = len(self.count)
-        t = self.t.reshape(n, n, n + 1)
+        """score() of each 0/1 row of elements: the edge counts at row b of
+        term are one product of the row's elements placed there by t[:, b],
+        in float64 so that it runs on BLAS (the counts are at most n, exact),
+        and term and the slack are formed from them in int64, as the flips
+        form them."""
+        n = len(self.term)
+        t = self.t.reshape(n, n, n)
         rows = rows.astype(np.float64)
         slack = np.zeros(len(rows), dtype=np.int64)
         for b in range(n):
-            count = (rows[:, b::n] if self.pairs else rows) @ t[:, b].astype(np.float64)
-            count = count.astype(np.int64)
-            term = self.scale * count[:, :-1] - self.d_term * count[:, -1:]
+            placed = rows[:, b::n] if self.pairs else rows
+            count = (placed @ t[:, b].astype(np.float64)).astype(np.int64)
+            size = placed.sum(axis=1).astype(np.int64)
+            term = self.scale * count - self.d_term * size[:, None]
             slack += np.minimum(term, 0).sum(axis=1)
         return slack
 
     def search(self, witness, candidates):
         # per row: its float64 copy, and the count, term and minimum of one row b
-        n, nbits = len(self.count), len(self.t)
+        n, nbits = len(self.term), len(self.t)
         width = nbits + 3 * n + 2
         return subset_search(nbits, self.rate, width, self.flip, self.score, witness, candidates)
 
     def sweep(self, witness):
-        n, nbits = len(self.count), len(self.t)
+        n, nbits = len(self.term), len(self.t)
         # the float64 rows of every element and their split tables
         check_sweep(nbits, (nbits + n + 3) * n * n + split_cells(nbits, n * n), self.scale * n**3)
         rows = np.zeros((nbits, n, n))
         for i, row in enumerate(rows):
-            row[self.at(i)] = self.scale * self.t[i, ..., :-1].astype(np.float64) - self.d_term
+            row[self.at(i)] = self.scale * self.t[i].astype(np.float64) - self.d_term
         sums = split_sums(rows.reshape(len(rows), n * n))
         ones = np.ones(n * n)
 

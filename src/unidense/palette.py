@@ -5,7 +5,8 @@ All densities are exact rationals.  A palette is a set of ordered colour
 triples; a hypergraph built from a pair colouring phi has edge {x,y,z}
 (x < y < z) exactly when (phi(x,y), phi(x,z), phi(y,z)) is one of the
 patterns, i.e. pattern coordinates follow the lexicographic order of the
-three pairs.
+three pairs.  ``NOTIONS`` names the coordinates that each density notion's
+witnesses fix, and ``Palette.density`` reads it for all three.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ class WeightedColorSet:
         except KeyError:
             raise PaletteError(f"unknown colour {color!r}") from None
 
-    def weight(self, color: str) -> Fraction:
-        return self.weights[self.index(color)]
-
     @property
     def is_uniform(self) -> bool:
         w = Fraction(1, len(self.colors))
@@ -75,6 +73,12 @@ class WeightedColorSet:
 
 
 _PERMS3 = tuple(itertools.permutations(range(3)))
+
+# The density notions, each as the choices of pattern coordinates (the
+# colours of the pairs of a triple) that one of its witnesses fixes: none for
+# vvv, one for ev, two for ee.  A reduced hypergraph's constituent roles are
+# the same coordinates.
+NOTIONS = {"vvv": ((),), "ev": ((0,), (1,), (2,)), "ee": ((0, 1), (0, 2), (1, 2))}
 
 
 @dataclass(frozen=True)
@@ -108,50 +112,30 @@ class Palette:
 
     # -- exact densities ----------------------------------------------------
 
-    def density_vvv(self) -> Fraction:
-        """Total weighted pattern mass: the largest d making the palette (d, vvv)-dense."""
-        w = self.base.weight
-        return sum((w(a) * w(b) * w(c) for a, b, c in self.patterns), Fraction(0))
-
-    def density_ev(self) -> Fraction:
-        """Min over coordinate positions and colours of the conditional pattern mass.
-
-        For uniform weights this is min over fixed coordinates of
-        (#completions) / |colours|^2.
-        """
-        w = self.base.weight
-        best = Fraction(1)
-        for pos in range(3):
-            others = [o for o in range(3) if o != pos]
-            for c in self.base.colors:
-                mass = sum(
-                    (w(p[others[0]]) * w(p[others[1]]) for p in self.patterns if p[pos] == c),
-                    Fraction(0),
-                )
-                best = min(best, mass)
-        return best
-
-    def density_ee(self) -> Fraction:
-        """Min over coordinate pairs and colour pairs of the completing-colour mass."""
-        w = self.base.weight
-        best = Fraction(1)
-        for rest in range(3):
-            fixed = [o for o in range(3) if o != rest]
-            for c1 in self.base.colors:
-                for c2 in self.base.colors:
-                    mass = sum(
-                        (
-                            w(p[rest])
-                            for p in self.patterns
-                            if p[fixed[0]] == c1 and p[fixed[1]] == c2
-                        ),
-                        Fraction(0),
-                    )
-                    best = min(best, mass)
-        return best
-
     def density(self, star: str) -> Fraction:
-        return {"vvv": self.density_vvv, "ev": self.density_ev, "ee": self.density_ee}[star]()
+        """The largest d making the palette (d, star)-dense: the least, over the
+        coordinates that the notion fixes (``NOTIONS[star]``) and every colour
+        tuple on them, of the weighted mass of the matching patterns over
+        their other coordinates.  vvv fixes none, so its density is the total
+        pattern mass; for uniform weights each mass is a pattern count over
+        |colours| to the power of the free coordinates."""
+        try:
+            fixings = NOTIONS[star]
+        except KeyError:
+            raise PaletteError(f"unknown density notion {star!r}") from None
+        # the masses in units of 1/L^k, L the weights' common denominator and
+        # k the free coordinates, so that they add as integers
+        L = lcm(*(x.denominator for x in self.base.weights))
+        w = {c: int(x * L) for c, x in zip(self.base.colors, self.base.weights)}
+        mass: Counter = Counter()
+        for fixed in fixings:
+            free = [i for i in range(3) if i not in fixed]
+            for p in self.patterns:
+                mass[fixed, tuple(p[i] for i in fixed)] += prod(w[p[i]] for i in free)
+        # a colour tuple that no pattern matches has mass 0
+        every = len(fixings) * len(w) ** len(fixings[0])
+        least = min(mass.values()) if len(mass) == every else 0
+        return Fraction(least, L ** (3 - len(fixings[0])))
 
     # -- helpers ------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .hypergraph import Hypergraph3, int64_triples, rng
-from .palette import NO_SYMMETRY, Palette, Symmetry, solve_ternary, ternary_tables
+from .palette import NO_SYMMETRY, NOTIONS, Palette, Symmetry, solve_ternary, ternary_tables
 
 
 class ReducedError(ValueError):
@@ -237,20 +237,18 @@ def _threshold(d) -> Fraction:
     return d
 
 
-# The witnesses of a notion fall into groups that share a denominator: per
-# constituent, the roles a witness names (none for vvv, one for ev, two for
-# ee), in scan order.  A group's counts sum the cube over the other roles.
-_GROUPS = {"vvv": ((),), "ev": ((0,), (1,), (2,)), "ee": ((0, 1), (0, 2), (1, 2))}
-
-
 def _group_counts(A: ReducedHypergraph, star: str):
-    """Per stack and group, in that order: (triples, group, counts, q), where
-    counts[t] holds the counts of the group's witnesses in the constituent
-    triples[t], indexed by the kept roles' vertices, and q is their common
-    denominator, the product of the summed roles' sizes."""
+    """The witnesses of a notion fall into groups that share a denominator:
+    per constituent, the roles a witness fixes, ``palette.NOTIONS[star]`` in
+    scan order (role r is pattern coordinate r), and a group's counts sum
+    the cube over the other roles.  Yields, per stack and group in that
+    order, (triples, group, counts, q), where counts[t] holds the counts of
+    the group's witnesses in the constituent triples[t], indexed by the kept
+    roles' vertices, and q is their common denominator, the product of the
+    summed roles' sizes."""
     for triples, cubes in A.stacks:
         sizes = cubes.shape[1:]
-        for keep in _GROUPS[star]:
+        for keep in NOTIONS[star]:
             summed = tuple(r for r in range(3) if r not in keep)
             counts = cubes.sum(axis=tuple(r + 1 for r in summed), dtype=np.int64)
             yield triples, keep, counts, math.prod(sizes[r] for r in summed)
@@ -267,7 +265,7 @@ def _scan_density(A: ReducedHypergraph, star: str):
     the first constituent and group in that order attaining it, at its first
     least count.
     """
-    if star not in _GROUPS:
+    if star not in NOTIONS:
         raise ReducedError(f"unknown density notion {star!r}")
     groups = []
     for triples, keep, counts, q in _group_counts(A, star):
@@ -329,11 +327,11 @@ def exceptional_sets(A: ReducedHypergraph, star: str, d) -> ExceptionalSets:
     # an entry is keyed by the class of one role of ijk (the kept role for ev,
     # the summed one for ee) and the index of ijk outside it: role r's class
     # misses ijk[2 - r]
-    role = [keep[0] if star == "ev" else 3 - sum(keep) for keep in _GROUPS[star]]
+    role = [keep[0] if star == "ev" else 3 - sum(keep) for keep in NOTIONS[star]]
     entries: dict = {}
     for ijk in A.triples:
         roles = _roles(ijk)
-        for keep, r in zip(_GROUPS[star], role):
+        for keep, r in zip(NOTIONS[star], role):
             entries[(roles[r], ijk[2 - r])] = low[ijk, keep]
     return ExceptionalSets(star, entries)
 
@@ -549,8 +547,6 @@ def find_reduced_map(
     inconclusive.  Maps are re-validated before being returned.
     """
     m = len(A.indices)
-    if m < 2:
-        raise ReducedError("index set too small")
     first_use = _index_homogeneous(A)
     symmetry = Symmetry.product([(f"Sym({m})", math.factorial(m))] if first_use else [])
     pos = {i: p for p, i in enumerate(A.indices)}

@@ -49,14 +49,14 @@ def literal_contains_k4_minus(H):
 def test_c1_palette_density_table():
     t0 = time.perf_counter()
     checks = [
-        pal.builtin("tournament").density_vvv() == Fraction(1, 4),
-        pal.builtin("roedl(2)").density_vvv() == Fraction(1, 2),
-        pal.builtin("star4").density_vvv() == Fraction(1, 3),
-        pal.builtin("ramsey6").density_vvv() == Fraction(3, 4),
-        pal.builtin("cycle5").density_vvv() == Fraction(4, 27),
-        pal.builtin("ee5").density_ee() == Fraction(1, 3),
-        pal.builtin("ee6").density_ee() == Fraction(1, 2),
-        pal.builtin("ee11").density_ee() == Fraction(2, 3),
+        pal.builtin("tournament").density("vvv") == Fraction(1, 4),
+        pal.builtin("roedl(2)").density("vvv") == Fraction(1, 2),
+        pal.builtin("star4").density("vvv") == Fraction(1, 3),
+        pal.builtin("ramsey6").density("vvv") == Fraction(3, 4),
+        pal.builtin("cycle5").density("vvv") == Fraction(4, 27),
+        pal.builtin("ee5").density("ee") == Fraction(1, 3),
+        pal.builtin("ee6").density("ee") == Fraction(1, 2),
+        pal.builtin("ee11").density("ee") == Fraction(2, 3),
     ]
     elapsed = time.perf_counter() - t0
     _report(
@@ -84,7 +84,7 @@ def test_c2_non_representability_exhaustions():
         ok = ok and good
         details.append(f"({f_name},{p_name}): {res.status}/{res.space}/{elapsed:.3f}s")
     # the ev-density side of the roedl bound
-    ok = ok and pal.builtin("roedl(2)").density_ev() == Fraction(1, 2)
+    ok = ok and pal.builtin("roedl(2)").density("ev") == Fraction(1, 2)
     _report(2, "non-representability exhaustions", ok, "; ".join(details))
 
 

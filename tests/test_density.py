@@ -182,6 +182,19 @@ class TestUniformAudit:
             with pytest.raises(ValueError):
                 dn.audit_star_dense(H, "vvv", d, eta)
 
+    @pytest.mark.parametrize("notion", ["uniform", "vvv", "ev", "ee"])
+    def test_threshold_denominators_too_large_refused(self, notion):
+        # scale = 10^10 would take the scaled slacks past float64's exact
+        # integers; the sampled mode shares the guard
+        H = cn.tournament_hypergraph(4, 0)
+        d = eta = Fraction(1, 100000)
+        for exact_threshold in (0, 4):
+            with pytest.raises(ValueError, match="threshold denominators too large"):
+                if notion == "uniform":
+                    dn.audit_uniform_dense(H, d, eta, exact_threshold=exact_threshold)
+                else:
+                    dn.audit_star_dense(H, notion, d, eta, exact_threshold=exact_threshold)
+
     def test_exact_matches_brute(self):
         H = cn.tournament_hypergraph(9, 4)
         d, eta = Fraction(1, 4), Fraction(1, 50)

@@ -1,6 +1,7 @@
 """File-format round-trips and the command-line interface, including exit
 codes, JSON report reproducibility, and CNF export."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -174,6 +175,17 @@ class TestCli:
         assert cli.main(["palette", "info", "--builtin", "ee11"]) == 0
         out = capsys.readouterr().out
         assert "density ee  = 2/3" in out
+
+    def test_palette_info_weighted_file(self, tmp_path, capsys):
+        # every triple over {a: 2/3, b: 1/3} but aaa: vvv 1 - 8/27, ev through
+        # a fixed a (1 - 4/9) and ee through a fixed aa (1/3)
+        f = tmp_path / "p.json"
+        triples = [list(p) for p in itertools.product("ab", repeat=3) if p != ("a", "a", "a")]
+        f.write_text(json.dumps({"colors": ["a", "b"], "weights": ["2/3", "1/3"],
+                                 "patterns": triples}))
+        assert cli.main(["palette", "info", "--file", str(f)]) == 0
+        out = capsys.readouterr().out
+        assert "density vvv = 19/27\n  density ev  = 5/9\n  density ee  = 1/3\n" in out
 
     def test_palette_closure(self, tmp_path):
         gen = tmp_path / "g.json"
@@ -415,6 +427,14 @@ class TestCli:
             assert cli.main(argv) == 64, argv
             assert capsys.readouterr().err.startswith("unidense: error:")
 
+    def test_threshold_denominators_too_large_exit_64(self, tmp_path, capsys):
+        h = tmp_path / "t.txt"
+        uio.write_hypergraph(cn.tournament_hypergraph(8, 0), h)
+        argv = ["audit", "uniform", str(h), "--d", "1/100000", "--eta", "1/100000"]
+        assert cli.main(argv) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and "threshold denominators too large" in err
+
     @pytest.mark.parametrize("row", ["0 1.5 2", "0 1 2e0"])
     def test_float_vertex_in_text_file_exit_64(self, tmp_path, capsys, row):
         h = tmp_path / "t.txt"
@@ -560,6 +580,19 @@ class TestCli:
         out, err = capsys.readouterr()
         assert err.startswith("unidense: error:") and "eps must lie in (0, 1]" in err
         assert "refused" not in out + err
+
+    def test_reduced_check_ee_fail_names_its_witness(self, tmp_path, capsys):
+        # from_palette(ee6, 4) is (1/2, ee)-dense and no denser: d = 1 fails
+        # at the first least pair count in scan order
+        a = tmp_path / "a.json"
+        rpt = tmp_path / "r.json"
+        uio.write_reduced(rd.from_palette(pal.builtin("ee6"), 4), a)
+        argv = ["reduced", "check", str(a), "--star", "ee", "--d", "1", "--json", str(rpt)]
+        assert cli.main(argv) == 0
+        assert "FAIL (min ratio 1/2)" in capsys.readouterr().out
+        report = json.loads(rpt.read_text())
+        assert not report["ok"] and report["min_ratio"] == "1/2"
+        assert report["witness"] == "((0, 1, 2), ((0, 1), 0), ((0, 2), 0))"
 
     def test_reduced_check_vvv_refuses_eta(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -711,6 +744,13 @@ class TestCli:
 
     def test_table_runs_green(self):
         assert cli.main(["table", "--budget", "200000"]) == 0
+
+    def test_table_without_budget_is_a_mismatch(self, tmp_path, capsys):
+        rpt = tmp_path / "table.json"
+        assert cli.main(["table", "--budget", "0", "--json", str(rpt)]) == 1
+        assert "table mismatch against expected bounds" in capsys.readouterr().err
+        rows = json.loads(rpt.read_text())["rows"]
+        assert len(rows) == 11 and all(row["verdict"] == "pending" for row in rows)
 
     def test_table_json_all_rows_free_with_symmetry(self, tmp_path):
         rpt = tmp_path / "table.json"

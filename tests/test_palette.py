@@ -15,7 +15,7 @@ from unidense import palette as pal
 class TestWeightedColorSet:
     def test_uniform_default(self):
         ws = pal.WeightedColorSet.uniform(("a", "b", "c"))
-        assert ws.weight("b") == Fraction(1, 3)
+        assert ws.weights[ws.index("b")] == Fraction(1, 3)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(pal.PaletteError):
@@ -54,35 +54,35 @@ def naive_density_ee(P):
 class TestDensities:
     def test_tournament(self):
         P = pal.builtin("tournament")
-        assert P.density_vvv() == Fraction(1, 4)
-        assert P.density_ev() == Fraction(1, 4) == naive_density_ev(P)
-        assert P.density_ee() == 0 == naive_density_ee(P)
+        assert P.density("vvv") == Fraction(1, 4)
+        assert P.density("ev") == Fraction(1, 4) == naive_density_ev(P)
+        assert P.density("ee") == 0 == naive_density_ee(P)
 
     def test_empty_palette(self):
         P = pal.Palette(pal.WeightedColorSet.uniform(("a", "b")), frozenset())
-        assert P.density_vvv() == 0
+        assert P.density("vvv") == 0
 
     def test_full_palette(self):
         base = pal.WeightedColorSet.uniform(("a", "b"))
         P = pal.Palette(base, frozenset(itertools.product(("a", "b"), repeat=3)))
-        assert P.density_vvv() == 1
-        assert P.density_ev() == 1
-        assert P.density_ee() == 1
+        assert P.density("vvv") == 1
+        assert P.density("ev") == 1
+        assert P.density("ee") == 1
 
     def test_weighted_cycle5(self):
         P = pal.builtin("cycle5")
-        assert P.density_vvv() == Fraction(4, 27)
+        assert P.density("vvv") == Fraction(4, 27)
 
     def test_roedl_general(self):
         for r in (2, 3, 4):
             P = pal.builtin(f"roedl({r})")
-            assert P.density_vvv() == Fraction(r - 1, r)
-            assert P.density_ev() == Fraction(r - 1, r) == naive_density_ev(P)
+            assert P.density("vvv") == Fraction(r - 1, r)
+            assert P.density("ev") == Fraction(r - 1, r) == naive_density_ev(P)
 
     def test_ee_family(self):
         for name, want in (("ee5", Fraction(1, 3)), ("ee6", Fraction(1, 2)), ("ee11", Fraction(2, 3))):
             P = pal.builtin(name)
-            assert P.density_ee() == want == naive_density_ee(P)
+            assert P.density("ee") == want == naive_density_ee(P)
 
     def test_uniform_weights_agree_with_counting(self):
         # weighted formulas must reduce to counting when weights are uniform
@@ -95,9 +95,9 @@ class TestDensities:
             )
             P = pal.Palette(base, pats)
             K = len(colors)
-            assert P.density_vvv() == Fraction(len(pats), K**3)
-            assert P.density_ev() == naive_density_ev(P)
-            assert P.density_ee() == naive_density_ee(P)
+            assert P.density("vvv") == Fraction(len(pats), K**3)
+            assert P.density("ev") == naive_density_ev(P)
+            assert P.density("ee") == naive_density_ee(P)
 
     def test_density_chain(self):
         rng = np.random.default_rng(9)
@@ -113,16 +113,45 @@ class TestDensities:
             else:
                 base = pal.WeightedColorSet.uniform(colors)
             P = pal.Palette(base, pats)
-            assert P.density_ee() <= P.density_ev() <= P.density_vvv()
+            assert P.density("ee") <= P.density("ev") <= P.density("vvv")
+
+    def test_weighted_palettes_agree_with_counting_on_their_shades(self):
+        # 250 seeded non-uniform palettes of 2-4 colours whose positive
+        # weights have a common denominator of at most 8; expand_weights splits
+        # each colour into equal shades, and the counting oracles read the
+        # uniform result
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 250:
+            K = int(rng.integers(2, 5))
+            L = int(rng.integers(K, 9))
+            cuts = sorted(rng.choice(np.arange(1, L), K - 1, replace=False).tolist())
+            parts = np.diff([0, *cuts, L]).tolist()
+            colors = "abcd"[:K]
+            base = pal.WeightedColorSet.weighted(colors, [Fraction(x, L) for x in parts])
+            if base.is_uniform:
+                continue
+            q = rng.random()
+            pats = frozenset(p for p in itertools.product(colors, repeat=3) if rng.random() < q)
+            P = pal.Palette(base, pats)
+            U = P.expand_weights()
+            assert P.density("vvv") == Fraction(len(U.patterns), len(U.base.colors) ** 3)
+            assert P.density("ev") == naive_density_ev(U)
+            assert P.density("ee") == naive_density_ee(U)
+            checked += 1
+
+    def test_unknown_notion_refused(self):
+        with pytest.raises(pal.PaletteError, match="unknown density notion 'xx'"):
+            pal.builtin("tournament").density("xx")
 
     def test_expand_weights_preserves_densities(self):
         P = pal.builtin("cycle5")
         U = P.expand_weights()
         assert U.base.is_uniform
         assert len(U.base.colors) == 3
-        assert U.density_vvv() == P.density_vvv()
-        assert U.density_ev() == P.density_ev()
-        assert U.density_ee() == P.density_ee()
+        assert U.density("vvv") == P.density("vvv")
+        assert U.density("ev") == P.density("ev")
+        assert U.density("ee") == P.density("ee")
 
 
 class TestSymmetricClosure:
@@ -165,7 +194,7 @@ class TestBuiltins:
             "cycle5": Fraction(4, 27),
         }
         for name, want in expected.items():
-            assert pal.builtin(name).density_vvv() == want
+            assert pal.builtin(name).density("vvv") == want
 
     def test_roedl_pattern_count(self):
         assert len(pal.builtin("roedl(2)").patterns) == 4

@@ -263,7 +263,9 @@ class TestScanReference:
         lambda A: rd.check_eta_dense(A, "ee", Fraction(1, 2), Fraction(-1, 10)),
         lambda A: rd.purge_ev(A, 2),
         lambda A: rd.reduced_density(A, "zz"),
-    ], ids=["ee d<0", "vvv d>1", "exceptional d<0", "eta d>1", "eta<0", "purge d>1", "notion"])
+        lambda A: rd.exceptional_sets(A, "vvv", Fraction(1, 2)),
+    ], ids=["ee d<0", "vvv d>1", "exceptional d<0", "eta d>1", "eta<0", "purge d>1", "notion",
+            "exceptional vvv"])
     def test_out_of_domain_refused(self, call):
         with pytest.raises(rd.ReducedError):
             call(rd.from_palette(pal.builtin("ee5"), 4))
