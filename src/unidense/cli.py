@@ -2,18 +2,22 @@
 
 Subcommands: palette {info, closure}, certify, table, gen {tournament, roedl,
 palette, lift}, audit {uniform, star, quasirandom, counting-lemma}, reduced
-{check, purge, project, map, tetra}.  Each gen kind takes --seed, --out and
+{check, purge, project, map, tetra}.  Each command declares only the flags it
+reads, and any other flag exits 64.  Each gen kind takes --seed, --out and
 --coloring-out, plus --n (tournament, roedl), --n and a required --palette
-(palette), or a required --reduced and --h (lift); any other flag exits 64.
+(palette), or a required --reduced and --h (lift).  Every palette input
+(palette info, certify, gen palette) is one --palette SPEC: a palette JSON
+file if that path exists, else a builtin name.
 
 Exit codes: 0 = verdict obtained (either way), 1 = a table row differs from
 its expected bound, reduced tetra refused, or a certificate failed
-revalidation (no report is written then), 2 = inconclusive, 64+ = usage or
-I/O errors.  Rationals are "p/q" strings; floats are rejected for d, eta, and
-delta.  Every command is deterministic given its full flag set including the
-seed; rerunning byte-reproduces the JSON report apart from the "timing" key,
-whose "seconds" is the wall time of the command's work.  Every --json report
-carries "command", "inputs", "version" and "timing".
+revalidation (no report is written then), 2 = inconclusive (certify and
+reduced map then print "search budget exhausted without a verdict" on
+stderr), 64+ = usage or I/O errors.  Rationals are "p/q" strings; floats are
+rejected for d, eta, and delta.  Every command is deterministic given its full
+flag set including the seed; rerunning byte-reproduces the JSON report apart
+from the "timing" key, whose "seconds" is the wall time of the command's work.
+Every --json report carries "command", "inputs", "version" and "timing".
 """
 
 from __future__ import annotations
@@ -100,12 +104,11 @@ def _map_json(rm: _reduced.ReducedMap) -> dict:
     }
 
 
-def _search_exit(args, status: str) -> int:
-    """Exit code of a budgeted search; inconclusive warns unless allowed."""
+def _search_exit(status: str) -> int:
+    """Exit code of a budgeted search; an inconclusive one also says so on stderr."""
     if status != "inconclusive":
         return EX_OK
-    if not args.allow_inconclusive:
-        print("search budget exhausted without a verdict", file=sys.stderr)
+    print("search budget exhausted without a verdict", file=sys.stderr)
     return EX_INCONCLUSIVE
 
 
@@ -117,13 +120,13 @@ def _search_exit(args, status: str) -> int:
 
 
 def _cmd_palette_info(args, report):
-    P = _load_palette(args.builtin or args.file)
+    P = _load_palette(args.palette)
     report["palette"] = _io.palette_to_json(P)
     report["density"] = {star: _io.format_fraction(P.density(star)) for star in _palette.NOTIONS}
     report["symmetric"] = P.symmetric
     report["patterns"] = len(P.patterns)
     lines = [
-        f"palette {P.name or args.file}: {len(P.patterns)} patterns over "
+        f"palette {P.name or args.palette}: {len(P.patterns)} patterns over "
         f"{len(P.base.colors)} colours, symmetric={P.symmetric}",
     ]
     lines += [f"  density {star:3s} = {value}" for star, value in report["density"].items()]
@@ -179,7 +182,7 @@ def _cmd_certify(args, report):
         _io.write_dimacs(args.emit_cnf, num_vars, clauses, varmap, meta)
         report["cnf"] = {"path": str(args.emit_cnf), "vars": num_vars, "clauses": len(clauses)}
         lines.append(f"  CNF written to {args.emit_cnf} ({num_vars} vars, {len(clauses)} clauses)")
-    return _search_exit(args, res.status), lines
+    return _search_exit(res.status), lines
 
 
 # -- table --------------------------------------------------------------------
@@ -357,10 +360,9 @@ def _cmd_reduced_map(args, report):
     # index-assignment space; the pair-colouring space per assignment is
     # exhausted by the inner search
     report["lambda_space"] = str(len(A.indices) ** F.n)
-    report["exhausted"] = res.status == "free"
     if res.reduced_map is not None:
         report["map"] = _map_json(res.reduced_map)
-    return _search_exit(args, res.status), [
+    return _search_exit(res.status), [
         f"reduced map F={args.F}: {res.status} (nodes {res.nodes}, symmetry {res.symmetry})"
     ]
 
@@ -398,9 +400,7 @@ def build_parser() -> _Parser:
     pal = sub.add_parser("palette", help="palette inspection and closure")
     pal_sub = pal.add_subparsers(dest="palcmd", required=True)
     info = pal_sub.add_parser("info", help="exact densities and symmetry of a palette")
-    g = info.add_mutually_exclusive_group(required=True)
-    g.add_argument("--builtin", help="builtin palette name")
-    g.add_argument("--file", help="palette JSON file")
+    info.add_argument("--palette", required=True, help="palette name or file")
     command(info, "palette info", _cmd_palette_info)
     clo = pal_sub.add_parser("closure", help="symmetric closure of generator patterns")
     clo.add_argument("--generators", required=True, help="JSON with colors/patterns")
@@ -412,7 +412,6 @@ def build_parser() -> _Parser:
     cert.add_argument("--palette", required=True, help="palette name or file")
     cert.add_argument("--budget", type=_count, default=10**8, help="CSP node budget")
     cert.add_argument("--emit-cnf", help="export the search's model as DIMACS CNF")
-    cert.add_argument("--allow-inconclusive", action="store_true")
     command(cert, "certify", _cmd_certify)
 
     tab = sub.add_parser("table", help="certified lower-bound table")
@@ -505,7 +504,6 @@ def build_parser() -> _Parser:
     rm.add_argument("--budget", type=_count, default=10**8, help="search node budget")
     rm.add_argument("--injective", action="store_true",
                     help="force an injective index assignment")
-    rm.add_argument("--allow-inconclusive", action="store_true")
     command(rm, "reduced map", _cmd_reduced_map)
 
     rt = red_sub.add_parser("tetra", help="greedy tetrahedron extraction")

@@ -600,9 +600,6 @@ class Embedding:
 
     mapping: tuple[int, ...]
 
-    def __getitem__(self, v: int) -> int:
-        return self.mapping[v]
-
 
 def check_embedding(F: Hypergraph3, H: Hypergraph3, emb: Embedding) -> bool:
     """Independent validation: injectivity plus edge preservation."""

@@ -114,11 +114,12 @@ class Palette:
 
     def density(self, star: str) -> Fraction:
         """The largest d making the palette (d, star)-dense: the least, over the
-        coordinates that the notion fixes (``NOTIONS[star]``) and every colour
-        tuple on them, of the weighted mass of the matching patterns over
-        their other coordinates.  vvv fixes none, so its density is the total
-        pattern mass; for uniform weights each mass is a pattern count over
-        |colours| to the power of the free coordinates."""
+        coordinates that the notion fixes (``NOTIONS[star]``) and every tuple
+        of positive-weight colours on them (a colour of weight 0 colours no
+        pair), of the weighted mass of the matching patterns over their other
+        coordinates.  vvv fixes none, so its density is the total pattern
+        mass; for uniform weights each mass is a pattern count over |colours|
+        to the power of the free coordinates."""
         try:
             fixings = NOTIONS[star]
         except KeyError:
@@ -131,9 +132,10 @@ class Palette:
         for fixed in fixings:
             free = [i for i in range(3) if i not in fixed]
             for p in self.patterns:
-                mass[fixed, tuple(p[i] for i in fixed)] += prod(w[p[i]] for i in free)
-        # a colour tuple that no pattern matches has mass 0
-        every = len(fixings) * len(w) ** len(fixings[0])
+                if all(w[p[i]] for i in fixed):
+                    mass[fixed, tuple(p[i] for i in fixed)] += prod(w[p[i]] for i in free)
+        # a colour tuple of positive weights that no pattern matches has mass 0
+        every = len(fixings) * sum(map(bool, w.values())) ** len(fixings[0])
         least = min(mass.values()) if len(mass) == every else 0
         return Fraction(least, L ** (3 - len(fixings[0])))
 

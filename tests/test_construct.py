@@ -287,3 +287,18 @@ class TestSoundnessVsRepresentability:
                 for F in targets:
                     if hg.find_embedding(F, H) is not None:
                         assert verdict[F], (name, seed)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: cn.PairColoring(3, pal.WeightedColorSet.uniform("ab"), np.array([0, 1, 2])),
+     "colour code out of range"),
+    (lambda: cn.random_pair_coloring(0, pal.WeightedColorSet.uniform("ab"), 0), "need n >= 1, got 0"),
+    (lambda: cn.tournament_hypergraph(2, 0), "need n >= 3, got 2"),
+    (lambda: cn.roedl_hypergraph(2, 0), "need n >= 3, got 2"),
+    (lambda: cn.lift_reduced(rd.from_palette(pal.builtin("tournament"), 4), 0, 0),
+     "block size must be positive, got 0"),
+], ids=["colour code", "no vertex", "tournament", "roedl", "lift"])
+def test_refusals(make, message):
+    with pytest.raises(pal.PaletteError) as exc:
+        make()
+    assert str(exc.value) == message

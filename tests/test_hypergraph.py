@@ -326,6 +326,17 @@ class TestFindEmbedding:
         assert emb is not None
         assert hg.check_embedding(F, H, emb)
 
+    # one field of the embedding (0, 1, 2, 3) of an edge plus the isolated
+    # vertex 3 into K5 changed; only the length, injectivity and range
+    # checks see the change, since the edge still lands on an edge
+    @pytest.mark.parametrize("mapping", [
+        (0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2, 0), (0, 1, 2, 5), (0, 1, 2, -1),
+    ], ids=["short", "long", "not injective", "past n", "negative"])
+    def test_check_embedding_refuses_each_changed_field(self, mapping):
+        F, H = hg.make(4, [(0, 1, 2)]), hg.clique(5)
+        assert hg.check_embedding(F, H, hg.Embedding((0, 1, 2, 3)))
+        assert not hg.check_embedding(F, H, hg.Embedding(mapping))
+
     def test_k4_not_in_k4_minus(self):
         assert hg.find_embedding(hg.clique(4), hg.clique_minus4()) is None
 
@@ -520,3 +531,10 @@ class TestLazyViews:
         assert hg.make(6, triples) != built[0]
         assert hg.make(5, triples[:2]) != built[0]
         assert len(set(built)) == 1
+
+
+@pytest.mark.parametrize("g_edge", [(1, 1), (0, 3), (-1, 0)], ids=["loop", "past g_n", "negative"])
+def test_refusals(g_edge):
+    with pytest.raises(hg.HypergraphError) as exc:
+        hg.cone(3, [g_edge])
+    assert str(exc.value) == f"bad graph edge {g_edge!r} for 3 vertices"

@@ -172,7 +172,7 @@ class TestColoringDump:
 
 class TestCli:
     def test_palette_info(self, capsys):
-        assert cli.main(["palette", "info", "--builtin", "ee11"]) == 0
+        assert cli.main(["palette", "info", "--palette", "ee11"]) == 0
         out = capsys.readouterr().out
         assert "density ee  = 2/3" in out
 
@@ -183,7 +183,7 @@ class TestCli:
         triples = [list(p) for p in itertools.product("ab", repeat=3) if p != ("a", "a", "a")]
         f.write_text(json.dumps({"colors": ["a", "b"], "weights": ["2/3", "1/3"],
                                  "patterns": triples}))
-        assert cli.main(["palette", "info", "--file", str(f)]) == 0
+        assert cli.main(["palette", "info", "--palette", str(f)]) == 0
         out = capsys.readouterr().out
         assert "density vvv = 19/27\n  density ev  = 5/9\n  density ee  = 1/3\n" in out
 
@@ -206,12 +206,75 @@ class TestCli:
         assert data["verdict"] == "free"
         assert data["space"] == "1536"
 
-    def test_certify_inconclusive_exit_two(self, tmp_path):
-        code = cli.main([
-            "certify", "--F", "k6", "--palette", "ee6", "--budget", "10",
-            "--allow-inconclusive",
-        ])
+    def test_certify_inconclusive_exit_two(self, capsys):
+        code = cli.main(["certify", "--F", "k6", "--palette", "ee6", "--budget", "10"])
         assert code == 2
+        assert capsys.readouterr().err == "search budget exhausted without a verdict\n"
+
+    def test_reduced_map_inconclusive_exit_two(self, tmp_path, capsys):
+        a, rpt = tmp_path / "a.json", tmp_path / "r.json"
+        uio.write_reduced(rd.from_palette(pal.builtin("ee6"), 7), a)
+        argv = ["reduced", "map", str(a), "--F", "k6", "--budget", "5", "--json", str(rpt)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "search budget exhausted without a verdict\n"
+        report = json.loads(rpt.read_text())
+        assert report["verdict"] == "inconclusive" and "exhausted" not in report
+
+    # each command declares only the flags it reads: palette info takes its
+    # palette as one --palette spec, and no search takes a flag that would
+    # only silence its inconclusive note
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--F", "k6", "--palette", "ee6", "--budget", "10", "--allow-inconclusive"],
+        ["reduced", "map", "A", "--F", "k6", "--budget", "5", "--allow-inconclusive"],
+        ["palette", "info", "--builtin", "ee11"],
+        ["palette", "info", "--file", "P"],
+    ], ids=" ".join)
+    def test_removed_flags_exit_64(self, tmp_path, capsys, argv):
+        files = {"A": tmp_path / "a.json", "P": tmp_path / "p.json"}
+        uio.write_reduced(rd.from_palette(pal.builtin("ee6"), 7), files["A"])
+        uio.write_palette(pal.builtin("ee11"), files["P"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main([str(files.get(x, x)) for x in argv])
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+
+    def test_palette_info_reads_a_spec_like_certify(self, tmp_path, capsys):
+        # a spec that names no file is read as a builtin name, as by certify
+        missing = str(tmp_path / "missing.json")
+        for argv in (["palette", "info", "--palette", missing],
+                     ["certify", "--F", "k4", "--palette", missing]):
+            assert cli.main(argv) == 64
+            assert f"unknown builtin palette {missing!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--F", "k4", "--palette", "ee5", "--budget", "x"],
+         "argument --budget: must be an integer, got 'x'"),
+        (["gen", "lift", "--reduced", "A", "--h", "0", "--out", "OUT"],
+         "block size must be positive, got 0"),
+        (["reduced", "project", "A", "--ell", "0", "--out", "OUT"],
+         "class size must be positive, got 0"),
+    ], ids=["certify --budget", "gen lift --h", "reduced project --ell"])
+    def test_flag_values_out_of_domain_exit_64(self, tmp_path, capsys, argv, message):
+        files = {"A": tmp_path / "a.json", "OUT": tmp_path / "out.txt"}
+        uio.write_reduced(rd.from_palette(pal.builtin("tournament"), 4), files["A"])
+        try:
+            code = cli.main([str(files.get(x, x)) for x in argv])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 64 and out == "" and message in err
+        assert not files["OUT"].exists()
+
+    def test_palette_info_zero_weight_colour(self, tmp_path, capsys):
+        # the colour b of weight 0 is never fixed by a witness, so every
+        # notion reads the mass of aaa alone
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"colors": ["a", "b"], "weights": ["1", "0"],
+                                 "patterns": [["a", "a", "a"]]}))
+        assert cli.main(["palette", "info", "--palette", str(f)]) == 0
+        out = capsys.readouterr().out
+        assert "density vvv = 1\n  density ev  = 1\n  density ee  = 1\n" in out
 
     # the negative count is the last flag; the parser refuses it before any
     # input file is read
@@ -302,11 +365,15 @@ class TestCli:
         '{"colors": ["a", "b"], "weights": ["1/0", "1"], "patterns": []}',
         '{"patterns": [["a", "a", "a"]]}',
         '[["a", "a", "a"]]',
+        '{"colors": []}',
+        '{"colors": ["a", "a"]}',
+        '{"colors": ["a", "b"], "weights": ["1"]}',
+        '{"colors": ["a"], "patterns": [["a", "a"]]}',
     ])
     def test_malformed_palette_json_exit_64(self, tmp_path, capsys, content):
         p = tmp_path / "p.json"
         p.write_text(content)
-        for argv in (["palette", "info", "--file", str(p)],
+        for argv in (["palette", "info", "--palette", str(p)],
                      ["palette", "closure", "--generators", str(p)],
                      ["certify", "--F", "k4", "--palette", str(p)]):
             assert cli.main(argv) == 64
@@ -347,6 +414,11 @@ class TestCli:
          '{"sides": [100000000000000000000, 1], "edges": []}'),
         (["reduced", "check", "IN", "--star", "ee", "--d", "1/2"],
          '{"indices": 100000000000000000000, "classes": {}, "constituents": {}}'),
+        # an edge outside its sides, and parts that share a label
+        (["audit", "quasirandom", "IN", "--delta", "1/4", "--d", "1/2"],
+         '{"sides": [2, 2], "edges": [[0, 2]]}'),
+        (["audit", "counting-lemma", "IN", "--delta", "1/4", "--dxy", "1/2", "--dxz", "1/2",
+          "--dyz", "1/2"], '{"parts": [[0], [0], [1]], "xy": [], "xz": [], "yz": []}'),
     ])
     def test_malformed_graph_json_exit_64(self, tmp_path, capsys, argv, content):
         p = tmp_path / "in.json"
@@ -360,7 +432,7 @@ class TestCli:
         ["audit", "star", "IN", "--notion", "ev", "--d", "1/2", "--eta", "0"],
         ["reduced", "check", "IN", "--star", "ee", "--d", "1/2"],
         ["gen", "lift", "--reduced", "IN", "--out", "OUT"],
-        ["palette", "info", "--file", "IN"],
+        ["palette", "info", "--palette", "IN"],
         ["palette", "closure", "--generators", "IN"],
         ["certify", "--F", "k4", "--palette", "IN"],
         ["audit", "quasirandom", "IN", "--delta", "1/4", "--d", "1/2"],
@@ -477,7 +549,7 @@ class TestCli:
         ("gen tournament", ["--n", "9", "--seed", "3", "--out", "OUT"]),
         ("audit uniform", ["H", "--d", "1/4", "--eta", "1/10"]),
         ("reduced check", ["A", "--star", "ee", "--d", "2/3", "--eta", "0"]),
-        ("palette info", ["--builtin", "ee5"]),
+        ("palette info", ["--palette", "ee5"]),
         ("audit star", ["H", "--notion", "ev", "--d", "1/4", "--eta", "1/10"]),
         ("reduced purge", ["A", "--d", "1/2", "--out", "OUT"]),
         ("reduced map", ["A", "--F", "k4"]),
@@ -560,7 +632,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["audit", "uniform", "FILE", "--d", "1/2", "--eta", "1/10"],
-        ["palette", "info", "--file", "FILE"],
+        ["palette", "info", "--palette", "FILE"],
         ["reduced", "check", "FILE", "--star", "ee", "--d", "1/2"],
         ["audit", "quasirandom", "FILE", "--delta", "1/5", "--d", "1/2"],
         ["audit", "counting-lemma", "FILE", "--delta", "1/5", "--dxy", "1/2",
@@ -683,7 +755,7 @@ class TestCli:
         cnf = tmp_path / "k11.cnf"
         code = cli.main([
             "certify", "--F", "k11", "--palette", "ee11", "--budget", "1000",
-            "--emit-cnf", str(cnf), "--allow-inconclusive",
+            "--emit-cnf", str(cnf),
         ])
         assert code == 2
         lines = cnf.read_text().splitlines()

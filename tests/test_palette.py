@@ -140,6 +140,26 @@ class TestDensities:
             assert P.density("ee") == naive_density_ee(U)
             checked += 1
 
+    def test_zero_weight_colours_leave_the_densities(self):
+        # 300 seeded palettes of 1-3 colours of positive weight, as above, plus
+        # one or two colours of weight 0 that the patterns may use; a witness
+        # never fixes a colour of weight 0, and expand_weights drops them
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            K, Z = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            L = int(rng.integers(K, 9))
+            cuts = sorted(rng.choice(np.arange(1, L), K - 1, replace=False).tolist())
+            parts = rng.permutation(np.diff([0, *cuts, L]).tolist() + [0] * Z).tolist()
+            colors = "abcde"[: K + Z]
+            base = pal.WeightedColorSet.weighted(colors, [Fraction(x, L) for x in parts])
+            q = rng.random()
+            pats = frozenset(p for p in itertools.product(colors, repeat=3) if rng.random() < q)
+            P = pal.Palette(base, pats)
+            U = P.expand_weights()
+            assert P.density("vvv") == Fraction(len(U.patterns), len(U.base.colors) ** 3)
+            assert P.density("ev") == naive_density_ev(U)
+            assert P.density("ee") == naive_density_ee(U)
+
     def test_unknown_notion_refused(self):
         with pytest.raises(pal.PaletteError, match="unknown density notion 'xx'"):
             pal.builtin("tournament").density("xx")
@@ -352,6 +372,20 @@ class TestRepresentable:
         extra = pal.RepresentabilityCertificate(cert.ordering, coloring)
         assert not pal.check_certificate(F, P, extra)
 
+    # one field of the certificate of K4 under the one-pattern palette {aaa}
+    # over {a, b} that colours every pair a changed: a vertex listed twice,
+    # a colour outside the palette, an edge read as (b, a, a)
+    @pytest.mark.parametrize("ordering, recolour", [
+        ((0, 1, 2, 3, 3), {}), ((0, 1, 2, 3), {(0, 1): "c"}), ((0, 1, 2, 3), {(0, 1): "b"}),
+    ], ids=["ordering", "colour", "pattern"])
+    def test_check_certificate_refuses_each_changed_field(self, ordering, recolour):
+        F = hg.clique(4)
+        P = pal.Palette(pal.WeightedColorSet.uniform("ab"), frozenset({("a", "a", "a")}))
+        coloring = dict.fromkeys(F.shadow(), "a")
+        assert pal.check_certificate(F, P, pal.RepresentabilityCertificate((0, 1, 2, 3), coloring))
+        changed = pal.RepresentabilityCertificate(ordering, {**coloring, **recolour})
+        assert not pal.check_certificate(F, P, changed)
+
     def test_twin_free_f8_free_within_budget(self):
         # one search over every ordering: the 8! orderings of this twin-free
         # F are not tried one by one
@@ -491,3 +525,21 @@ class TestCnfEncoding:
         assert all(
             any(truth[lit] if lit > 0 else not truth[-lit] for lit in cl) for cl in clauses
         )
+
+
+AB = pal.WeightedColorSet.uniform("ab")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: pal.WeightedColorSet((), ()), "colour set must be nonempty"),
+    (lambda: pal.WeightedColorSet.uniform("aa"), "duplicate colour names"),
+    (lambda: pal.WeightedColorSet.weighted("ab", [1]), "one weight per colour required"),
+    (lambda: AB.index("c"), "unknown colour 'c'"),
+    (lambda: pal.Palette(AB, frozenset({("a", "b")})), "pattern ('a', 'b') is not a triple"),
+    (lambda: pal.representable(hg.clique(4), pal.builtin("tournament"), fixed_ordering=(0, 1, 2)),
+     "fixed_ordering must be a permutation of V(F)"),
+], ids=["no colours", "duplicate", "weights", "index", "pair pattern", "fixed ordering"])
+def test_refusals(make, message):
+    with pytest.raises(pal.PaletteError) as exc:
+        make()
+    assert str(exc.value) == message

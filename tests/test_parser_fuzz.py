@@ -187,7 +187,7 @@ CASES = st.one_of(
               st.just(".txt"), hypergraph_text() | st.text(max_size=40)),
     st.tuples(st.just(["audit", "uniform", "{}", "--d", "1/2", "--eta", "1/10", "--samples", "20"]),
               st.just(".json"), as_json(hypergraph_json)),
-    st.tuples(st.just(["palette", "info", "--file", "{}"]), st.just(".json"), as_json(palette_json)),
+    st.tuples(st.just(["palette", "info", "--palette", "{}"]), st.just(".json"), as_json(palette_json)),
     st.tuples(st.sampled_from([["reduced", "check", "{}", "--star", s, "--d", "1/2"]
                                for s in ("vvv", "ev", "ee")]),
               st.just(".json"), as_json(reduced_json)),

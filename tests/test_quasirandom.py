@@ -244,3 +244,24 @@ class TestLiftClassQuasirandomness:
             )
             passes += rep.ok
         assert passes >= 95
+
+
+ONE, TWO_BY_ONE = qr.BipartiteGraph(1, 1, (0,)), qr.BipartiteGraph(2, 1, (0, 0))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: qr.BipartiteGraph(2, 2, (1,)), "one row bitmask per X vertex required"),
+    (lambda: qr.BipartiteGraph(1, 2, (4,)), "row bitmask exceeds Y side"),
+    (lambda: qr.BipartiteGraph.from_edges(2, 2, [(0, 2)]), "edge (0, 2) outside 2x2 sides"),
+    (lambda: qr.TripartiteGraph(((0,), (0,), (1,)), ONE, ONE, ONE), "parts must be disjoint"),
+    (lambda: qr.TripartiteGraph(((0,), (1,), (2,)), TWO_BY_ONE, ONE, ONE),
+     "xy layer does not match part sizes"),
+    (lambda: qr.TripartiteGraph(((0,), (1,), (2,)), ONE, TWO_BY_ONE, ONE),
+     "xz layer does not match part sizes"),
+    (lambda: qr.TripartiteGraph(((0,), (1,), (2,)), ONE, ONE, TWO_BY_ONE),
+     "yz layer does not match part sizes"),
+], ids=["rows", "row bits", "edge", "parts", "xy", "xz", "yz"])
+def test_refusals(make, message):
+    with pytest.raises(qr.GraphError) as exc:
+        make()
+    assert str(exc.value) == message

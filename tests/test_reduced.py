@@ -709,3 +709,37 @@ class TestTetrahedronGreedy:
             # agreement in validity with the generic search
             res = rd.find_reduced_map(hg.clique(4), A)
             assert res.found
+
+
+# a map of an edge plus the isolated vertex 3 whose phi names one pair too
+# many or one too few; the check of phi's keys against the shadow refuses both
+@pytest.mark.parametrize("change", ["extra pair", "missing pair"])
+def test_validate_reduced_map_refuses_phi_off_the_shadow(change):
+    F, A = hg.make(4, [(0, 1, 2)]), rd.from_palette(pal.builtin("ee6"), 4)
+    rm = rd.find_reduced_map(F, A).reduced_map
+    assert rd.validate_reduced_map(F, A, rm)
+    phi = dict(rm.phi)
+    if change == "extra pair":
+        phi[0, 3] = (tuple(sorted((rm.lam[0], rm.lam[3]))), 0)
+    else:
+        del phi[0, 1]
+    assert not rd.validate_reduced_map(F, A, rd.ReducedMap(rm.lam, phi))
+
+
+TOURNAMENT4 = rd.from_palette(pal.builtin("tournament"), 4)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: rd.project_random(TOURNAMENT4, 0), "class size must be positive, got 0"),
+    (lambda: rd.project_random(TOURNAMENT4, 2, psi={(0, 1): (0, 2)}),
+     "psi for class (0, 1) is not a map into the class"),
+    (lambda: rd.project_random(TOURNAMENT4, 2, psi={(0, 1): (0,)}),
+     "psi for class (0, 1) is not a map into the class"),
+    (lambda: rd.tetra_min_indices(0), "eps must lie in (0, 1]"),
+    (lambda: rd.from_palette(pal.builtin("tournament"), 2), "need at least 3 indices, got 2"),
+    (lambda: rd.random_dense_reduced(4, 2, Fraction(3, 2)), "d must lie in [0, 1]"),
+], ids=["ell", "psi image", "psi length", "eps", "indices", "d"])
+def test_refusals(make, message):
+    with pytest.raises(rd.ReducedError) as exc:
+        make()
+    assert str(exc.value) == message
