@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypergraph import Hypergraph3, chunk_len, pack_rows, rng
-from .palette import Palette, PaletteError, WeightedColorSet, roedl_palette, tournament_palette
+from .palette import Palette, PaletteError, WeightedColorSet, builtin
 from .quasirandom import BipartiteGraph
 from .reduced import ReducedHypergraph, pair_rank
 
@@ -105,7 +105,7 @@ def tournament_hypergraph(n: int, seed) -> Hypergraph3:
     the pattern hypergraph of the two cyclic orientation patterns."""
     if n < 3:
         raise PaletteError(f"need n >= 3, got {n}")
-    P = tournament_palette()
+    P = builtin("tournament")
     return build_H(random_pair_coloring(n, P.base, seed), P)
 
 
@@ -113,7 +113,7 @@ def tournament_hypergraph_direct(n: int, seed) -> Hypergraph3:
     """Independent oracle: orient each pair by the same colouring ('fwd' on
     (x, y) means the arc x -> y) and list triples where every vertex beats
     exactly one other."""
-    P = tournament_palette()
+    P = builtin("tournament")
     phi = random_pair_coloring(n, P.base, seed)
     beats = np.zeros((n, n), dtype=bool)
     for x, y in itertools.combinations(range(n), 2):
@@ -138,7 +138,7 @@ def roedl_hypergraph(n: int, seed) -> Hypergraph3:
     """Triples x < y < z whose pairs xy and xz received different colours."""
     if n < 3:
         raise PaletteError(f"need n >= 3, got {n}")
-    P = roedl_palette(2)
+    P = builtin("roedl")
     return build_H(random_pair_coloring(n, P.base, seed), P)
 
 

@@ -174,18 +174,65 @@ class Palette:
         )
 
 
-def symmetric_closure(generators, base: WeightedColorSet, name: str = "") -> Palette:
+def symmetric_closure(generators, base: WeightedColorSet) -> Palette:
     """Inclusion-wise minimal palette containing the generators and closed under
     all six coordinate permutations."""
-    pats = set()
-    for g in generators:
-        g = tuple(g)
-        for perm in _PERMS3:
-            pats.add(tuple(g[s] for s in perm))
-    return Palette(base, frozenset(pats), name=name)
+    return Palette(base, _orbits(generators))
+
+
+def _orbits(generators) -> frozenset:
+    """The generators' images under the six coordinate permutations."""
+    return frozenset(
+        tuple(g[s] for s in perm) for g in map(tuple, generators) for perm in _PERMS3
+    )
 
 
 # -- built-in palettes -----------------------------------------------------
+
+# name -> (colours, weights or None for uniform ones, patterns, whether the
+# palette is the patterns' closure under the six coordinate permutations,
+# claims).  "fwd" on pair (x, y) with x < y means the arc x -> y, so the two
+# tournament patterns are exactly the cyclic orientations of an ordered
+# triple; ramsey6 is every two-colour pattern using both colours (it works
+# because 6 -> (3)^2_2).
+_CATALOGUE = {
+    "rainbow": (
+        ("red", "blue", "green"), None, [("red", "blue", "green")], False,
+        (("vvv", Fraction(1, 27), "zero-density criterion"),),
+    ),
+    "tournament": (
+        ("fwd", "back"), None, [("fwd", "back", "fwd"), ("back", "fwd", "back")], False,
+        (("vvv", Fraction(1, 4), "k4minus"), ("ev", Fraction(1, 4), "k4minus")),
+    ),
+    "star4": (
+        ("1", "2", "3"), None,
+        [("1", "2", "1"), ("1", "3", "1"), ("2", "1", "2"), ("2", "3", "2"), ("3", "1", "3"),
+         ("3", "2", "3"), ("1", "2", "3"), ("2", "3", "1"), ("3", "1", "2")],
+        False, (("vvv", Fraction(1, 3), "star4"), ("ev", Fraction(1, 3), "star4")),
+    ),
+    "ramsey6": (
+        ("red", "green"), None, [("red", "red", "green"), ("red", "green", "green")], True,
+        (("vvv", Fraction(3, 4), "k6"),),
+    ),
+    "cycle5": (
+        ("red", "green"), (Fraction(2, 3), Fraction(1, 3)), [("red", "red", "green")], False,
+        (("vvv", Fraction(4, 27), "cycle5"),),
+    ),
+    "ee5": (
+        ("1", "2", "3"), None, [("1", "1", "2"), ("2", "2", "3"), ("3", "3", "1")], True,
+        (("ee", Fraction(1, 3), "k5"),),
+    ),
+    "ee6": (
+        ("1", "2"), None, [("1", "1", "2"), ("1", "2", "2")], True,
+        (("ee", Fraction(1, 2), "k6"),),
+    ),
+    "ee11": (
+        ("1", "2", "3"), None,
+        [("1", "1", "2"), ("1", "1", "3"), ("2", "2", "1"), ("2", "2", "3"), ("3", "3", "1"),
+         ("3", "3", "2")],
+        True, (("ee", Fraction(2, 3), "k11"),),
+    ),
+}
 
 _ROEDL_RE = re.compile(r"^roedl(?:\((\d+)\))?$")
 
@@ -193,8 +240,8 @@ _ROEDL_RE = re.compile(r"^roedl(?:\((\d+)\))?$")
 def builtin(spec: str) -> Palette:
     """Palettes named in the literature, with their claimed densities as metadata.
 
-    Known names: rainbow, tournament, star4, roedl / roedl(r), ramsey6,
-    cycle5, ee5, ee6, ee11.
+    Known names: the keys of ``_CATALOGUE`` (rainbow, tournament, star4,
+    ramsey6, cycle5, ee5, ee6, ee11) and roedl / roedl(r).
     """
     s = spec.strip().lower()
     m = _ROEDL_RE.match(s)
@@ -202,44 +249,11 @@ def builtin(spec: str) -> Palette:
         r = int(m.group(1)) if m.group(1) else 2
         return roedl_palette(r)
     try:
-        factory = _BUILTINS[s]
+        colors, weights, patterns, closed, claims = _CATALOGUE[s]
     except KeyError:
         raise PaletteError(f"unknown builtin palette {spec!r}") from None
-    return factory()
-
-
-def rainbow_palette() -> Palette:
-    base = WeightedColorSet.uniform(("red", "blue", "green"))
-    claims = (("vvv", Fraction(1, 27), "zero-density criterion"),)
-    return Palette(base, frozenset({("red", "blue", "green")}), name="rainbow", claims=claims)
-
-
-def tournament_palette() -> Palette:
-    # "fwd" on pair (x, y) with x < y means the arc x -> y; the two patterns
-    # below are exactly the cyclic orientations of an ordered triple.
-    base = WeightedColorSet.uniform(("fwd", "back"))
-    pats = frozenset({("fwd", "back", "fwd"), ("back", "fwd", "back")})
-    claims = (("vvv", Fraction(1, 4), "k4minus"), ("ev", Fraction(1, 4), "k4minus"))
-    return Palette(base, pats, name="tournament", claims=claims)
-
-
-def star4_palette() -> Palette:
-    base = WeightedColorSet.uniform(("1", "2", "3"))
-    pats = frozenset(
-        {
-            ("1", "2", "1"),
-            ("1", "3", "1"),
-            ("2", "1", "2"),
-            ("2", "3", "2"),
-            ("3", "1", "3"),
-            ("3", "2", "3"),
-            ("1", "2", "3"),
-            ("2", "3", "1"),
-            ("3", "1", "2"),
-        }
-    )
-    claims = (("vvv", Fraction(1, 3), "star4"), ("ev", Fraction(1, 3), "star4"))
-    return Palette(base, pats, name="star4", claims=claims)
+    base = WeightedColorSet.uniform(colors) if weights is None else WeightedColorSet(colors, weights)
+    return Palette(base, _orbits(patterns) if closed else patterns, name=s, claims=claims)
 
 
 def roedl_palette(r: int = 2) -> Palette:
@@ -260,66 +274,6 @@ def roedl_palette(r: int = 2) -> Palette:
         ("ev", Fraction(r - 1, r), f"k{r + 2}"),
     )
     return Palette(base, pats, name=f"roedl({r})" if r != 2 else "roedl", claims=claims)
-
-
-def ramsey6_palette() -> Palette:
-    """All six two-colour patterns using both colours (works because 6 -> (3)^2_2)."""
-    base = WeightedColorSet.uniform(("red", "green"))
-    pats = frozenset(
-        p
-        for p in itertools.product(("red", "green"), repeat=3)
-        if len(set(p)) == 2
-    )
-    return Palette(base, pats, name="ramsey6", claims=(("vvv", Fraction(3, 4), "k6"),))
-
-
-def cycle5_palette() -> Palette:
-    base = WeightedColorSet.weighted(("red", "green"), (Fraction(2, 3), Fraction(1, 3)))
-    claims = (("vvv", Fraction(4, 27), "cycle5"),)
-    return Palette(base, frozenset({("red", "red", "green")}), name="cycle5", claims=claims)
-
-
-def ee5_palette() -> Palette:
-    base = WeightedColorSet.uniform(("1", "2", "3"))
-    P = symmetric_closure(
-        [("1", "1", "2"), ("2", "2", "3"), ("3", "3", "1")], base, name="ee5"
-    )
-    return Palette(P.base, P.patterns, name="ee5", claims=(("ee", Fraction(1, 3), "k5"),))
-
-
-def ee6_palette() -> Palette:
-    base = WeightedColorSet.uniform(("1", "2"))
-    P = symmetric_closure([("1", "1", "2"), ("1", "2", "2")], base, name="ee6")
-    return Palette(P.base, P.patterns, name="ee6", claims=(("ee", Fraction(1, 2), "k6"),))
-
-
-def ee11_palette() -> Palette:
-    base = WeightedColorSet.uniform(("1", "2", "3"))
-    P = symmetric_closure(
-        [
-            ("1", "1", "2"),
-            ("1", "1", "3"),
-            ("2", "2", "1"),
-            ("2", "2", "3"),
-            ("3", "3", "1"),
-            ("3", "3", "2"),
-        ],
-        base,
-        name="ee11",
-    )
-    return Palette(P.base, P.patterns, name="ee11", claims=(("ee", Fraction(2, 3), "k11"),))
-
-
-_BUILTINS = {
-    "rainbow": rainbow_palette,
-    "tournament": tournament_palette,
-    "star4": star4_palette,
-    "ramsey6": ramsey6_palette,
-    "cycle5": cycle5_palette,
-    "ee5": ee5_palette,
-    "ee6": ee6_palette,
-    "ee11": ee11_palette,
-}
 
 
 # -- representability -------------------------------------------------------
@@ -878,7 +832,7 @@ def zero_density_certificate(F: Hypergraph3, budget: int | None = None) -> Repre
     position-determined 3-colouring of its shadow characterising vanishing
     vvv-density.
     """
-    return representable(F, rainbow_palette(), budget=budget)
+    return representable(F, builtin("rainbow"), budget=budget)
 
 
 # -- CNF export --------------------------------------------------------------

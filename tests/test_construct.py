@@ -176,6 +176,7 @@ class TestRoedl:
         P = pal.builtin("roedl")
         phi = coloring(3, P.base, ["red", "green", "red"])
         assert cn.build_H(phi, P).edges == ((0, 1, 2),)
+        assert [phi.code(y, x) for x, y in ((0, 1), (0, 2), (1, 2))] == [0, 1, 0]
 
     def test_agreeing_colors_give_nonedge(self):
         P = pal.builtin("roedl")
@@ -252,6 +253,9 @@ class TestLift:
         got = list(pc.items())
         assert got == want and all(type(local) is int for _, (_, local) in got)
         assert got == [(pair, pc.color(*pair)) for pair, _ in got]
+        crossing = dict(got)  # a pair read either way; None within a block
+        for x, y in itertools.combinations(range(pc.n), 2):
+            assert pc.color(y, x) == crossing.get((x, y))
 
     def test_tournament_lift_k4_minus_free(self):
         A = rd.from_palette(pal.builtin("tournament"), 6)

@@ -230,6 +230,10 @@ class TestStarAudit:
         rep = dn.audit_star_dense(H, "ee", 0, Fraction(1, 100))
         assert rep.ok
 
+    def test_unknown_notion_refused(self):
+        with pytest.raises(ValueError, match="unknown density notion 'uniform'"):
+            dn.audit_star_dense(hg.clique(4), "uniform", Fraction(1, 4), 0)
+
     def test_vvv_exact_matches_brute(self):
         H = cn.tournament_hypergraph(5, 9)
         d, eta = Fraction(1, 4), Fraction(1, 30)

@@ -178,6 +178,7 @@ class TestConstructorReference:
         for n in (0, 1, 6):
             for empty in ([], (), np.empty((0, 3), dtype=np.int64), iter([])):
                 assert_matches_reference(hg.make(n, empty), n, [])
+            assert hg.make(n, []).density() == 0
 
     @pytest.mark.parametrize("n, triples", [
         (4, [(0, 1, 2), (0, 1)]),  # not a triple
@@ -300,6 +301,8 @@ class TestNamed:
         assert hg.named("k5") == hg.clique(5)
         assert hg.named("k4minus") == hg.clique_minus4()
         assert hg.named("star4") == hg.star(4)
+        assert hg.named("fano") == hg.fano()
+        assert hg.named("edge") == hg.make(3, [(0, 1, 2)])
         with pytest.raises(hg.HypergraphError):
             hg.named("mystery")
 

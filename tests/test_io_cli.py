@@ -21,6 +21,8 @@ class TestFractions:
     def test_parse_and_format(self):
         assert uio.parse_fraction("2/3") == Fraction(2, 3)
         assert uio.parse_fraction("5") == Fraction(5)
+        assert uio.parse_fraction(Fraction(-2, 6)) == Fraction(-1, 3)
+        assert uio.parse_fraction(7) == Fraction(7)
         assert uio.format_fraction(Fraction(1, 4)) == "1/4"
         assert uio.format_fraction(Fraction(3)) == "3"
 

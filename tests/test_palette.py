@@ -1,7 +1,9 @@
 """Palette densities against hand-counted oracles, closure properties, and the
 representability search against naive full enumeration."""
 
+import hashlib
 import itertools
+import json
 import sys
 from fractions import Fraction
 
@@ -9,7 +11,106 @@ import numpy as np
 import pytest
 
 from unidense import hypergraph as hg
+from unidense import io as uio
 from unidense import palette as pal
+
+Q = Fraction
+
+
+def _roedl(digest, d, target):
+    """The pinned values of a roedl(r), r >= 4, its JSON as a digest: d is its
+    vvv and ev density, claimed for both against target."""
+    return digest, (("vvv", d, target), ("ev", d, target)), False, (d, d, Q(0))
+
+
+_ROEDL2 = (
+    {"colors": ["red", "green"], "name": "roedl", "patterns": [
+        ["green", "red", "green"], ["green", "red", "red"],
+        ["red", "green", "green"], ["red", "green", "red"]]},
+    (("vvv", Q(1, 2), "k4"), ("ev", Q(1, 2), "k4")), False, (Q(1, 2), Q(1, 2), Q(0)),
+)
+
+# spec -> (palette JSON or its digest, claims, symmetric, (vvv, ev, ee) densities)
+PINNED = {
+    "rainbow": (
+        {"colors": ["red", "blue", "green"], "name": "rainbow",
+         "patterns": [["red", "blue", "green"]]},
+        (("vvv", Q(1, 27), "zero-density criterion"),), False, (Q(1, 27), Q(0), Q(0)),
+    ),
+    "tournament": (
+        {"colors": ["fwd", "back"], "name": "tournament",
+         "patterns": [["back", "fwd", "back"], ["fwd", "back", "fwd"]]},
+        (("vvv", Q(1, 4), "k4minus"), ("ev", Q(1, 4), "k4minus")), False,
+        (Q(1, 4), Q(1, 4), Q(0)),
+    ),
+    "star4": (
+        {"colors": ["1", "2", "3"], "name": "star4", "patterns": [
+            ["1", "2", "1"], ["1", "2", "3"], ["1", "3", "1"], ["2", "1", "2"],
+            ["2", "3", "1"], ["2", "3", "2"], ["3", "1", "2"], ["3", "1", "3"],
+            ["3", "2", "3"]]},
+        (("vvv", Q(1, 3), "star4"), ("ev", Q(1, 3), "star4")), False,
+        (Q(1, 3), Q(1, 3), Q(0)),
+    ),
+    "ramsey6": (
+        {"colors": ["red", "green"], "name": "ramsey6", "patterns": [
+            ["green", "green", "red"], ["green", "red", "green"], ["green", "red", "red"],
+            ["red", "green", "green"], ["red", "green", "red"], ["red", "red", "green"]]},
+        (("vvv", Q(3, 4), "k6"),), True, (Q(3, 4), Q(3, 4), Q(1, 2)),
+    ),
+    "cycle5": (
+        {"colors": ["red", "green"], "weights": ["2/3", "1/3"], "name": "cycle5",
+         "patterns": [["red", "red", "green"]]},
+        (("vvv", Q(4, 27), "cycle5"),), False, (Q(4, 27), Q(0), Q(0)),
+    ),
+    "ee5": (
+        {"colors": ["1", "2", "3"], "name": "ee5", "patterns": [
+            ["1", "1", "2"], ["1", "2", "1"], ["1", "3", "3"], ["2", "1", "1"],
+            ["2", "2", "3"], ["2", "3", "2"], ["3", "1", "3"], ["3", "2", "2"],
+            ["3", "3", "1"]]},
+        (("ee", Q(1, 3), "k5"),), True, (Q(1, 3), Q(1, 3), Q(1, 3)),
+    ),
+    "ee6": (
+        {"colors": ["1", "2"], "name": "ee6", "patterns": [
+            ["1", "1", "2"], ["1", "2", "1"], ["1", "2", "2"], ["2", "1", "1"],
+            ["2", "1", "2"], ["2", "2", "1"]]},
+        (("ee", Q(1, 2), "k6"),), True, (Q(3, 4), Q(3, 4), Q(1, 2)),
+    ),
+    "ee11": (
+        {"colors": ["1", "2", "3"], "name": "ee11", "patterns": [
+            ["1", "1", "2"], ["1", "1", "3"], ["1", "2", "1"], ["1", "2", "2"],
+            ["1", "3", "1"], ["1", "3", "3"], ["2", "1", "1"], ["2", "1", "2"],
+            ["2", "2", "1"], ["2", "2", "3"], ["2", "3", "2"], ["2", "3", "3"],
+            ["3", "1", "1"], ["3", "1", "3"], ["3", "2", "2"], ["3", "2", "3"],
+            ["3", "3", "1"], ["3", "3", "2"]]},
+        (("ee", Q(2, 3), "k11"),), True, (Q(2, 3), Q(2, 3), Q(2, 3)),
+    ),
+    "roedl": _ROEDL2,
+    "roedl(2)": _ROEDL2,
+    "roedl(3)": (
+        {"colors": ["c1", "c2", "c3"], "name": "roedl(3)", "patterns": [
+            ["c1", "c2", "c1"], ["c1", "c2", "c2"], ["c1", "c2", "c3"], ["c1", "c3", "c1"],
+            ["c1", "c3", "c2"], ["c1", "c3", "c3"], ["c2", "c1", "c1"], ["c2", "c1", "c2"],
+            ["c2", "c1", "c3"], ["c2", "c3", "c1"], ["c2", "c3", "c2"], ["c2", "c3", "c3"],
+            ["c3", "c1", "c1"], ["c3", "c1", "c2"], ["c3", "c1", "c3"], ["c3", "c2", "c1"],
+            ["c3", "c2", "c2"], ["c3", "c2", "c3"]]},
+        (("vvv", Q(2, 3), "k5"), ("ev", Q(2, 3), "k5")), False, (Q(2, 3), Q(2, 3), Q(0)),
+    ),
+    "roedl(4)": _roedl(
+        "55bb003d531b7b672b423a505b54c0e65c7321b22003e4ca5537cc35da56ec43", Q(3, 4), "k6",
+    ),
+    "roedl(5)": _roedl(
+        "d37519cb2cdd188b5714ee78a7047a3fb0e6e8797ea60a7cb82c86900e305ea2", Q(4, 5), "k7",
+    ),
+    "roedl(6)": _roedl(
+        "0f1273040445c96914c401a98d7f76918cb0548b87873a2da0f663a3dc001e06", Q(5, 6), "k8",
+    ),
+    "roedl(7)": _roedl(
+        "618c9d7e973564e3c869afd1ce3bd62ea23a9f01772b30f94355655eee78fcdb", Q(6, 7), "k9",
+    ),
+    "roedl(8)": _roedl(
+        "e372c78070526778554d4e579dbc14341b170b617f58cb8bb1dd8640004b9dd8", Q(7, 8), "k10",
+    ),
+}
 
 
 class TestWeightedColorSet:
@@ -172,6 +273,8 @@ class TestDensities:
         assert U.density("vvv") == P.density("vvv")
         assert U.density("ev") == P.density("ev")
         assert U.density("ee") == P.density("ee")
+        E = pal.builtin("ee5")
+        assert E.expand_weights() is E
 
 
 class TestSymmetricClosure:
@@ -236,6 +339,21 @@ class TestBuiltins:
             assert P.claims
             for star, dens, _target in P.claims:
                 assert P.density(star) == dens
+
+    @pytest.mark.parametrize("spec", list(PINNED))
+    def test_catalogue_pinned(self, spec):
+        """Every builtin spec against literal values: its palette JSON (for
+        roedl(4) to roedl(8), the SHA-256 of the JSON dumped with sorted
+        keys), claims, symmetry flag and its vvv, ev and ee densities."""
+        pinned, claims, symmetric, densities = PINNED[spec]
+        P = pal.builtin(spec)
+        obj = uio.palette_to_json(P)
+        if isinstance(pinned, str):
+            obj = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+        assert obj == pinned
+        assert P.claims == claims
+        assert P.symmetric is symmetric
+        assert tuple(P.density(star) for star in ("vvv", "ev", "ee")) == densities
 
 
 def naive_representable(F, P):

@@ -141,6 +141,15 @@ class TestCountingLemma:
         )
         assert qr.check_counting_lemma(P, 0, 0, 0, 0) == 0
 
+    def test_empty_part_zero_deviation(self):
+        P = qr.TripartiteGraph(
+            ((0, 1), (), (2,)),
+            qr.BipartiteGraph.from_edges(2, 0, []),
+            qr.BipartiteGraph.from_edges(2, 1, [(0, 0), (1, 0)]),
+            qr.BipartiteGraph.from_edges(0, 1, []),
+        )
+        assert qr.check_counting_lemma(P, 0, 1, 1, 1) == 0
+
     @pytest.mark.parametrize("args", [
         (Fraction(-1, 10), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
         (0, Fraction(3, 2), Fraction(1, 2), Fraction(1, 2)),

@@ -72,6 +72,8 @@ class TestConstruction:
         assert all(type(x) is int for x in A.class_sizes.values())
         assert A.constituents == {(0, 1, 2): frozenset({(0, 0, 1), (1, 2, 0)})}
         assert A.cube((0, 1, 2)).shape == (2, 3, 2)
+        B = rd.ReducedHypergraph((0, 1, 2), A.class_sizes, A.constituents)
+        assert B == A and hash(B) == hash(A)
 
     def test_from_palette_shapes(self):
         A = rd.from_palette(pal.builtin("tournament"), 5)
