@@ -21,23 +21,24 @@ the innermost set (C for vvv, P for ev, Q for ee) is minimized analytically,
 which covers all of its 2^k choices at once because the slack is additive
 over that set's elements.
 
-The exact ``scores`` kernels compute in float64, so that numpy's products
-run on BLAS, and hand int64 back to the sweep.  Every value they hold is an
-integer, and float64 adds and multiplies integers exactly, in any order and
-with fused multiply-adds, while every operand and partial sum has magnitude
-below 2^53.  The scaled slacks and their partial sums stay within
-scale n^3, with scale <= 10^9 by ``_scaled`` and n <= 62 by the sweep's
-bits (ee's n^2 bits give n <= 7), so within 10^9 * 62^3 < 2.4 * 10^14, far
-below 2^53 ~ 9.0 * 10^15.  Before it builds anything, each exact branch
-declares its bits, the cells of its tables as a function of n and this
+The exact uniform and vvv ``scores`` kernels compute in float64, so that
+numpy's products run on BLAS, and hand int64 back to the sweep.  Every value
+they hold is an integer, and float64 adds and multiplies integers exactly, in
+any order and with fused multiply-adds, while every operand and partial sum
+has magnitude below 2^53: the scaled slacks and their partial sums stay
+within scale n^3, with scale <= 10^9 by ``_scaled`` and n <= 62 by the
+sweep's bits, so within 10^9 * 62^3 < 2.4 * 10^14.  The exact ev and ee
+kernels multiply nothing: they sum negative parts of the searched set's
+term (``hypergraph.split_negatives``) in the narrowest signed integer dtype
+that holds the bounds of term and slack.  Before it builds anything, each
+exact branch declares its bits, the cells of its tables and any float64
 bound to ``hypergraph.check_sweep``, the one refusal of a sweep out of
 reach.  The flips and score() that replay the winner stay in int64, so the
-replay checks the float64 table independently.
+replay checks the table independently.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -45,20 +46,21 @@ from math import comb
 import numpy as np
 
 from .hypergraph import (
+    PERMS3,
     RNG_ALGORITHM,
     Hypergraph3,
     bit_positions,
     check_sweep,
     chunk_len,
+    int_cells,
     random_masks,
     rng,
     split_cells,
+    split_negatives,
     split_sums,
     subset_search,
     subset_sweep,
 )
-
-_PERMS3 = tuple(itertools.permutations(range(3)))
 
 
 # -- exact counting -----------------------------------------------------------
@@ -69,7 +71,7 @@ def count_vvv(H: Hypergraph3, A, B, C) -> int:
     A, B, C = set(A), set(B), set(C)
     total = 0
     for e in H.edges:
-        for p in _PERMS3:
+        for p in PERMS3:
             if e[p[0]] in A and e[p[1]] in B and e[p[2]] in C:
                 total += 1
     return total
@@ -81,7 +83,7 @@ def count_ev(H: Hypergraph3, A, P) -> int:
     P = set(P)
     total = 0
     for e in H.edges:
-        for p in _PERMS3:
+        for p in PERMS3:
             if e[p[0]] in A and (e[p[1]], e[p[2]]) in P:
                 total += 1
     return total
@@ -100,7 +102,7 @@ def count_ee(H: Hypergraph3, P, Q) -> tuple[int, int]:
     kpq = sum(cnt * by_first.get(b, 0) for b, cnt in by_second.items())
     epq = 0
     for e in H.edges:
-        for p in _PERMS3:
+        for p in PERMS3:
             if (e[p[0]], e[p[1]]) in P and (e[p[1]], e[p[2]]) in Q:
                 epq += 1
     return kpq, epq
@@ -179,7 +181,7 @@ class DensityReport:
 def _ordered_edge_tensor(H: Hypergraph3) -> np.ndarray:
     """t[x, y, z] = 1 when {x, y, z} is an edge (so x, y, z distinct); n^3 bytes."""
     t = np.zeros((H.n,) * 3, dtype=np.int8)
-    for p in _PERMS3:
+    for p in PERMS3:
         t[tuple(H.array[:, p].T)] = 1
     return t
 
@@ -257,13 +259,15 @@ def audit_uniform_dense(
     """
     d, eta, scale, d_term, eta_term = _scaled(d, eta, H.n)
     n = H.n
-    thirds = [[H.thirds(v, x) for x in range(n)] for v in range(n)]
+    thirds = {}  # thirds[v][x] = H.thirds(v, x), read when v is first flipped
     binom_term = [d_term * comb(u, 3) for u in range(n + 1)]
     mask = size = inside = 0
 
     def flip(v):
         nonlocal mask, size, inside
         mask ^= 1 << v
+        if v not in thirds:
+            thirds[v] = [H.thirds(v, x) for x in range(n)]
         # edges {v, x, y} with x, y in U, each seen once from x and once from y
         row, rest, k = thirds[v], mask, 0
         while rest:
@@ -548,10 +552,9 @@ class _RowSums:
     row scale * t[a, b] - d_term is placed at row b of term (ee); at(i) is
     where element i's row goes.  A flip adds or subtracts the row, formed in
     int64 from the int8 tensor, at term[at(i)].  ``search`` rates candidate
-    sets with ``rate``, and the float64 table of every element's row is
-    built only by ``sweep``.  At most n elements are placed at each cell of
-    term, so its entries lie in [-scale n, scale n] and the slack in
-    [-scale n^3, 0].
+    sets with ``rate``, and the table of every element's row is built only
+    by ``sweep``.  At most n elements are placed at each cell of term, so
+    its entries lie in [-d_term n, scale n] and the slack in [-d_term n^3, 0].
     """
 
     def __init__(self, t: np.ndarray, pairs: bool, scale: int, d_term: int):
@@ -599,29 +602,23 @@ class _RowSums:
 
     def sweep(self, witness):
         n, nbits = len(self.term), len(self.t)
-        # the float64 rows of every element and their split tables
-        check_sweep(nbits, (nbits + n + 3) * n * n + split_cells(nbits, n * n), self.scale * n**3)
-        rows = np.zeros((nbits, n, n))
+        bound = max(self.scale * n, self.d_term * n**3)
+        # the int64 rows of every element and their split tables
+        check_sweep(nbits, (nbits + n + 3) * n * n + int_cells(split_cells(nbits, n * n), bound), 0)
+        rows = np.zeros((nbits, n, n), dtype=np.int64)
         for i, row in enumerate(rows):
-            row[self.at(i)] = self.scale * self.t[i].astype(np.float64) - self.d_term
-        sums = split_sums(rows.reshape(len(rows), n * n))
-        ones = np.ones(n * n)
-
-        def scores(masks):
-            terms = sums(masks)
-            np.minimum(terms, 0, out=terms)
-            return (terms @ ones).astype(np.int64)
-
-        width = 2 * n * n + 1
-        return subset_sweep(nbits, scores, width, self.flip, self.score, witness)
+            row[self.at(i)] = self.scale * self.t[i].astype(np.int64) - self.d_term
+        negs = split_negatives(rows.reshape(nbits, n * n), bound)
+        # per mask: what negs holds
+        width = int_cells(n * n + 2, bound)
+        return subset_sweep(nbits, negs, width, self.flip, self.score, witness)
 
 
 def _ev_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> DensityReport:
     """A enumerated or searched; the best P given A is {(b, c) : term[b, c] < 0},
     where term[b, c] = scale #{a in A : abc ordered edge} - d_term |A|.
 
-    Each entry lies in [-scale n, scale n] and the slack in [-scale n^3, 0],
-    scale <= 10^9: below 2^53 for the exact sweep's n <= 62.
+    Each entry lies in [-d_term n, scale n] and the slack in [-d_term n^3, 0].
     """
     d, eta, scale, d_term, eta_term = _scaled(d, eta, H.n)
     n = H.n
@@ -643,8 +640,8 @@ def _ee_audit(H: Hypergraph3, d, eta, exact: bool, samples: int, seed) -> Densit
     (a, b); the best Q given P is {(b, c) : term[b, c] < 0}, where
     term[b, c] = scale #{a : (a,b) in P, abc ordered edge} - d_term #{a : (a,b) in P}.
 
-    Each entry lies in [-scale n, scale n] and the slack in [-scale n^3, 0],
-    scale <= 10^9: below 2^53 for the exact sweep's n^2 <= 62 bits, n <= 7.
+    Each entry lies in [-d_term n, scale n] and the slack in [-d_term n^3, 0];
+    the exact sweep's n^2 <= 62 bits give n <= 7.
     """
     d, eta, scale, d_term, eta_term = _scaled(d, eta, H.n)
     n = H.n

@@ -36,6 +36,9 @@ class HypergraphError(ValueError):
 # n*n must fit
 MAX_VERTICES = 3_037_000_499  # isqrt(2**63 - 1)
 
+# the six orders of a triple's coordinates, as index tuples
+PERMS3 = tuple(itertools.permutations(range(3)))
+
 # the pair index uses a dense table of all n*n keys while it has at most this
 # many cells per opposite-pair entry (three an edge), and np.unique otherwise.
 # At 4 the two paths peak within 6 % of each other (tracemalloc, random
@@ -295,11 +298,12 @@ def bit_positions(mask: int) -> list[int]:
 # flip(i) toggles element i, score() rates the current set, and witness()
 # describes it.  Both engines rate many sets at once and flip only to the
 # winner.  The exact sweep takes scores(masks), the same score for a run of
-# consecutive bitmasks, read off split-half tables such as those of
-# ``split_sums`` (meet in the middle, Horowitz-Sahni 1974).  Each exact
-# branch declares the tables it keeps to ``check_sweep`` before it builds
-# them.  The sampled search takes rate(rows), the same score for a chunk of
-# candidate sets unpacked into 0/1 rows, and then descends by single flips.
+# consecutive bitmasks, read off split-half tables (meet in the middle,
+# Horowitz-Sahni 1974): ``split_sums`` or, in narrow integers,
+# ``split_negatives``.  Each exact branch declares the tables it keeps to
+# ``check_sweep`` before it builds them.  The sampled search takes rate(rows),
+# the same score for a chunk of candidate sets unpacked into 0/1 rows, and
+# then descends by single flips.
 #
 # Two constants bound memory.  _TABLE_CELLS caps the tables one exact sweep
 # keeps.  _CHUNK_BYTES bounds what a vectorised pass holds beyond the tables
@@ -414,14 +418,66 @@ def split_sums(rows):
 
 
 def split_cells(nbits: int, k: int) -> int:
-    """The cells of the two tables ``split_sums`` builds from nbits rows of k."""
+    """The cells of the two split-half tables built from nbits rows of k."""
     return ((1 << nbits // 2) + (1 << nbits - nbits // 2)) * k
 
 
-def _all_sums(rows: np.ndarray) -> np.ndarray:
+def int_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype, int16 or wider, that holds every
+    magnitude up to bound; object (Python ints) past int64."""
+    fits = [t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max]
+    return np.dtype(fits[0] if fits else object)
+
+
+def int_cells(count: int, bound: int) -> int:
+    """The 8-byte cells that count values of ``int_dtype(bound)`` fill."""
+    return -(-count * int_dtype(bound).itemsize // 8)
+
+
+def split_negatives(rows, bound: int):
+    """negs(masks): for an aligned run of masks, as ``split_sums`` reads them,
+    the sum over the k columns of min(subset sum of the (nbits, k) rows, 0).
+
+    All of it is in ``int_dtype(bound)``: each column of a subset sum, and
+    each such sum, must lie within bound.  The split-half tables, which hold
+    ``split_cells(nbits, k)`` values, are built from the rows in that dtype
+    and held transposed, (k, 2^half), so a run's sums fill one (k, run)
+    buffer, which is clipped in place and summed over its k rows; with its
+    row of zeros it is reused from call to call: k + 2 values per mask.
+    """
+    dtype, rows = int_dtype(bound), np.asarray(rows)
+    half, k = len(rows) // 2, rows.shape[1]
+
+    def table(part):  # (k, 2^len(part)), filled through its transpose
+        return _all_sums(part, np.zeros((k, 1 << len(part)), dtype=dtype).T).T
+
+    lo, hi = table(rows[:half]), table(rows[half:])
+    low_bits = (1 << half) - 1
+    buf = zeros = np.zeros(0, dtype=dtype)
+
+    def negs(masks):
+        nonlocal buf, zeros
+        first, last, run = int(masks[0]), int(masks[-1]), len(masks)
+        his = slice(first >> half, (last >> half) + 1)
+        lows = slice(first & low_bits, (last & low_bits) + 1)
+        if len(zeros) < run:
+            buf, zeros = np.empty(k * run, dtype=dtype), np.zeros(run, dtype=dtype)
+        block = buf[: k * run].reshape(k, his.stop - his.start, lows.stop - lows.start)
+        np.add(hi[:, his, None], lo[:, None, lows], out=block)
+        block = block.reshape(k, run)
+        # a row of zeros, not the scalar 0, keeps numpy on its vectorised loop
+        np.minimum(block, zeros[:run], out=block)
+        return block.sum(axis=0, dtype=dtype)
+
+    return negs
+
+
+def _all_sums(rows: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
     """table[m] = sum of rows[j] over the set bits j of m, for every m < 2^len(rows),
-    filled in place: the sets holding bit j are those below it plus row j."""
-    table = np.zeros((1 << len(rows),) + rows.shape[1:], dtype=rows.dtype)
+    filled in place: the sets holding bit j are those below it plus row j.
+    The table is a new one in the rows' dtype, or the given zeroed array or view."""
+    if table is None:
+        table = np.zeros((1 << len(rows),) + rows.shape[1:], dtype=rows.dtype)
     for j, row in enumerate(rows):
         np.add(table[: 1 << j], row, out=table[1 << j : 2 << j])
     return table

@@ -22,7 +22,7 @@ from graphlib import TopologicalSorter
 from math import factorial, inf, lcm, prod
 from typing import NamedTuple
 
-from .hypergraph import Hypergraph3, bit_positions
+from .hypergraph import PERMS3, Hypergraph3, bit_positions
 
 
 class PaletteError(ValueError):
@@ -72,8 +72,6 @@ class WeightedColorSet:
         return all(x == w for x in self.weights)
 
 
-_PERMS3 = tuple(itertools.permutations(range(3)))
-
 # The density notions, each as the choices of pattern coordinates (the
 # colours of the pairs of a triple) that one of its witnesses fixes: none for
 # vvv, one for ev, two for ee.  A reduced hypergraph's constituent roles are
@@ -106,7 +104,7 @@ class Palette:
                 if c not in known:
                     raise PaletteError(f"pattern {p!r} uses unknown colour {c!r}")
         symmetric = all(
-            tuple(p[s] for s in perm) in pats for p in pats for perm in _PERMS3
+            tuple(p[s] for s in perm) in pats for p in pats for perm in PERMS3
         )
         object.__setattr__(self, "symmetric", symmetric)
 
@@ -183,7 +181,7 @@ def symmetric_closure(generators, base: WeightedColorSet) -> Palette:
 def _orbits(generators) -> frozenset:
     """The generators' images under the six coordinate permutations."""
     return frozenset(
-        tuple(g[s] for s in perm) for g in map(tuple, generators) for perm in _PERMS3
+        tuple(g[s] for s in perm) for g in map(tuple, generators) for perm in PERMS3
     )
 
 
@@ -341,9 +339,6 @@ def check_certificate(F: Hypergraph3, palette: Palette, cert) -> bool:
     col = cert.coloring
     pairs = set(F.shadow())
     if set(col) != pairs:
-        return False
-    known = set(palette.base.colors)
-    if any(c not in known for c in col.values()):
         return False
     for e in F.edges:
         x, y, z = sorted(e, key=rank.__getitem__)
@@ -760,7 +755,7 @@ def _model(F: Hypergraph3, palette: Palette, fixed_ordering=None) -> _Model:
     constraints = []
     for t in triangles:
         x, y, z = t
-        orders = _PERMS3 if pos is None else (tuple(sorted(range(3), key=lambda i: pos[t[i]])),)
+        orders = PERMS3 if pos is None else (tuple(sorted(range(3), key=lambda i: pos[t[i]])),)
         constraints.append(((pidx[x, y], pidx[x, z], pidx[y, z]), table(orders, t in edges)))
     chain: tuple[int, ...] = ()
     if palette.symmetric and fixed_ordering is None:

@@ -5,9 +5,10 @@ The quasirandom audit searches the subsets A of the smaller side with the
 engine of the density audits (``hypergraph.subset_sweep`` when exact,
 ``hypergraph.subset_search`` when sampled); the worst subset of the other
 side is computed analytically per A, so the exact audit covers every (A, B)
-pair.  The exact sweep reads each A's column counts as the sum of two
-split-half subset-sum tables (``hypergraph.split_sums``); the sampled search
-rates its candidates as one product of their indicator rows by the steps.
+pair.  The exact sweep sums the negative parts of each A's column deviations
+(``hypergraph.split_negatives``, in the narrowest signed integer dtype that
+holds q |X| |Y|, int16 or wider); the sampled search rates its candidates
+as one product of their indicator rows by the steps, in float64 on BLAS.
 Deviations are integers scaled by the denominator of d until the one Fraction
 of the report; all verdicts use exact rational arithmetic.
 """
@@ -24,11 +25,13 @@ from .hypergraph import (
     Hypergraph3,
     bit_positions,
     check_sweep,
+    int_cells,
     pack_rows,
     random_masks,
     random_rows,
     rng,
     split_cells,
+    split_negatives,
     split_sums,
     subset_search,
     subset_sweep,
@@ -173,32 +176,31 @@ def audit_quasirandom(
     def witness():
         return bit_positions(mask), np.flatnonzero(v > 0 if up >= down else v < 0).tolist()
 
-    # v of many sets A at once comes from float64 steps when the bound is
-    # below 2^53 (exact there, and summed on BLAS), else from steps' own
-    # dtype.  A Python-int cell also holds its int object, in 16-byte blocks.
-    floats = bound < 2**53
-    table = steps.astype(np.float64) if floats else steps
+    # A Python-int cell also holds its int object, in 16-byte blocks.
     per = 1 if dtype is np.int64 else 1 + 2 * -(-sys.getsizeof(bound) // 16)
     if exact:
-        # the total of v is split-half in steps' own dtype
-        cells = per * (split_cells(W.nx, W.ny + 1) + W.nx * W.ny)
-        check_sweep(W.nx, cells, bound if floats else 0)
-        sums, totals = split_sums(table), split_sums(steps.sum(axis=1))
-        ones = np.ones(W.ny, dtype=table.dtype)
+        # -down is the sum of the negative parts of v, so -max(up, down) is
+        # -down - max(total, 0), the total of v split-half in steps' dtype;
+        # the plan holds steps and the tables
+        cells = int_cells(split_cells(W.nx, W.ny), bound) + split_cells(W.nx, 1) + W.nx * W.ny
+        check_sweep(W.nx, per * cells, 0)
+        negs, totals = split_negatives(steps, bound), split_sums(steps.sum(axis=1))
 
         def scores(masks):
-            vs = sums(masks)
-            np.maximum(vs, 0, out=vs)
-            ups = (vs @ ones).astype(dtype, copy=False)
-            return (masks == 0) - np.maximum(ups, ups - totals(masks))
+            return negs(masks) - np.maximum(totals(masks), 0) + (masks == 0)
 
+        # per mask: what negs holds, the totals, their positive part and the sum
+        width = per * (int_cells(W.ny + 2, bound) + 3)
         mode, nsamples = "exact", None
-        neg_dev, (wa, wb) = subset_sweep(W.nx, scores, 2 * W.ny + 4, flip, score, witness)
+        neg_dev, (wa, wb) = subset_sweep(W.nx, scores, width, flip, score, witness)
     else:
         full = (1 << W.nx) - 1
         candidates = random_masks(W.nx, rng(seed), samples) + [full]
         candidates.extend(1 << x for x in range(min(W.nx, 32)))
         candidates.extend(full ^ (1 << x) for x in range(min(W.nx, 32)))
+        # v of many sets A at once comes from float64 steps when the bound is
+        # below 2^53 (exact there, and summed on BLAS), else from steps' own dtype
+        table = steps.astype(np.float64) if bound < 2**53 else steps
 
         def rate(rows):
             vs = rows.astype(table.dtype) @ table

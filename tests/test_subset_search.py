@@ -1,6 +1,7 @@
 """The subset-search engine behind every density and quasirandom audit, and
 reports pinned to the values the audits gave before they shared it."""
 
+import random
 import tracemalloc
 from fractions import Fraction as F
 
@@ -143,6 +144,41 @@ class TestSubsetSweep:
                         for m in masks]
                 assert got.dtype == dtype and got.shape == (length, 3)
                 assert (got == np.array(want)).all()
+
+    # a bound on each side of every dtype step
+    @pytest.mark.parametrize("bound, dtype", [
+        (2**15 - 1, np.int16), (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.int64),
+        (2**63 - 1, np.int64), (2**63, object), (2**70, object),
+    ])
+    def test_split_negatives_matches_brute_force(self, bound, dtype):
+        assert hg.int_dtype(bound) == dtype
+        rand = random.Random(bound)
+        for nbits, k in [(0, 2), (1, 3), (6, 4), (7, 5)]:
+            # entries of magnitude at most c = bound / (nbits k) keep every
+            # subset sum within bound; the first k // 2 columns take both
+            # signs, and the rest, -c in every row, take the full set's sum of
+            # negative parts past half of -bound
+            c = bound // max(nbits * k, 1)
+            rows = [[rand.randint(-c, c) if j < k // 2 else -c for j in range(k)]
+                    for _ in range(nbits)]
+            negs = hg.split_negatives(np.array(rows, dtype=dtype).reshape(nbits, k), bound)
+
+            def brute(m):
+                bits = [i for i in range(nbits) if m >> i & 1]
+                return sum(min(sum(rows[i][j] for i in bits), 0) for j in range(k))
+
+            # aligned runs within one low block of 2^(nbits // 2) masks and
+            # across whole high blocks, shortest first and then longest first,
+            # so that the buffer grows with the runs and is then reused by
+            # shorter ones
+            block = 1 << nbits // 2
+            lengths = sorted({1, max(block // 2, 1), block, min(2 * block, 1 << nbits), 1 << nbits})
+            for length in lengths + lengths[::-1]:
+                for start in range(0, 1 << nbits, length):
+                    masks = np.arange(start, start + length, dtype=np.int64)
+                    got = negs(masks)
+                    assert got.dtype == dtype and got.shape == (length,)
+                    assert got.tolist() == [brute(m) for m in range(start, start + length)]
 
 
 class TestSubsetSearch:
