@@ -28,6 +28,7 @@ import json
 import re
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -104,6 +105,14 @@ def _map_json(rm: _reduced.ReducedMap) -> dict:
     }
 
 
+def _decimal(n: int) -> str:
+    """n in decimal at any size.  str() refuses an int of more digits than
+    sys.get_int_max_str_digits(), such as the space 100! 8^4950 of certify
+    --F k100 --palette 'roedl(8)'; Decimal(n) takes n exactly and prints it
+    with no such limit."""
+    return str(Decimal(n))
+
+
 def _search_exit(status: str) -> int:
     """Exit code of a budgeted search; an inconclusive one also says so on stderr."""
     if status != "inconclusive":
@@ -158,11 +167,11 @@ def _cmd_certify(args, report):
     P = _load_palette(args.palette)
     res = _palette.representable(F, P, budget=args.budget)
     report["verdict"] = res.status
-    report["space"] = str(res.space)
+    report["space"] = _decimal(res.space)
     report["nodes"] = res.nodes
     report["symmetry"] = res.symmetry.to_json()
     lines = [f"certify F={args.F} palette={args.palette}: {res.status} "
-             f"(space {res.space}, nodes {res.nodes}, symmetry {res.symmetry})"]
+             f"(space {_decimal(res.space)}, nodes {res.nodes}, symmetry {res.symmetry})"]
     if res.certificate is not None:
         cert = {
             "ordering": list(res.certificate.ordering),
@@ -227,7 +236,7 @@ def _cmd_table(args, report):
                 "density": _io.format_fraction(dens),
                 "verdict": verdict,
                 "bound": statement,
-                "space": str(res.space),
+                "space": _decimal(res.space),
                 "symmetry": res.symmetry.to_json(),
             }
         )
@@ -359,7 +368,7 @@ def _cmd_reduced_map(args, report):
     report["symmetry"] = res.symmetry.to_json()
     # index-assignment space; the pair-colouring space per assignment is
     # exhausted by the inner search
-    report["lambda_space"] = str(len(A.indices) ** F.n)
+    report["lambda_space"] = _decimal(len(A.indices) ** F.n)
     if res.reduced_map is not None:
         report["map"] = _map_json(res.reduced_map)
     return _search_exit(res.status), [

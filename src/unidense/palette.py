@@ -439,22 +439,20 @@ def ternary_tables(triples) -> TernaryTables:
     allowed = frozenset(triples)
     width = 1 + max((max(t) for t in allowed), default=-1)
     zero = [0] * width
-    proj: dict[tuple[int, int], list[int]] = {}
-    comp: dict[tuple[int, int], list[list[int]]] = {}
-    for s, r in itertools.permutations(range(3), 2):
-        t = 3 - s - r
-        p = [0] * width
-        rows: dict[int, list[int]] = {}
-        for tr in allowed:
-            p[tr[s]] |= 1 << tr[r]
-            rows.setdefault(tr[s], [0] * width)[tr[r]] |= 1 << tr[t]
-        proj[s, r] = p
-        comp[s, r] = [rows.get(x, zero) for x in range(width)]
-    arcs = tuple(
-        (proj[s, r1], proj[s, r2], comp[s, r1], comp[s, r2])
-        for s, (r1, r2) in enumerate(_OTHER_TWO)
-    )
-    return TernaryTables(width, arcs, allowed)
+    arcs = []
+    for s, (r1, r2) in enumerate(_OTHER_TWO):
+        proj1, proj2 = [0] * width, [0] * width
+        comp2, comp1 = [zero] * width, [zero] * width
+        for t in allowed:
+            x, y, z = t[s], t[r1], t[r2]
+            if not proj1[x]:  # x's first triple: its own rows
+                comp2[x], comp1[x] = [0] * width, [0] * width
+            proj1[x] |= 1 << y
+            proj2[x] |= 1 << z
+            comp2[x][y] |= 1 << z
+            comp1[x][z] |= 1 << y
+        arcs.append((proj1, proj2, comp2, comp1))
+    return TernaryTables(width, tuple(arcs), allowed)
 
 
 def solve_ternary(
@@ -486,13 +484,22 @@ def solve_ternary(
     free and its comp row when the other one is assigned.  A constraint whose
     neighbours are both assigned needs no check: when the later of them was
     assigned, that narrowed v's domain by the constraint's comp row, and
-    values are drawn only from v's domain.  A value at or
-    above the width of one of v's tables has no support there and fails at
-    once.  The fail-first scan walks the non-chain variables sorted by (more
-    constraints, lower index) and keeps the first one with the strictly
-    smallest live count, stopping early at zero.  The search is node for
-    node that of a dict-keyed form of the same tables, kept as the reference
-    in tests/test_engine_oracle.py: same variables, values and counter.
+    values are drawn only from v's domain.  A value at or above the width of
+    one of v's tables has no support there and fails at once.
+
+    A level costs what its narrowings cost, not O(variables).  The
+    unassigned non-chain variables sit in buckets by live count, each bucket
+    a bitset over their positions in the order (more constraints, lower
+    index), so the fail-first pick, the first variable in that order with
+    the strictly smallest live count, is the lowest bit of the first
+    nonempty bucket.  A narrowing moves its variable to another bucket only
+    when it changes the live count, and the buckets are refilled only when a
+    new colour widens the live values (see interchangeable).  Each narrowing
+    is trailed as (variable, old domain); a level keeps the trail's length
+    and its buckets (a list of a few ints, copied by reference) and goes
+    back to both before it tries its next value.  The search is node for node
+    that of a dict-keyed form of the same tables, kept as the reference in
+    tests/test_engine_oracle.py: same variables, values and counter.
 
     Two symmetry rules cut the search to canonical solutions.  The caller
     asserts that they hold for its instance.
@@ -532,58 +539,92 @@ def solve_ternary(
     assign = [-1] * n
     arcs: list[list[tuple]] = [[] for _ in range(n)]
     limit = [inf] * n
-    for vars3, tables in constraints:
-        for s, (r1, r2) in enumerate(_OTHER_TWO):
-            v = vars3[s]
-            arcs[v].append((vars3[r1], vars3[r2], *tables.arcs[s]))
-            limit[v] = min(limit[v], tables.width)
+    for (a, b, c), (width, (ta, tb, tc), _allowed) in constraints:
+        arcs[a].append((b, c) + ta)
+        arcs[b].append((a, c) + tb)
+        arcs[c].append((a, b) + tc)
+        for v in (a, b, c):
+            if width < limit[v]:
+                limit[v] = width
     chain = tuple(chain)
     chain_next = dict(zip(chain, chain[1:]))
     in_chain = set(chain)
     coloured = [bool(interchangeable and d >> interchangeable) for d in domains]
     order = sorted((v for v in range(n) if v not in in_chain), key=lambda v: (-len(arcs[v]), v))
+    # bit[v] marks v in the buckets by its position in order; 0 on the chain
+    bit = [0] * n
+    for p, v in enumerate(order):
+        bit[v] = 1 << p
+    size = 1 + max((d.bit_count() for d in domains), default=0)
+    # buckets[k]: the bits of the unassigned non-chain variables with k live values
+    buckets = [0] * size
+    # (variable, its domain before a narrowing), oldest first
+    trail: list[tuple[int, int]] = []
 
-    def propagate(var, c):
-        """Forward-check var = c along var's arcs; False on a wipe-out."""
+    def fill(live):
+        """Sort the unassigned non-chain variables into the buckets afresh."""
+        buckets[:] = [0] * size
+        for v in order:
+            if assign[v] < 0:
+                buckets[(domains[v] & live).bit_count()] |= bit[v]
+
+    def propagate(var, c, live):
+        """Forward-check var = c along var's arcs; False on a wipe-out.  Each
+        narrowed domain is trailed, and its variable moved to its new bucket
+        if its live count fell (a chain variable's bit is 0)."""
         if c >= limit[var]:
             return False
         for u, w, pu, pw, cw, cu in arcs[var]:
             yu = assign[u]
             yw = assign[w]
             if yu < 0:
-                du = domains[u] & (pu[c] if yw < 0 else cu[c][yw])
+                d = domains[u]
+                du = d & (pu[c] if yw < 0 else cu[c][yw])
                 if not du:
                     return False
-                domains[u] = du
+                if du != d:
+                    trail.append((u, d))
+                    domains[u] = du
+                    if (d ^ du) & live:
+                        buckets[(d & live).bit_count()] ^= bit[u]
+                        buckets[(du & live).bit_count()] |= bit[u]
             if yw < 0:
-                dw = domains[w] & (pw[c] if yu < 0 else cw[c][yu])
+                d = domains[w]
+                dw = d & (pw[c] if yu < 0 else cw[c][yu])
                 if not dw:
                     return False
-                domains[w] = dw
+                if dw != d:
+                    trail.append((w, d))
+                    domains[w] = dw
+                    if (d ^ dw) & live:
+                        buckets[(d & live).bit_count()] ^= bit[w]
+                        buckets[(dw & live).bit_count()] |= bit[w]
         return True
 
     # the levels above the current one, each suspended as (its variable, that
-    # variable's chain successor, the domains before it was assigned, its
-    # untried values, the used count above it)
+    # variable's chain successor, the trail's length and the buckets before
+    # it was assigned, its untried values, the used count and live mask
+    # above it)
     stack: list[tuple] = []
     used = 0
+    live = (1 << interchangeable) - 1 if interchangeable else -1
+    fill(live)
     while True:
         depth = len(stack)
         if depth < n:
-            live = (1 << (interchangeable * (used + 1))) - 1 if interchangeable else -1
             if depth < len(chain):
                 var = chain[depth]
             else:
-                var, best = -1, inf
-                for v in order:
-                    if assign[v] < 0:
-                        k = (domains[v] & live).bit_count()
-                        if k < best:
-                            var, best = v, k
-                            if not k:
-                                break
+                k = 0
+                while not buckets[k]:
+                    k += 1
+                b = buckets[k]
+                low = b & -b
+                buckets[k] = b ^ low
+                var = order[low.bit_length() - 1]
             nxt = chain_next.get(var)
-            saved = domains[:]
+            mark = len(trail)
+            snap = buckets[:]
             rest = domains[var] & live
         else:
             status = "sat" if accept is None else accept(assign)
@@ -591,31 +632,42 @@ def solve_ternary(
                 return status, (assign if status == "sat" else None)
             rest = 0  # back to the last level's next value
         while True:
-            if not rest:
+            if rest:
+                c = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                counter[0] += 1
+                if budget is not None and counter[0] > budget:
+                    return "budget", None
+                assign[var] = c
+                ok = propagate(var, c, live)
+                if ok and nxt is not None:
+                    d = domains[nxt]
+                    nd = d & -(1 << c)
+                    ok = nd != 0
+                    if ok and nd != d:
+                        trail.append((nxt, d))
+                        domains[nxt] = nd
+                if ok:
+                    stack.append((var, nxt, mark, snap, rest, used, live))
+                    if coloured[var] and c // interchangeable >= used:
+                        used = c // interchangeable + 1
+                        live = (1 << (interchangeable * (used + 1))) - 1
+                        fill(live)
+                    break
+                if not rest:
+                    continue
+            else:
                 if not stack:
                     return "unsat", None
-                var, nxt, saved, rest, used = stack.pop()
-                domains[:] = saved
                 assign[var] = -1
-                continue
-            c = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            counter[0] += 1
-            if budget is not None and counter[0] > budget:
-                return "budget", None
-            assign[var] = c
-            ok = propagate(var, c)
-            if ok and nxt is not None:
-                nd = domains[nxt] & -(1 << c)
-                ok = nd != 0
-                domains[nxt] = nd
-            if ok:
-                stack.append((var, nxt, saved, rest, used))
-                if coloured[var]:
-                    used = max(used, c // interchangeable + 1)
-                break
-            domains[:] = saved
-            assign[var] = -1
+                var, nxt, mark, snap, rest, used, live = stack.pop()
+                if not rest:
+                    continue
+            # back to this level's state for its next value
+            while len(trail) > mark:
+                u, d = trail.pop()
+                domains[u] = d
+            buckets[:] = snap
 
 
 _SLOTS = ((0, 1), (0, 2), (1, 2))  # the pairs xy, xz, yz of x < y < z, by local index

@@ -3,6 +3,8 @@ codes, JSON report reproducibility, and CNF export."""
 
 import itertools
 import json
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -207,6 +209,20 @@ class TestCli:
         data = json.loads(rpt.read_text())
         assert data["verdict"] == "free"
         assert data["space"] == "1536"
+
+    def test_certify_space_past_the_int_digit_limit(self, tmp_path, capsys):
+        # the space of K100 under roedl(8) is 100! 8^4950, 4629 decimal
+        # digits, more than str() and int() convert by default; the verdict
+        # is still reported
+        rpt = tmp_path / "r.json"
+        code = cli.main([
+            "certify", "--F", "k100", "--palette", "roedl(8)", "--json", str(rpt)
+        ])
+        assert code == 0
+        space = json.loads(rpt.read_text())["space"]
+        assert len(space) == 4629 and Decimal(space) == math.factorial(100) * 8**4950
+        out = capsys.readouterr().out
+        assert out.startswith("certify F=k100 palette=roedl(8): free (space 1842634782")
 
     def test_certify_inconclusive_exit_two(self, capsys):
         code = cli.main(["certify", "--F", "k6", "--palette", "ee6", "--budget", "10"])

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -556,6 +557,27 @@ class TestSolveTernary:
             [1] + [3] * (n - 2) + [2], self.path(n, [(0, 0, 0), (1, 1, 1)]), counter, None
         )
         assert (status, assign) == ("unsat", None) and n - 3 <= counter[0] <= n
+
+    @pytest.mark.parametrize("sat", [True, False], ids=["sat", "unsat"])
+    def test_memory_follows_the_work(self, sat):
+        # the two path CSPs above at 3000 variables: a level holds its
+        # narrowings, a trail mark and a few bucket ints, under 6 MiB in all
+        # here, where a copy of every domain at every level held 70 MiB
+        n = 3000
+        if sat:
+            up = [t for t in itertools.product(range(2), repeat=3) if t[0] <= t[1] <= t[2]]
+            domains, cons = [3] * n, self.path(n, up)
+        else:
+            domains, cons = [1] + [3] * (n - 2) + [2], self.path(n, [(0, 0, 0), (1, 1, 1)])
+        counter = [0]
+        tracemalloc.start()
+        try:
+            status, _assign = pal.solve_ternary(domains, cons, counter, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (status, counter[0]) == (("sat", n) if sat else ("unsat", n - 3))
+        assert peak < 8 * 2**20
 
     def test_accept_runs_a_nested_search(self):
         # the hook takes an outer assignment only when a deep inner search on
